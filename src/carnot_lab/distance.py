@@ -14,6 +14,9 @@ homogeneous gauge max(planar, sqrt|z|) so the target has unit size. Both
 are isometries (up to the linear dilation factor), so invariance of the
 reported distance under left translation and dilation holds by
 construction rather than by optimizer luck.
+
+The l2 distance from the origin also has a closed form, ``l2_distance``;
+Monte Carlo ball membership uses it where the bounds leave a sample open.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 from scipy.optimize import minimize
 
 from .errors import DomainError
@@ -281,74 +283,72 @@ def cc_distance(A, B, *, segments=DEFAULT_SEGMENTS, norm="l2",
 
 
 # ---------------------------------------------------------------------------
-# radial distance profile (symmetry-reduced optimizer cache)
+# exact l2 distance (circular-arc geodesics)
 
-# d(0, (x, y, z)) depends only on rho = hypot(x, y) and |z| (rotations
-# about the vertical axis and the flip (x,y,z) -> (x,-y,-z) are
-# isometries), and scales linearly under dilation. So the whole distance
-# function is one profile h(w) = d(0, (1, 0, w)) with w = |z| / rho^2:
-# d = rho * h(|z| / rho^2). The Monte Carlo membership test below runs
-# the transcription optimizer once per profile node instead of once per
-# undecided sample.
-
-_PROFILE_CACHE = {}
-_PROFILE_WMAX = 1e4
+_NEWTON_STEPS = 5  # reaches 1e-15 relative error for w in [1e-8, 1e8]
+# undecided samples per l2_distance call: keeps its temporaries small
+_MEMBERSHIP_BLOCK = 1 << 15
 
 
-class _RadialProfile:
-    def __init__(self, norm, segments, nodes):
-        w = np.concatenate(([0.0], np.logspace(-3, np.log10(_PROFILE_WMAX),
-                                               nodes - 1)))
-        h = np.empty_like(w)
-        for i, wi in enumerate(w):
-            res = cc_distance(HeisPoint(0.0, 0.0, 0.0),
-                              HeisPoint(1.0, 0.0, wi),
-                              segments=segments, norm=norm)
-            h[i] = res.value
-        # interpolate the slowly varying ratio against the vertical-gap
-        # envelope sqrt(1 + 4 pi w); it tends to 1 at both ends
-        env = np.sqrt(1.0 + 4.0 * np.pi * w)
-        self._interp = PchipInterpolator(np.log1p(w), h / env)
-        self.w = w
-        self.h = h
+def l2_distance(rho, abs_z):
+    """Exact l2 distance from the origin to points with planar radius
+    ``rho`` and vertical gap ``abs_z`` (arrays, broadcast together).
 
-    def eval(self, w):
-        w = np.minimum(np.asarray(w, dtype=float), _PROFILE_WMAX)
-        env = np.sqrt(1.0 + 4.0 * np.pi * w)
-        return self._interp(np.log1p(w)) * env
+    Geodesics project to circular arcs (Gaveau 1977; Montgomery 2002).
+    With w = abs_z / rho^2 the arc's half-angle theta in [0, pi) solves
+    (2 theta - sin 2 theta) / (8 sin^2 theta) = w, and the distance is
+    rho theta / sin theta (2 sqrt(pi abs_z) on the vertical axis). Newton
+    runs in theta for w <= pi/8, in psi = pi - theta as the arc closes.
+    """
+    rho, az = np.broadcast_arrays(np.asarray(rho, dtype=float),
+                                  np.asarray(abs_z, dtype=float))
+    # q = sqrt(w) stays accurate where rho^2 underflows; w = 0 and q = inf
+    # keep the values set here. Newton runs on the equation times 8 sin^2,
+    # finite at both ends; fmin/fmax send a NaN step back to its start
+    with np.errstate(all="ignore"):
+        q = np.sqrt(az) / rho
+        w = q * q
+        d = np.where(np.isinf(q), 2.0 * np.sqrt(np.pi * az), rho)
+        arc = (w > 0) & (w <= np.pi / 8)
+        # w(theta) is convex with slope 1/6 at 0 and chord slope 1/4
+        # to pi/2, so theta lies in [4w, 6w]; Newton descends from 6w
+        qa, wa = q[arc], w[arc]
+        lo, hi = 4.0 * wa, np.minimum(6.0 * wa, 0.5 * np.pi)
+        t = hi
+        for _ in range(_NEWTON_STEPS):
+            s = np.sin(t)
+            n = 2.0 * t - np.sin(2.0 * t)
+            step = (n - 8.0 * (qa * s) ** 2) / (4.0 * s * s
+                                                 - 2.0 * n * np.cos(t) / s)
+            t = np.fmax(lo, np.fmin(hi, t - step))
+        d[arc] = rho[arc] * t / np.sin(t)
+        loop = (w > np.pi / 8) & np.isfinite(q)
+        # w(psi) is convex, decreasing and at least pi / (4 psi^2), so
+        # Newton climbs from sqrt(pi / (4 w)) without passing the root
+        ql = q[loop]
+        lo = 0.5 * math.sqrt(math.pi) / ql
+        p = lo
+        for _ in range(_NEWTON_STEPS):
+            s = np.sin(p)
+            n = 2.0 * np.pi - 2.0 * p + np.sin(2.0 * p)
+            step = (n - 8.0 * (ql * s) ** 2) / (4.0 * s * s
+                                                 + 2.0 * n * np.cos(p) / s)
+            p = np.fmin(0.5 * np.pi, np.fmax(lo, p + step))
+        d[loop] = rho[loop] * (np.pi - p) / np.sin(p)
+    return d
 
 
-def radial_profile(norm="l2", segments=32, nodes=41):
-    key = (norm, segments, nodes)
-    if key not in _PROFILE_CACHE:
-        _PROFILE_CACHE[key] = _RadialProfile(norm, segments, nodes)
-    return _PROFILE_CACHE[key]
-
-
-def _cc_membership(x, y, z, r, profile):
-    """Vectorized membership in the distance ball of radius r."""
+def _cc_membership(x, y, z, r):
+    """Vectorized membership in the l2 distance ball of radius r."""
     rho = np.hypot(x, y)
-    az = np.abs(z)
-    iso = np.sqrt(4.0 * np.pi * az)
-    lower = np.maximum(rho, iso - rho)
-    upper = rho + 2.0 * np.sqrt(np.pi * az)
-    inside = upper <= r
-    undecided = (~inside) & (lower <= r)
-    if np.any(undecided):
-        rho_u = rho[undecided]
-        az_u = az[undecided]
-        w = np.divide(az_u, rho_u * rho_u,
-                      out=np.full_like(az_u, np.inf), where=rho_u > 0)
-        est = np.where(rho_u > 0, rho_u * profile.eval(w), iso[undecided])
-        # far beyond the tabulated range the two bounds nearly touch;
-        # their midpoint decides there
-        far = w > _PROFILE_WMAX
-        if np.any(far):
-            est = np.where(far, 0.5 * (lower[undecided] + upper[undecided]),
-                           est)
-        # interpolation never overrules the rigorous sandwich
-        est = np.clip(est, lower[undecided], upper[undecided])
-        inside[undecided] = est <= r
+    vertical = 2.0 * np.sqrt(np.pi * np.abs(z))
+    # the elementary bounds of distance_bounds decide most samples
+    inside = rho + vertical <= r
+    undecided = np.flatnonzero(~inside
+                               & (np.maximum(rho, vertical - rho) <= r))
+    for start in range(0, undecided.size, _MEMBERSHIP_BLOCK):
+        idx = undecided[start:start + _MEMBERSHIP_BLOCK]
+        inside[idx] = l2_distance(rho[idx], np.abs(z[idx])) <= r
     return inside
 
 
@@ -369,31 +369,29 @@ class VolumeFit:
     seed: int
 
 
-def ball_volume_fit(metric, radii, samples, seed,
-                    profile_segments=32, profile_nodes=41) -> VolumeFit:
+def ball_volume_fit(metric, radii, samples, seed) -> VolumeFit:
     """Monte Carlo volume of metric balls and the log-log scaling fit.
 
     Euclidean balls are sampled in the cube [-r, r]^3; distance balls in
-    the anisotropic box [-r, r]^2 x [-r^2, r^2] with a bound sandwich
-    (elementary lower/upper path bounds first, optimizer-backed radial
-    profile inside the undecided band) as the membership test. Expected
-    exponents: 3 for the Euclidean metric, 4 for the horizontal one.
+    the anisotropic box [-r, r]^2 x [-r^2, r^2], with the l2 norm as the
+    horizontal one. Distance-ball membership takes the elementary
+    lower/upper path bounds first and the exact ``l2_distance`` inside
+    the band they leave undecided. Expected exponents: 3 for the
+    Euclidean metric, 4 for the horizontal one.
     """
     radii = [float(r) for r in radii]
     if len(radii) < 3:
         raise DomainError("need at least 3 radii to fit an exponent")
     if len(set(radii)) < 2:
         raise DomainError("degenerate fit: radii have no spread")
-    if any(r <= 0 for r in radii):
-        raise DomainError("radii must be positive")
+    if not all(0.0 < r < math.inf for r in radii):
+        raise DomainError("radii must be positive and finite")
     if samples < 10_000:
         raise DomainError("need at least 1e4 samples per radius")
     if metric not in ("cc", "euclidean"):
         raise DomainError(f"unknown metric {metric!r}")
 
     rng = np.random.default_rng(seed)
-    profile = radial_profile("l2", profile_segments, profile_nodes) \
-        if metric == "cc" else None
 
     vols, hit_list, ses = [], [], []
     for r in radii:
@@ -406,7 +404,7 @@ def ball_volume_fit(metric, radii, samples, seed,
         else:
             z = rng.uniform(-r * r, r * r, samples)
             box = 8.0 * r ** 4
-            inside = _cc_membership(x, y, z, r, profile)
+            inside = _cc_membership(x, y, z, r)
         hits = int(inside.sum())
         frac = hits / samples
         vols.append(box * frac)

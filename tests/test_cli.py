@@ -259,6 +259,15 @@ def test_main_error_payload(tmp_path, capsys):
     assert err["error"]["module"] == "q_algebra"
 
 
+def test_main_volume_rejects_non_finite_radii(tmp_path, capsys):
+    for radii in ("1,2,nan", "1,2,inf"):
+        code = cli.main(["--output-dir", str(tmp_path), "volume",
+                         "--radii", radii])
+        assert code == 3
+        err = json.loads(capsys.readouterr().err.strip())
+        assert "finite" in err["error"]["message"]
+
+
 def test_main_plot_table(tmp_path, capsys):
     cli.main(["--output-dir", str(tmp_path), "growth", "--radius", "2"])
     capsys.readouterr()

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.integrate import quad
 
 from carnot_lab import distance as dist
 from carnot_lab import geometry as geo
@@ -170,16 +173,49 @@ def test_deterministic_repeat():
 
 
 # ---------------------------------------------------------------------------
-# radial profile
+# exact l2 distance
 
-def test_radial_profile_interpolates_distance():
-    profile = dist.radial_profile(segments=32, nodes=41)
+def test_l2_distance_anchors():
+    assert dist.l2_distance(0.0, 1.0) == pytest.approx(
+        2.0 * math.sqrt(math.pi), rel=1e-15)
+    assert dist.l2_distance(1.7, 0.0) == 1.7
+    assert dist.l2_distance(0.0, 0.0) == 0.0
+
+
+_rho = st.floats(0.0, 10.0, allow_subnormal=False)
+_abs_z = st.floats(0.0, 100.0, allow_subnormal=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rho=_rho, abs_z=_abs_z, t=st.floats(1e-2, 1e2))
+def test_l2_distance_dilation_homogeneity(rho, abs_z, t):
+    d = float(dist.l2_distance(rho, abs_z))
+    assert dist.l2_distance(t * rho, t * t * abs_z) == pytest.approx(
+        t * d, rel=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rho=_rho, abs_z=_abs_z)
+def test_l2_distance_within_elementary_bounds(rho, abs_z):
+    lower, upper = dist.distance_bounds((rho, 0.0, abs_z), "l2")
+    d = float(dist.l2_distance(rho, abs_z))
+    assert lower * (1.0 - 1e-12) <= d <= upper * (1.0 + 1e-12)
+
+
+def test_l2_distance_matches_optimizer():
+    # independent of the closed form: the optimizer's witness is a
+    # feasible path, so its length can only exceed the exact distance
     rng = np.random.default_rng(56)
-    for w in rng.uniform(0.01, 50.0, 6):
-        direct = dist.cc_distance(O, hg.HeisPoint(1.0, 0.0, w),
-                                  segments=32).value
-        interp = float(profile.eval(w))
-        assert interp == pytest.approx(direct, rel=2e-3)
+    pairs = [(hg.HeisPoint(*rng.uniform(-1.5, 1.5, 3)),
+              hg.HeisPoint(*rng.uniform(-1.5, 1.5, 3))) for _ in range(7)]
+    pairs.append((hg.HeisPoint(0.3, -0.2, 0.1),
+                  hg.HeisPoint(0.31, -0.19, 1.4)))  # near-vertical
+    for a, b in pairs:
+        delta = hg.exp_mul(hg.exp_inv(a), b)
+        exact = float(dist.l2_distance(math.hypot(delta.x, delta.y),
+                                       abs(delta.z)))
+        value = dist.cc_distance(a, b, segments=64).value
+        assert exact * (1.0 - 1e-9) <= value <= exact * (1.0 + 1e-3)
 
 
 # ---------------------------------------------------------------------------
@@ -197,9 +233,18 @@ def test_volume_fit_euclidean():
 def test_volume_fit_cc():
     fit = dist.ball_volume_fit("cc", [0.5, 1.0, 2.0], 20_000, seed=6)
     assert fit.exponent == pytest.approx(4.0, abs=0.3)
-    # sanity against the sampling-box scaling: the box alone is 8 r^4
-    for r, v in zip(fit.radii, fit.volumes):
-        assert 0.0 < v < 8.0 * r ** 4
+    # against the exact volume V1 r^4; the unit ball is the solid of
+    # revolution under rho = sin(t)/t, |z| = (2t - sin 2t) / (8 t^2)
+    def shell(t):
+        rho = math.sin(t) / t
+        drho = (t * math.cos(t) - math.sin(t)) / (t * t)
+        z = (2.0 * t - math.sin(2.0 * t)) / (8.0 * t * t)
+        return -4.0 * math.pi * rho * z * drho
+
+    v1 = quad(shell, 0.0, math.pi)[0]
+    assert v1 == pytest.approx(0.8258758, abs=1e-6)
+    for r, v, se in zip(fit.radii, fit.volumes, fit.std_errors):
+        assert abs(v - v1 * r ** 4) <= 4.0 * se
 
 
 def test_volume_fit_std_error_scaling():
@@ -218,3 +263,6 @@ def test_volume_fit_validation():
         dist.ball_volume_fit("euclidean", [1.0, 2.0, 4.0], 100, seed=1)
     with pytest.raises(DomainError):
         dist.ball_volume_fit("chebyshev", [1.0, 2.0, 4.0], 20_000, seed=1)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(DomainError):
+            dist.ball_volume_fit("cc", [1.0, 2.0, bad], 20_000, seed=1)
