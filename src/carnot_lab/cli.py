@@ -30,6 +30,11 @@ COMMANDS = ("entropy", "qadd", "group", "ccdist", "holonomy", "volume",
             "pansu", "growth", "verify-all")
 
 
+class _InputError(DomainError):
+    """A command input rejected where it is parsed; like a usage error,
+    it ends the CLI with exit 2 rather than as a module error."""
+
+
 class CommandError(Exception):
     def __init__(self, module, message, payload=None):
         super().__init__(message)
@@ -146,22 +151,46 @@ def _cmd_group(cfg):
     return {"op": op, "result": _element_json(result)}
 
 
-def _point_from_text(text):
-    el = _parse_element(text)
+def _load_json(text, where):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise _InputError(f"{where} is not valid JSON: {text!r}") from exc
+
+
+def _ccdist_point(data, where):
+    """A ccdist endpoint: a point {"x":..,"y":..,"z":..} with finite
+    coordinates, given as JSON text (--a, --b) or as a parsed record."""
+    if isinstance(data, str):
+        data = _load_json(data, where)
+    try:
+        el = heisenberg.element_from_json(data)
+    except (TypeError, ValueError):
+        el = None
     if not isinstance(el, heisenberg.HeisPoint):
-        raise DomainError('expected a point {"x":..,"y":..,"z":..}')
+        raise _InputError(f'{where}: expected a point {{"x":..,"y":..,"z":..}}'
+                          f", got {data!r}")
+    if not all(math.isfinite(c) for c in el):
+        raise _InputError(f"{where}: coordinates must be finite, got {data!r}")
     return el
 
 
 def _cmd_ccdist(cfg):
-    pairs = []
     if cfg.get("pairs"):
         with open(cfg["pairs"]) as fh:
-            for rec in json.load(fh):
-                pairs.append((heisenberg.element_from_json(rec["A"]),
-                              heisenberg.element_from_json(rec["B"])))
+            records = _load_json(fh.read(), cfg["pairs"])
+        if not isinstance(records, list) or \
+                not all(isinstance(rec, dict) for rec in records):
+            raise _InputError(f"{cfg['pairs']}: expected a JSON list of "
+                              '{"A":..,"B":..} records')
+        pairs = [(_ccdist_point(rec.get("A"), f"pairs[{i}].A"),
+                  _ccdist_point(rec.get("B"), f"pairs[{i}].B"))
+                 for i, rec in enumerate(records)]
+    elif cfg.get("a") is None or cfg.get("b") is None:
+        raise _InputError("ccdist needs --a and --b, or --pairs")
     else:
-        pairs.append((_point_from_text(cfg["a"]), _point_from_text(cfg["b"])))
+        pairs = [(_ccdist_point(cfg["a"], "--a"),
+                  _ccdist_point(cfg["b"], "--b"))]
     out = []
     first_witness = None
     for a, b in pairs:
@@ -284,19 +313,20 @@ def _parse_generators(text):
 
 
 def _cmd_growth(cfg):
-    gens = _parse_generators(cfg["gens"]) if cfg.get("gens") \
-        else growth.STANDARD_GENERATORS[cfg["group"]]
+    # an unknown group gets no standard set and is rejected by word_ball
+    gens = _parse_generators(str(cfg["gens"])) if cfg.get("gens") \
+        else growth.STANDARD_GENERATORS.get(cfg["group"], ())
     table = growth.word_ball(cfg["group"], gens, cfg["radius"],
                              mem_budget_mb=cfg.get("mem_budget"))
     payload = table.to_payload()
     window = cfg.get("fit_window")
     if window:
-        lo, hi = (int(tok) for tok in window.split(","))
+        lo, hi = (int(tok) for tok in str(window).split(","))
         d, c, resid = growth.growth_fit(table, lo, hi)
         payload["fit"] = {"window": [lo, hi], "exponent": d, "prefactor": c,
                           "max_residual": resid}
     if cfg.get("compare_gens"):
-        other = _parse_generators(cfg["compare_gens"])
+        other = _parse_generators(str(cfg["compare_gens"]))
         report = growth.generator_robustness(cfg["group"], gens, other,
                                              cfg["radius"])
         payload["robustness"] = {
@@ -336,7 +366,9 @@ def run(command, config) -> ReportBundle:
     """Dispatch a command, write its bundle, and return it.
 
     ``config`` must carry the command parameters plus ``output_dir`` and
-    ``format``; the bundle echoes it verbatim (minus unset keys).
+    ``format``; the bundle echoes it verbatim (minus unset keys). Module
+    failures raise CommandError; an input rejected where the command
+    parses it raises DomainError.
     """
     if command not in _HANDLERS:
         raise CommandError("cli_reports", f"unknown command {command!r}")
@@ -344,6 +376,8 @@ def run(command, config) -> ReportBundle:
     t0 = time.perf_counter()
     try:
         payload = _json_safe(handler(config))
+    except _InputError:
+        raise
     except BudgetError as exc:
         partial = exc.partial.to_payload() if exc.partial is not None else {}
         raise CommandError(module, str(exc),

@@ -2,7 +2,8 @@
 
 Breadth-first expansion over the Cayley graph of the integer Heisenberg
 group (coordinates (a, c, b) with product (a1+a2, c1+c2, b1+b2+a1*c2))
-or of Z^3, under a symmetric generating set. Ball cardinalities grow
+or of Z^3, under a symmetric generating set, one sphere at a time and
+holding only the last two spheres. Ball cardinalities grow
 polynomially, with degree 4 for the Heisenberg lattice and 3 for Z^3;
 the degree is a generating-set-independent invariant, which
 ``generator_robustness`` checks empirically.
@@ -10,6 +11,8 @@ the degree is a generating-set-independent invariant, which
 
 from __future__ import annotations
 
+import itertools
+import numbers
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -101,55 +104,86 @@ class GrowthTable:
                                                           self.counts)]
 
 
+def _check_radius(name, value):
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) \
+            or value < 0:
+        raise DomainError(f"{name} must be a non-negative integer, "
+                          f"got {value!r}")
+
+
+def _spheres(law, gens):
+    """Spheres S_0, S_1, ... of the Cayley graph, each a list in
+    first-seen order. ``gens`` is symmetric, so a neighbour of S_r lies
+    in S_{r-1}, S_r or S_{r+1}; testing it against those three alone
+    gives the order of a search that tests against the whole ball.
+    """
+    near = {IDENTITY}  # S_{r-1}, S_r and the part of S_{r+1} found so far
+    prev, sphere = [], [IDENTITY]
+    while True:
+        yield sphere
+        nxt = []
+        for g in sphere:
+            for s in gens:
+                h = law(g, s)
+                if h not in near:
+                    near.add(h)
+                    nxt.append(h)
+        near.difference_update(prev)
+        prev, sphere = sphere, nxt
+
+
+def _table(group, gens, spheres, radius, mem_budget_mb=None):
+    """GrowthTable of |B_0|..|B_radius| from the spheres S_0, S_1, ....
+    With a memory budget, the projected ball size is checked before each
+    further sphere; BudgetError carries the partial table."""
+    t0 = time.perf_counter()
+    counts, max_h, max_v = [], [], []
+    total = reach_h = reach_v = 0
+    for r, sphere in enumerate(spheres):
+        # no sphere is empty: both groups are infinite and torsion-free
+        total += len(sphere)
+        reach_h = max(reach_h, max(max(abs(g[0]), abs(g[1])) for g in sphere))
+        reach_v = max(reach_v, max(abs(g[2]) for g in sphere))
+        counts.append(total)
+        max_h.append(reach_h)
+        max_v.append(reach_v)
+        if r == radius:
+            break
+        if mem_budget_mb is not None:
+            projected = _project_count(counts, radius)
+            if projected * _BYTES_PER_ELEMENT > mem_budget_mb * 2 ** 20:
+                break
+    table = GrowthTable(group, gens, tuple(range(len(counts))),
+                        tuple(counts), tuple(max_h), tuple(max_v),
+                        truncated=len(counts) <= radius,
+                        wall_time=time.perf_counter() - t0)
+    if table.truncated:
+        raise BudgetError(f"projected |B_{radius}| ~ {projected} elements "
+                          f"exceeds memory budget {mem_budget_mb} MB",
+                          partial=table)
+    return table
+
+
 def word_ball(group, generators, radius, mem_budget_mb=None) -> GrowthTable:
     """All ball cardinalities |B_0|..|B_radius| by breadth-first search.
 
-    Deterministic: frontier order is insertion order. If a memory budget
-    is given and the projected ball size would exceed it, a BudgetError
-    carrying the partial table is raised.
+    Deterministic: frontier order is insertion order. Only the last two
+    spheres and the one being built are held, about r^3 elements rather
+    than the r^4 of the whole ball. If a memory budget is given and the
+    projected ball size would exceed it, a BudgetError carrying the
+    partial table is raised; the projection still prices the whole ball,
+    so the check is conservative.
     """
-    if radius < 0:
-        raise DomainError("radius must be >= 0")
+    _check_radius("radius", radius)
+    if mem_budget_mb is not None and (
+            isinstance(mem_budget_mb, bool)
+            or not isinstance(mem_budget_mb, numbers.Real)
+            or not mem_budget_mb >= 0):
+        raise DomainError(f"memory budget must be a non-negative number of "
+                          f"MB, got {mem_budget_mb!r}")
     gens = symmetrize_generators(group, generators)
     law, _ = GROUP_LAWS[group]
-    t0 = time.perf_counter()
-
-    visited = {IDENTITY}
-    frontier = [IDENTITY]
-    counts = [1]
-    max_h = [0]
-    max_v = [0]
-    budget_bytes = None if mem_budget_mb is None else mem_budget_mb * 2 ** 20
-
-    for r in range(1, radius + 1):
-        if budget_bytes is not None:
-            projected = _project_count(counts, radius)
-            if projected * _BYTES_PER_ELEMENT > budget_bytes:
-                partial = GrowthTable(group, gens, tuple(range(r)),
-                                      tuple(counts), tuple(max_h),
-                                      tuple(max_v), truncated=True,
-                                      wall_time=time.perf_counter() - t0)
-                raise BudgetError(
-                    f"projected |B_{radius}| ~ {projected} elements exceeds "
-                    f"memory budget {mem_budget_mb} MB", partial=partial)
-        new = []
-        for g in frontier:
-            for s in gens:
-                h = law(g, s)
-                if h not in visited:
-                    visited.add(h)
-                    new.append(h)
-        frontier = new
-        counts.append(len(visited))
-        level_h = max(max(abs(g[0]), abs(g[1])) for g in frontier) \
-            if frontier else max_h[-1]
-        level_v = max(abs(g[2]) for g in frontier) if frontier else max_v[-1]
-        max_h.append(max(max_h[-1], level_h))
-        max_v.append(max(max_v[-1], level_v))
-
-    return GrowthTable(group, gens, tuple(range(radius + 1)), tuple(counts),
-                       tuple(max_h), tuple(max_v),
-                       wall_time=time.perf_counter() - t0)
+    return _table(group, gens, _spheres(law, gens), radius, mem_budget_mb)
 
 
 def _project_count(counts, radius):
@@ -165,31 +199,21 @@ def _project_count(counts, radius):
 def word_norm(element, group="heis_Z", generators=None, radius_cap=20):
     """Minimal word length of ``element``, or None when the cap is hit.
 
-    BFS from the identity, level by level, consistent with ``word_ball``
-    membership by construction.
+    The index of the first sphere of ``word_ball``'s search that holds
+    the element, so the two agree by construction.
     """
-    if radius_cap < 0:
-        raise DomainError("radius cap must be >= 0")
+    _check_radius("radius cap", radius_cap)
     target = tuple(int(c) for c in element)
-    if target == IDENTITY:
-        return 0
+    if len(target) != 3:
+        raise DomainError(f"element {target!r} is not a coordinate triple")
     gens = symmetrize_generators(
         group, generators if generators is not None
-        else STANDARD_GENERATORS[group])
+        else STANDARD_GENERATORS.get(group, ()))
     law, _ = GROUP_LAWS[group]
-    visited = {IDENTITY}
-    frontier = [IDENTITY]
-    for r in range(1, radius_cap + 1):
-        new = []
-        for g in frontier:
-            for s in gens:
-                h = law(g, s)
-                if h == target:
-                    return r
-                if h not in visited:
-                    visited.add(h)
-                    new.append(h)
-        frontier = new
+    spheres = itertools.islice(_spheres(law, gens), radius_cap + 1)
+    for r, sphere in enumerate(spheres):
+        if target in sphere:
+            return r
     return None
 
 
@@ -232,22 +256,26 @@ def generator_robustness(group, gens1, gens2, radius,
     ball counts as an empirical witness). Coverage is cross-checked: each
     set must reach, within ``radius``, everything the other reaches well
     inside it (half the radius); failing that the report flags the set as
-    possibly non-generating.
+    possibly non-generating. One search per set yields both its table
+    and its balls.
     """
-    t1 = word_ball(group, gens1, radius)
-    t2 = word_ball(group, gens2, radius)
+    _check_radius("radius", radius)
+    half = radius // 2
+    tables, balls, inner = [], [], []
+    for gens in (gens1, gens2):
+        gens = symmetrize_generators(group, gens)
+        law, _ = GROUP_LAWS[group]
+        spheres = list(itertools.islice(_spheres(law, gens), radius + 1))
+        tables.append(_table(group, gens, spheres, radius))
+        inner.append(set().union(*spheres[:half + 1]))
+        balls.append(inner[-1].union(*spheres[half + 1:]))
+    t1, t2 = tables
     lo, hi = fit_window if fit_window is not None \
         else (min(10, max(1, radius // 2)), radius)
     d1, _, _ = growth_fit(t1, lo, hi)
     d2, _, _ = growth_fit(t2, lo, hi)
 
-    half = radius // 2
-    law, _ = GROUP_LAWS[group]
-    set1 = _ball_set(law, t1.generators, radius)
-    set2 = _ball_set(law, t2.generators, radius)
-    inner1 = _ball_set(law, t1.generators, half)
-    inner2 = _ball_set(law, t2.generators, half)
-    coverage_ok = inner1 <= set2 and inner2 <= set1
+    coverage_ok = inner[0] <= balls[1] and inner[1] <= balls[0]
     if not coverage_ok:
         warnings.warn(f"a generating set for {group} misses elements the "
                       f"other reaches within radius {half}; it may not "
@@ -257,18 +285,3 @@ def generator_robustness(group, gens1, gens2, radius,
     return RobustnessReport(group, radius, (lo, hi), (d1, d2),
                             abs(d1 - d2), (min(ratios), max(ratios)),
                             coverage_ok, (t1, t2))
-
-
-def _ball_set(law, gens, radius):
-    visited = {IDENTITY}
-    frontier = [IDENTITY]
-    for _ in range(radius):
-        new = []
-        for g in frontier:
-            for s in gens:
-                h = law(g, s)
-                if h not in visited:
-                    visited.add(h)
-                    new.append(h)
-        frontier = new
-    return visited

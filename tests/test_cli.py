@@ -311,3 +311,39 @@ def test_json_safe_sanitizes():
     assert safe == {"a": 1.5, "b": "exact", "c": None, "d": 3, "e": [True]}
     # canonical JSON must accept everything that comes out
     reports.canonical_json(safe)
+
+
+def test_main_growth_config_errors(tmp_path, capsys):
+    for line in ("radius = 2.5", 'group = "so3"', "radius = true",
+                 'mem_budget = "x"', "gens = 5", "fit_window = 10"):
+        conf = tmp_path / "growth.conf"
+        conf.write_text(line + "\n")
+        code = cli.main(["--output-dir", str(tmp_path), "--config",
+                         str(conf), "growth"])
+        assert code == 3, line
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"]["module"] == "cayley_growth"
+
+
+def test_main_ccdist_rejects_bad_points(tmp_path, capsys):
+    origin = '{"x":0,"y":0,"z":0}'
+    bad = ['{"x":NaN,"y":0,"z":0}', '{"x":0,"y":Infinity,"z":0}',
+           '{"x":0,"y":0,"z":1e400}', '{"a":0,"c":0,"b":1}', "not json"]
+    argvs = [["--a", b, "--b", origin] for b in bad]
+    argvs += [["--a", origin, "--b", b] for b in bad]
+    argvs.append(["--b", origin])
+    for i, records in enumerate([
+            [{"A": {"a": 0, "c": 0, "b": 0}, "B": {"a": 1, "c": 0, "b": 0}}],
+            [{"A": {"x": 0, "y": 0, "z": 0},
+              "B": {"x": float("nan"), "y": 0, "z": 0}}],
+            [{"A": {"x": 0, "y": 0, "z": 0}}],
+            {"A": {"x": 0, "y": 0, "z": 0}, "B": {"x": 1, "y": 0, "z": 0}}]):
+        pairs = tmp_path / f"pairs{i}.json"
+        pairs.write_text(json.dumps(records))
+        argvs.append(["--pairs", str(pairs)])
+    for argv in argvs:
+        code = cli.main(["--output-dir", str(tmp_path), "ccdist", *argv])
+        assert code == 2, argv
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"]["message"]
+    assert not (tmp_path / "ccdist.bundle.json").exists()

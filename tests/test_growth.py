@@ -24,8 +24,31 @@ def enumerate_words(gens, length, law):
     return seen
 
 
+def reference_bfs(law, gens, radius):
+    """Oracle: a breadth-first search that tests every neighbour against
+    the whole ball visited so far. Returns the frontiers, in order."""
+    visited = {growth.IDENTITY}
+    frontiers = [[growth.IDENTITY]]
+    for _ in range(radius):
+        new = []
+        for g in frontiers[-1]:
+            for s in gens:
+                h = law(g, s)
+                if h not in visited:
+                    visited.add(h)
+                    new.append(h)
+        frontiers.append(new)
+    return frontiers
+
+
 HEIS_GENS = growth.symmetrize_generators(
     "heis_Z", growth.STANDARD_GENERATORS["heis_Z"])
+
+# generating sets beyond the standard ones, with the radius up to which
+# every element's word norm is checked against the reference search
+RICHER_SETS = [("heis_Z", (growth.T1, growth.T2, (1, 1, 1)), 6),
+               ("z3", growth.STANDARD_GENERATORS["z3"]
+                + ((1, 1, 0), (0, 1, 1)), 6)]
 
 
 # ---------------------------------------------------------------------------
@@ -131,6 +154,62 @@ def test_word_ball_payload_schema():
     assert set(payload) == {"group", "generators", "radii", "counts"}
     assert payload["counts"] == [1, 7, 25, 63]
     assert ("r", "count") == table.to_csv_rows()[0]
+
+
+@pytest.mark.parametrize("group,gens,norm_radius", RICHER_SETS)
+def test_word_ball_matches_reference_bfs(group, gens, norm_radius):
+    law, _ = growth.GROUP_LAWS[group]
+    sym = growth.symmetrize_generators(group, gens)
+    frontiers = reference_bfs(law, sym, 8)
+    ball, counts, reach_h, reach_v = [], [], [], []
+    for frontier in frontiers:
+        ball += frontier
+        counts.append(len(ball))
+        reach_h.append(max(max(abs(g[0]), abs(g[1])) for g in ball))
+        reach_v.append(max(abs(g[2]) for g in ball))
+    table = growth.word_ball(group, gens, 8)
+    assert table.counts == tuple(counts)
+    assert table.max_abs_horizontal == tuple(reach_h)
+    assert table.max_abs_vertical == tuple(reach_v)
+    for level, frontier in enumerate(frontiers[:norm_radius + 1]):
+        for g in frontier:
+            assert growth.word_norm(g, group, gens, radius_cap=8) == level
+
+
+@pytest.mark.parametrize("group,gens", [s[:2] for s in RICHER_SETS])
+def test_robustness_tables_match_word_ball(group, gens):
+    std = growth.STANDARD_GENERATORS[group]
+    report = growth.generator_robustness(group, std, gens, 12)
+    for table, g in zip(report.tables, (std, gens)):
+        assert table.to_payload() == \
+            growth.word_ball(group, g, 12).to_payload()
+
+
+@pytest.mark.parametrize("radius", [2.5, True, -1, "3", None])
+def test_growth_rejects_bad_radius(radius):
+    std = growth.STANDARD_GENERATORS["z3"]
+    with pytest.raises(DomainError):
+        growth.word_ball("z3", std, radius)
+    with pytest.raises(DomainError):
+        growth.word_norm((1, 0, 0), "z3", radius_cap=radius)
+    with pytest.raises(DomainError):
+        growth.generator_robustness("z3", std, std, radius)
+
+
+def test_growth_validation():
+    assert growth.word_ball("z3", growth.STANDARD_GENERATORS["z3"],
+                            np.int64(3)).counts == (1, 7, 25, 63)
+    with pytest.raises(DomainError):
+        growth.word_norm((1, 0, 0), group="so3")
+    with pytest.raises(DomainError):
+        growth.word_norm((0, 0, 0), group="so3")
+    for element in ((1, 0), (1, 0, 0, 0)):
+        with pytest.raises(DomainError):
+            growth.word_norm(element)
+    for budget in ("x", -1, float("nan"), True):
+        with pytest.raises(DomainError):
+            growth.word_ball("z3", growth.STANDARD_GENERATORS["z3"], 3,
+                             mem_budget_mb=budget)
 
 
 # ---------------------------------------------------------------------------
