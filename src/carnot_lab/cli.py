@@ -97,11 +97,26 @@ def _cmd_qadd(cfg):
     return {"result": qalgebra.q_add(cfg["x"], cfg["y"], cfg["q"])}
 
 
-def _parse_element(text):
+def _load_json(text, where):
     try:
-        return heisenberg.element_from_json(json.loads(text))
+        return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise DomainError(f"element is not valid JSON: {text!r}") from exc
+        raise _InputError(f"{where} is not valid JSON: {text!r}") from exc
+
+
+def _parse_element(data, where):
+    """A group element with finite coordinates, given as JSON text or as
+    a parsed record."""
+    if isinstance(data, str):
+        data = _load_json(data, where)
+    try:
+        el = heisenberg.element_from_json(data)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise _InputError(f"{where}: not a group element, got {data!r}") \
+            from exc
+    if not all(math.isfinite(c) for c in el):
+        raise _InputError(f"{where}: coordinates must be finite, got {data!r}")
+    return el
 
 
 def _element_json(el):
@@ -114,8 +129,8 @@ def _element_json(el):
 
 def _cmd_group(cfg):
     op = cfg["op"]
-    g1 = _parse_element(cfg["g1"])
-    g2 = _parse_element(cfg["g2"]) if cfg.get("g2") else None
+    g1 = _parse_element(cfg["g1"], "--g1")
+    g2 = _parse_element(cfg["g2"], "--g2") if cfg.get("g2") else None
     M, P = heisenberg.HeisMatrix, heisenberg.HeisPoint
     if op == "mul":
         if isinstance(g1, M) and isinstance(g2, M):
@@ -151,27 +166,12 @@ def _cmd_group(cfg):
     return {"op": op, "result": _element_json(result)}
 
 
-def _load_json(text, where):
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise _InputError(f"{where} is not valid JSON: {text!r}") from exc
-
-
 def _ccdist_point(data, where):
-    """A ccdist endpoint: a point {"x":..,"y":..,"z":..} with finite
-    coordinates, given as JSON text (--a, --b) or as a parsed record."""
-    if isinstance(data, str):
-        data = _load_json(data, where)
-    try:
-        el = heisenberg.element_from_json(data)
-    except (TypeError, ValueError):
-        el = None
+    """A ccdist endpoint: a point {"x":..,"y":..,"z":..}."""
+    el = _parse_element(data, where)
     if not isinstance(el, heisenberg.HeisPoint):
         raise _InputError(f'{where}: expected a point {{"x":..,"y":..,"z":..}}'
                           f", got {data!r}")
-    if not all(math.isfinite(c) for c in el):
-        raise _InputError(f"{where}: coordinates must be finite, got {data!r}")
     return el
 
 
@@ -382,8 +382,7 @@ def run(command, config) -> ReportBundle:
         partial = exc.partial.to_payload() if exc.partial is not None else {}
         raise CommandError(module, str(exc),
                            {"partial": _json_safe(partial)}) from exc
-    except (DomainError, ConvergenceError, FileNotFoundError,
-            ValueError) as exc:
+    except (DomainError, ConvergenceError, OSError, ValueError) as exc:
         raise CommandError(module, str(exc)) from exc
     wall = time.perf_counter() - t0
     # delivery-only keys do not affect the payload and would tie the

@@ -2,7 +2,8 @@
 
 The distance between A and B is the infimum of horizontal path length.
 It is approximated from above by direct transcription: N piecewise
-constant controls on a unit time grid, energy objective, quadratic
+constant controls on a unit time grid, a smooth energy objective (for
+l1 in nonnegative control parts, linf reduced to l1), quadratic
 endpoint penalty escalated over several rounds of quasi-Newton descent,
 then a Gauss-Newton projection onto the endpoint constraint. Rigorous
 elementary bounds (planar projection from below, explicit segment+loop
@@ -28,14 +29,12 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .errors import DomainError
-from .geometry import (HorizontalPath, cc_length, chow_connect,
-                       square_loop_controls)
-from .heisenberg import HeisPoint, exp_inv, exp_mul
+from .geometry import HorizontalPath, _norm_values, cc_length, chow_connect
+from .heisenberg import ORIGIN, HeisPoint, exp_inv, exp_mul
 
 DEFAULT_SEGMENTS = 64
 DEFAULT_ENDPOINT_TOL = 1e-6
 PENALTY_ROUNDS = 5
-_SMOOTH_EPS = 1e-9
 
 
 @dataclass(frozen=True)
@@ -61,7 +60,8 @@ def distance_bounds(delta, norm="l2"):
     area dz against its chord, so the planar isoperimetric inequality
     gives length >= sqrt(4 pi |dz|) - planar_chord. Upper: a straight
     segment to the planar target plus an area-closing loop (circle for
-    the l2 norm, square otherwise).
+    the l2 norm, square otherwise). For l1 and linf this is the length
+    of ``chow_connect``'s path, which ``cc_distance`` also measures.
     """
     dx, dy, dz = delta
     planar2 = math.hypot(dx, dy)
@@ -106,43 +106,30 @@ def _endpoint_jacobian(u, v, dt, X, Y):
     return J
 
 
-def _smooth_abs(w):
-    s = np.sqrt(w * w + _SMOOTH_EPS * _SMOOTH_EPS)
-    return s, w / s
-
-
-def _energy(u, v, dt, norm):
-    """Smoothed squared-speed integral and its gradient wrt (u, v)."""
-    if norm == "l2":
-        e = dt * float(np.sum(u * u + v * v))
-        return e, 2.0 * dt * u, 2.0 * dt * v
-    su, dsu = _smooth_abs(u)
-    sv, dsv = _smooth_abs(v)
-    if norm == "l1":
-        speed = su + sv
-        return (dt * float(np.sum(speed * speed)),
-                2.0 * dt * speed * dsu, 2.0 * dt * speed * dsv)
-    if norm == "linf":
-        diff, ddiff = _smooth_abs(su - sv)
-        speed = 0.5 * (su + sv + diff)
-        gu = 0.5 * (dsu + ddiff * dsu)
-        gv = 0.5 * (dsv - ddiff * dsv)
-        return (dt * float(np.sum(speed * speed)),
-                2.0 * dt * speed * gu, 2.0 * dt * speed * gv)
-    raise DomainError(f"unknown horizontal norm {norm!r}")
-
-
-def _penalized(U, target, mu, dt, norm):
-    n = len(U) // 2
+def _penalized(U, target, mu, dt, split):
+    """Energy plus endpoint penalty, and its gradient. ``U`` holds the
+    controls (u, v), or with ``split`` their nonnegative parts
+    (u+, v+, u-, v-): the energy of the sum of the parts is then the
+    smooth l1 energy, since a minimizer keeps one part of each pair zero.
+    """
+    if split:
+        n = len(U) // 4
+        speed = U.reshape(4, n).sum(axis=0)
+        e = dt * float(np.sum(speed * speed))
+        ge = np.tile(2.0 * dt * speed, 4)
+        U = U[:2 * n] - U[2 * n:]
+    else:
+        n = len(U) // 2
+        e = dt * float(np.sum(U[:n] * U[:n] + U[n:] * U[n:]))
+        ge = 2.0 * dt * U
     u, v = U[:n], U[n:]
     P, X, Y = _endpoint(u, v, dt)
     err = P - target
-    e, gu, gv = _energy(u, v, dt, norm)
     f = e + mu * float(err @ err)
-    g = np.concatenate((gu, gv))
-    J = _endpoint_jacobian(u, v, dt, X, Y)
-    g += 2.0 * mu * (J.T @ err)
-    return f, g
+    g = 2.0 * mu * (_endpoint_jacobian(u, v, dt, X, Y).T @ err)
+    if split:
+        g = np.concatenate((g, -g))
+    return f, ge + g
 
 
 def _project_endpoint(U, target, dt, tol):
@@ -183,16 +170,8 @@ def _resample_controls(segs, n):
 
 
 def _chow_start(target, n):
-    dx, dy, dz = target
-    parts = []
-    if dx != 0 or dy != 0:
-        parts.append([[dx, dy, 1.0]])
-    loop = square_loop_controls(dz)
-    if loop.size:
-        parts.append(loop)
-    if not parts:
-        return np.zeros(2 * n)
-    return _resample_controls(np.vstack(parts), n)
+    return _resample_controls(
+        chow_connect(ORIGIN, HeisPoint(*target)).controls, n)
 
 
 def _straight_start(target, n):
@@ -208,47 +187,57 @@ def _straight_start(target, n):
     return np.concatenate((u, v))
 
 
-def _solve_normalized(target, segments, norm, restore_tol, penalty_rounds,
-                      max_iter):
+def _solve_normalized(target, segments, norm, restore_tol):
+    """Shortest feasible controls over the optimizer starts, as
+    (length, U, endpoint error), or None if no start is feasible."""
+    if norm == "linf":
+        # Phi(x, y, z) = (x + y, x - y, -2z) is an automorphism whose
+        # differential doubles linf speeds into l1 speeds, so an l1
+        # geodesic to Phi(target), mapped back, is a linf geodesic;
+        # mapping back does not enlarge the max-norm endpoint error
+        x, y, z = target
+        sol = _solve_normalized(np.array([x + y, x - y, -2.0 * z]),
+                                segments, "l1", restore_tol)
+        if sol is None:
+            return None
+        length, U, err = sol
+        u, v = np.split(U, 2)
+        return 0.5 * length, 0.5 * np.concatenate((u + v, u - v)), err
     dt = 1.0 / segments
-    mus = np.logspace(2, 8, penalty_rounds)
+    split = norm == "l1"
+    bounds = [(0.0, None)] * (4 * segments) if split else None
     best = None
-    for U0 in (_chow_start(target, segments),
-               _straight_start(target, segments)):
-        U = U0
-        for mu in mus:
-            res = minimize(_penalized, U, args=(target, mu, dt, norm),
-                           jac=True, method="L-BFGS-B",
-                           options={"maxiter": max_iter, "ftol": 1e-15,
-                                    "gtol": 1e-11})
-            U = res.x
+    for U in (_chow_start(target, segments),
+              _straight_start(target, segments)):
+        if split:
+            U = np.concatenate((np.maximum(U, 0.0), np.maximum(-U, 0.0)))
+        for mu in np.logspace(2, 8, PENALTY_ROUNDS):
+            U = minimize(_penalized, U, args=(target, mu, dt, split),
+                         jac=True, method="L-BFGS-B", bounds=bounds,
+                         options={"maxiter": 500, "ftol": 1e-15,
+                                  "gtol": 1e-11}).x
+        if split:
+            U = U[:2 * segments] - U[2 * segments:]
         U, err = _project_endpoint(U, target, dt, restore_tol)
         if err > restore_tol:
             continue
-        n = segments
-        u, v = U[:n], U[n:]
-        if norm == "l2":
-            length = dt * float(np.sum(np.hypot(u, v)))
-        elif norm == "l1":
-            length = dt * float(np.sum(np.abs(u) + np.abs(v)))
-        else:
-            length = dt * float(np.sum(np.maximum(np.abs(u), np.abs(v))))
+        u, v = np.split(U, 2)
+        length = dt * float(np.sum(_norm_values(u, v, norm)))
         if best is None or length < best[0]:
             best = (length, U, err)
     return best
 
 
 def cc_distance(A, B, *, segments=DEFAULT_SEGMENTS, norm="l2",
-                endpoint_tol=DEFAULT_ENDPOINT_TOL,
-                penalty_rounds=PENALTY_ROUNDS, max_iter=500) -> DistanceResult:
+                endpoint_tol=DEFAULT_ENDPOINT_TOL) -> DistanceResult:
     """Distance estimate between the points A and B with a feasible
     witness path.
 
-    The reported value is an upper bound on the true distance (it is the
-    length of the witness) and is bracketed by ``lower``/``upper``
-    elementary bounds. If no optimizer start reaches endpoint
-    feasibility, the explicit segment+loop connection is returned with
-    ``degraded`` set.
+    The reported value is the length of the witness, the shorter of the
+    optimizer's path and the explicit segment+loop connection, so it is
+    an upper bound on the true distance, bracketed by ``lower``/``upper``
+    elementary bounds. ``degraded`` is set when no optimizer start
+    reaches endpoint feasibility.
     """
     A = HeisPoint(*A)
     B = HeisPoint(*B)
@@ -263,12 +252,13 @@ def cc_distance(A, B, *, segments=DEFAULT_SEGMENTS, norm="l2",
                      delta.z / (scale * scale)])
     restore_tol = max(5e-16, min(1e-13,
                                  endpoint_tol / (10.0 * max(scale, scale ** 2))))
-    sol = _solve_normalized(that, segments, norm, restore_tol,
-                            penalty_rounds, max_iter)
-    if sol is None:
-        fallback = chow_connect(A, B)
-        return DistanceResult(cc_length(fallback, norm), fallback, lower,
-                              upper, 0.0, degraded=True, norm=norm,
+    sol = _solve_normalized(that, segments, norm, restore_tol)
+    fallback = chow_connect(A, B)
+    fallback_length = cc_length(fallback, norm)
+    if sol is None or fallback_length < scale * sol[0]:
+        return DistanceResult(fallback_length, fallback, lower,
+                              min(upper, fallback_length), 0.0,
+                              degraded=sol is None, norm=norm,
                               segments=segments)
 
     length_hat, U, err_hat = sol

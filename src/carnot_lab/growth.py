@@ -54,6 +54,17 @@ def z3_inv(g):
 GROUP_LAWS = {"heis_Z": (heis_mul, heis_inv), "z3": (z3_mul, z3_inv)}
 
 
+def _lattice_triple(g, what):
+    """``g`` as a triple of ints; a coordinate that is not an integral
+    value is rejected, not truncated."""
+    g = tuple(g)
+    if len(g) != 3 or not all(
+            isinstance(c, numbers.Integral) or
+            isinstance(c, numbers.Real) and float(c).is_integer() for c in g):
+        raise DomainError(f"{what} {g!r} is not an integer triple")
+    return tuple(int(c) for c in g)
+
+
 def symmetrize_generators(group, generators):
     """Close a generator list under inverses, drop identity and
     duplicates, preserving first-seen order (BFS determinism)."""
@@ -63,9 +74,7 @@ def symmetrize_generators(group, generators):
     out = []
     seen = set()
     for g in generators:
-        g = tuple(int(c) for c in g)
-        if len(g) != 3:
-            raise DomainError(f"generator {g!r} is not a coordinate triple")
+        g = _lattice_triple(g, "generator")
         for h in (g, inv(g)):
             if h == IDENTITY:
                 raise DomainError("identity is not an admissible generator")
@@ -203,9 +212,7 @@ def word_norm(element, group="heis_Z", generators=None, radius_cap=20):
     the element, so the two agree by construction.
     """
     _check_radius("radius cap", radius_cap)
-    target = tuple(int(c) for c in element)
-    if len(target) != 3:
-        raise DomainError(f"element {target!r} is not a coordinate triple")
+    target = _lattice_triple(element, "element")
     gens = symmetrize_generators(
         group, generators if generators is not None
         else STANDARD_GENERATORS.get(group, ()))

@@ -347,3 +347,27 @@ def test_main_ccdist_rejects_bad_points(tmp_path, capsys):
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"]["message"]
     assert not (tmp_path / "ccdist.bundle.json").exists()
+
+
+def test_main_group_rejects_non_finite_elements(tmp_path, capsys):
+    argvs = [["inv", "--g1", '{"a":NaN,"c":0,"b":0}'],
+             ["mul", "--g1", '{"x":0,"y":0,"z":0}',
+              "--g2", '{"x":0,"y":Infinity,"z":0}'],
+             ["exp", "--g1", '{"alpha":1e400,"beta":0,"gamma":0}'],
+             ["inv", "--g1", '{"a":1%s,"c":0,"b":0}' % ("0" * 400)]]
+    for argv in argvs:
+        code = cli.main(["--output-dir", str(tmp_path), "group", *argv])
+        assert code == 2, argv
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"]["message"]
+    assert not (tmp_path / "group.bundle.json").exists()
+
+
+def test_main_unreadable_input_file(tmp_path, capsys):
+    # a directory where a file is expected is an OSError other than
+    # FileNotFoundError; it still ends as a module error
+    code = cli.main(["--output-dir", str(tmp_path), "ccdist",
+                     "--pairs", str(tmp_path)])
+    assert code == 3
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"]["module"] == "subriemannian"

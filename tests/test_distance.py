@@ -43,28 +43,32 @@ def test_vertical_anchor_isoperimetric():
 
 def test_witness_integrates_to_target():
     rng = np.random.default_rng(51)
-    for _ in range(10):
-        a = hg.HeisPoint(*rng.uniform(-1.5, 1.5, 3))
-        b = hg.HeisPoint(*rng.uniform(-1.5, 1.5, 3))
-        res = dist.cc_distance(a, b)
-        end = geo.integrate_path(res.witness)
-        assert np.allclose(end, b, atol=1e-6)
-        assert res.witness.start == a
-        assert res.value == pytest.approx(geo.cc_length(res.witness, "l2"),
-                                          rel=1e-12)
+    pairs = [(hg.HeisPoint(*rng.uniform(-1.5, 1.5, 3)),
+              hg.HeisPoint(*rng.uniform(-1.5, 1.5, 3))) for _ in range(10)]
+    for norm in geo.HORIZONTAL_NORMS:
+        for a, b in pairs:
+            res = dist.cc_distance(a, b, norm=norm)
+            end = geo.integrate_path(res.witness)
+            assert np.allclose(end, b, atol=1e-6)
+            assert res.witness.start == a
+            assert res.value == pytest.approx(
+                geo.cc_length(res.witness, norm), rel=1e-12)
 
 
 def test_value_within_rigorous_sandwich():
     rng = np.random.default_rng(52)
-    for _ in range(10):
-        a = hg.HeisPoint(*rng.uniform(-1.5, 1.5, 3))
-        b = hg.HeisPoint(*rng.uniform(-1.5, 1.5, 3))
-        res = dist.cc_distance(a, b)
-        # against the elementary bounds recomputed independently of the
-        # result's own (possibly tightened) bracket
-        lo, hi = dist.distance_bounds(hg.exp_mul(hg.exp_inv(a), b))
-        assert lo - 1e-9 <= res.value <= hi + 1e-9
-        assert res.lower == lo and res.upper <= hi + 1e-15
+    pairs = [(hg.HeisPoint(*rng.uniform(-1.5, 1.5, 3)),
+              hg.HeisPoint(*rng.uniform(-1.5, 1.5, 3))) for _ in range(10)]
+    pairs.append((hg.HeisPoint(0.3, -0.2, 0.1),
+                  hg.HeisPoint(0.31, -0.19, 1.4)))  # near-vertical
+    for norm in geo.HORIZONTAL_NORMS:
+        for a, b in pairs:
+            res = dist.cc_distance(a, b, norm=norm)
+            # against the elementary bounds recomputed independently of
+            # the result's own (possibly tightened) bracket
+            lo, hi = dist.distance_bounds(hg.exp_mul(hg.exp_inv(a), b), norm)
+            assert lo - 1e-9 <= res.value <= hi + 1e-9
+            assert res.lower == lo and res.upper <= hi + 1e-15
 
 
 def test_vertical_sandwich_bounds():
@@ -75,6 +79,18 @@ def test_vertical_sandwich_bounds():
         chow_len = geo.cc_length(geo.chow_connect(O, hg.HeisPoint(0, 0, z)))
         assert chow_len == pytest.approx(4.0 * math.sqrt(z))
         assert res.value <= chow_len + 1e-9
+
+
+def test_vertical_values_match_busemann():
+    # independent oracle: the isoperimetrix of the l1 norm is a square,
+    # that of linf a diamond (Busemann 1947; Duchin-Mooney 2014), so
+    # d(0, (0, 0, z)) is 4 sqrt|z| for l1 and 2 sqrt(2 |z|) for linf
+    for z in (0.25, 1.0, -3.0):
+        p = hg.HeisPoint(0.0, 0.0, z)
+        assert dist.cc_distance(O, p, norm="l1").value == pytest.approx(
+            4.0 * math.sqrt(abs(z)), rel=1e-6)
+        assert dist.cc_distance(O, p, norm="linf").value == pytest.approx(
+            2.0 * math.sqrt(2.0 * abs(z)), rel=1e-6)
 
 
 def test_left_invariance_of_value():

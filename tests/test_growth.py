@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -203,9 +204,15 @@ def test_growth_validation():
         growth.word_norm((1, 0, 0), group="so3")
     with pytest.raises(DomainError):
         growth.word_norm((0, 0, 0), group="so3")
-    for element in ((1, 0), (1, 0, 0, 0)):
+    for element in ((1, 0), (1, 0, 0, 0), (1.5, 0, 0), (0, math.nan, 0)):
         with pytest.raises(DomainError):
             growth.word_norm(element)
+    with pytest.raises(DomainError):
+        growth.symmetrize_generators("z3", [(0.5, 0, 1)])
+    # integral values of any numeric type are lattice coordinates
+    assert growth.word_norm((np.int64(1), 1.0, 1)) == 2
+    assert growth.symmetrize_generators("z3", [(np.int64(1), 0.0, 0)]) == \
+        ((1, 0, 0), (-1, 0, 0))
     for budget in ("x", -1, float("nan"), True):
         with pytest.raises(DomainError):
             growth.word_ball("z3", growth.STANDARD_GENERATORS["z3"], 3,
