@@ -393,13 +393,17 @@ def run(command, config) -> ReportBundle:
                           payload=payload,
                           ledger_entries=discrepancies.entries_for(command),
                           wall_time=wall)
-    write_bundle(bundle, config["output_dir"])
-    if config.get("format") == "csv":
-        csv_text = emit_plot_table(bundle)
-        csv_path = os.path.join(config["output_dir"],
-                                f"{command}.table.csv")
-        with open(csv_path, "w") as fh:
-            fh.write(csv_text)
+    try:
+        write_bundle(bundle, config["output_dir"])
+        if config.get("format") == "csv":
+            csv_text = emit_plot_table(bundle)
+            csv_path = os.path.join(config["output_dir"],
+                                    f"{command}.table.csv")
+            with open(csv_path, "w") as fh:
+                fh.write(csv_text)
+    except (OSError, ValueError) as exc:
+        # ValueError: a payload with no tabular form asked for as csv
+        raise CommandError("cli_reports", str(exc)) from exc
     return bundle
 
 

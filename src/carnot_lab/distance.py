@@ -1,13 +1,16 @@
-"""Carnot-Caratheodory distance by horizontal-control optimization.
+"""Carnot-Caratheodory distance by direct transcription.
 
 The distance between A and B is the infimum of horizontal path length.
 It is approximated from above by direct transcription: N piecewise
-constant controls on a unit time grid, a smooth energy objective (for
-l1 in nonnegative control parts, linf reduced to l1), quadratic
-endpoint penalty escalated over several rounds of quasi-Newton descent,
-then a Gauss-Newton projection onto the endpoint constraint. Rigorous
-elementary bounds (planar projection from below, explicit segment+loop
-paths from above) bracket the reported value.
+constant controls on a unit time grid. For l2 the shortest such path is
+known exactly, an equilateral polygon of constant turning whose total
+turning solves one scalar equation, so no optimizer runs. For l1 (in
+nonnegative control parts) and linf (reduced to l1) a smooth energy
+objective with a quadratic endpoint penalty is escalated over several
+rounds of L-BFGS-B. Either path is finished by a Gauss-Newton projection
+onto the endpoint constraint. Rigorous elementary bounds (planar
+projection from below, explicit segment+loop paths from above) bracket
+the reported value.
 
 Two exact symmetries are used to precondition every solve: the problem is
 left-translated so the start is the origin, and rescaled by the
@@ -23,10 +26,12 @@ Monte Carlo ball membership uses it where the bounds leave a sample open.
 from __future__ import annotations
 
 import math
+import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import brentq, minimize
 
 from .errors import DomainError
 from .geometry import HorizontalPath, _norm_values, cc_length, chow_connect
@@ -106,30 +111,23 @@ def _endpoint_jacobian(u, v, dt, X, Y):
     return J
 
 
-def _penalized(U, target, mu, dt, split):
-    """Energy plus endpoint penalty, and its gradient. ``U`` holds the
-    controls (u, v), or with ``split`` their nonnegative parts
-    (u+, v+, u-, v-): the energy of the sum of the parts is then the
-    smooth l1 energy, since a minimizer keeps one part of each pair zero.
+def _penalized(U, target, mu, dt):
+    """l1 energy plus endpoint penalty, and its gradient. ``U`` holds the
+    nonnegative parts (u+, v+, u-, v-) of the controls: the energy of the
+    sum of the parts is the smooth l1 energy, since a minimizer keeps one
+    part of each pair zero.
     """
-    if split:
-        n = len(U) // 4
-        speed = U.reshape(4, n).sum(axis=0)
-        e = dt * float(np.sum(speed * speed))
-        ge = np.tile(2.0 * dt * speed, 4)
-        U = U[:2 * n] - U[2 * n:]
-    else:
-        n = len(U) // 2
-        e = dt * float(np.sum(U[:n] * U[:n] + U[n:] * U[n:]))
-        ge = 2.0 * dt * U
+    n = len(U) // 4
+    speed = U.reshape(4, n).sum(axis=0)
+    e = dt * float(np.sum(speed * speed))
+    ge = np.tile(2.0 * dt * speed, 4)
+    U = U[:2 * n] - U[2 * n:]
     u, v = U[:n], U[n:]
     P, X, Y = _endpoint(u, v, dt)
     err = P - target
     f = e + mu * float(err @ err)
     g = 2.0 * mu * (_endpoint_jacobian(u, v, dt, X, Y).T @ err)
-    if split:
-        g = np.concatenate((g, -g))
-    return f, ge + g
+    return f, ge + np.concatenate((g, -g))
 
 
 def _project_endpoint(U, target, dt, tol):
@@ -187,9 +185,75 @@ def _straight_start(target, n):
     return np.concatenate((u, v))
 
 
+def _l2_polygon(target, n):
+    """Controls of the shortest n-slot l2 path to ``target``, or None when
+    no n-slot path reaches it (n = 1 off the plane z = 0, n = 2 on the
+    vertical axis).
+
+    The minimizer is an equilateral polygon of constant turning, controls
+    c e^{i s k phi} with s = sign(z), k = 0 .. n-1: inscribed in a circle,
+    it encloses the most area against its chord for its length (the
+    discrete isoperimetric inequality). Its total turning Phi = n phi in
+    [0, 2 pi) solves (n sin(Phi/n) - sin Phi) / (8 sin^2(Phi/2)) = w with
+    w = |z| / rho^2; the left side is monotone in Phi and tends to the arc
+    equation of ``l2_distance`` as n grows. Brent's method solves it in
+    t = log(Phi / (2 pi - Phi)), against whose ends the log of the left
+    side is nearly linear.
+    """
+    x, y, z = (float(c) for c in target)
+    rho = math.hypot(x, y)
+    w = abs(z) / rho / rho if rho > 0.0 else math.inf
+    if z != 0.0 and (n == 1 or (n == 2 and w == math.inf)):
+        return None
+
+    def sines(t):
+        # the turning Phi at t = log(Phi / (2 pi - Phi)) and the sines
+        # s_j = sin(j Phi / 2n), j = 0 .. n, scaled to peak 1 so that no
+        # product of them under- or overflows; s_n comes from the smaller
+        # of Phi and 2 pi - Phi, so it keeps its digits as the loop closes
+        e = math.exp(-abs(t))
+        small, big = 2.0 * math.pi * e / (1.0 + e), 2.0 * math.pi / (1.0 + e)
+        turn = big if t >= 0.0 else small
+        s = np.sin(np.arange(n + 1) * (turn / (2 * n)))
+        s[n] = math.sin(0.5 * small)
+        peak = float(s.max())
+        s = s / peak
+        # n sin(Phi/n) - sin Phi = 4 peak^3 s_1 sum_k s_k s_{k+1}, a sum
+        # of nonnegative terms, so nothing cancels at small turning
+        return turn, peak, s, float(s[:-1] @ s[1:])
+
+    def excess(t):
+        _, peak, s, pairs = sines(t)
+        return (math.log(0.5 * peak * s[1] * pairs) - 2.0 * math.log(s[n])
+                - log_w)
+
+    if w < sys.float_info.min:
+        # w = 0, or subnormal: the straight slot path to every digit
+        turn, length = 0.0, rho
+    else:
+        if w == math.inf:
+            t = math.inf
+        else:
+            # bracket: the root has Phi >= min(8w, pi), as the continuous
+            # arc does, and 2 pi - Phi >= min(pi/2, 1/(2 pi w)), since the
+            # left side is at least 1/(pi (2 pi - Phi)) in that range
+            log_w = math.log(w)
+            t = brentq(excess, min(0.0, math.log(4.0 / math.pi) + log_w),
+                       max(math.log(4.0), 2.0 * math.log(2.0 * math.pi)
+                           + log_w), xtol=1e-15)
+        turn, peak, s, pairs = sines(t)
+        length = n * math.sqrt(2.0 * abs(z) * s[1] / (peak * pairs))
+    sign = math.copysign(1.0, z)
+    step = turn / n
+    angle = (math.atan2(y, x) - 0.5 * sign * (turn - step)
+             + sign * step * np.arange(n))
+    return length * np.concatenate((np.cos(angle), np.sin(angle)))
+
+
 def _solve_normalized(target, segments, norm, restore_tol):
-    """Shortest feasible controls over the optimizer starts, as
-    (length, U, endpoint error), or None if no start is feasible."""
+    """Shortest feasible controls, as (length, U, endpoint error), or None
+    if no candidate reaches the endpoint: for l2 the exact polygon, for l1
+    the penalty ladder of L-BFGS-B from each optimizer start."""
     if norm == "linf":
         # Phi(x, y, z) = (x + y, x - y, -2z) is an automorphism whose
         # differential doubles linf speeds into l1 speeds, so an l1
@@ -204,22 +268,25 @@ def _solve_normalized(target, segments, norm, restore_tol):
         u, v = np.split(U, 2)
         return 0.5 * length, 0.5 * np.concatenate((u + v, u - v)), err
     dt = 1.0 / segments
-    split = norm == "l1"
-    bounds = [(0.0, None)] * (4 * segments) if split else None
-    best = None
-    for U in (_chow_start(target, segments),
-              _straight_start(target, segments)):
-        if split:
+    if norm == "l2":
+        U = _l2_polygon(target, segments)
+        candidates = [] if U is None else [U]
+    else:
+        candidates = []
+        bounds = [(0.0, None)] * (4 * segments)
+        for U in (_chow_start(target, segments),
+                  _straight_start(target, segments)):
             U = np.concatenate((np.maximum(U, 0.0), np.maximum(-U, 0.0)))
-        for mu in np.logspace(2, 8, PENALTY_ROUNDS):
-            U = minimize(_penalized, U, args=(target, mu, dt, split),
-                         jac=True, method="L-BFGS-B", bounds=bounds,
-                         options={"maxiter": 500, "ftol": 1e-15,
-                                  "gtol": 1e-11}).x
-        if split:
-            U = U[:2 * segments] - U[2 * segments:]
+            for mu in np.logspace(2, 8, PENALTY_ROUNDS):
+                U = minimize(_penalized, U, args=(target, mu, dt), jac=True,
+                             method="L-BFGS-B", bounds=bounds,
+                             options={"maxiter": 500, "ftol": 1e-15,
+                                      "gtol": 1e-11}).x
+            candidates.append(U[:2 * segments] - U[2 * segments:])
+    best = None
+    for U in candidates:
         U, err = _project_endpoint(U, target, dt, restore_tol)
-        if err > restore_tol:
+        if not err <= restore_tol:  # also refuses a NaN error
             continue
         u, v = np.split(U, 2)
         length = dt * float(np.sum(_norm_values(u, v, norm)))
@@ -234,11 +301,22 @@ def cc_distance(A, B, *, segments=DEFAULT_SEGMENTS, norm="l2",
     witness path.
 
     The reported value is the length of the witness, the shorter of the
-    optimizer's path and the explicit segment+loop connection, so it is
+    transcription's path (the exact polygon for l2, the optimizer's path
+    for l1 and linf) and the explicit segment+loop connection, so it is
     an upper bound on the true distance, bracketed by ``lower``/``upper``
-    elementary bounds. ``degraded`` is set when no optimizer start
-    reaches endpoint feasibility.
+    elementary bounds. ``degraded`` is set when the transcription yields
+    no path that reaches the endpoint. ``segments`` must be a positive
+    integer, ``endpoint_tol`` positive and finite.
     """
+    if isinstance(segments, bool) \
+            or not isinstance(segments, numbers.Integral) or segments < 1:
+        raise DomainError(f"segments must be a positive integer, "
+                          f"got {segments!r}")
+    if isinstance(endpoint_tol, bool) \
+            or not isinstance(endpoint_tol, numbers.Real) \
+            or not 0.0 < endpoint_tol < math.inf:
+        raise DomainError(f"endpoint tolerance must be positive and finite, "
+                          f"got {endpoint_tol!r}")
     A = HeisPoint(*A)
     B = HeisPoint(*B)
     delta = exp_mul(exp_inv(A), B)
@@ -248,10 +326,13 @@ def cc_distance(A, B, *, segments=DEFAULT_SEGMENTS, norm="l2",
                               norm=norm, segments=segments)
 
     scale = max(math.hypot(delta.x, delta.y), math.sqrt(abs(delta.z)))
+    if not (math.isfinite(scale * scale) and math.isfinite(delta.z)):
+        raise DomainError(f"A^-1 B = {tuple(delta)} is too large to solve: "
+                          f"its squared gauge is not a finite float")
     that = np.array([delta.x / scale, delta.y / scale,
                      delta.z / (scale * scale)])
-    restore_tol = max(5e-16, min(1e-13,
-                                 endpoint_tol / (10.0 * max(scale, scale ** 2))))
+    restore_tol = max(5e-16, min(1e-13, endpoint_tol
+                                 / (10.0 * max(scale, scale * scale))))
     sol = _solve_normalized(that, segments, norm, restore_tol)
     fallback = chow_connect(A, B)
     fallback_length = cc_length(fallback, norm)

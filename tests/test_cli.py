@@ -371,3 +371,34 @@ def test_main_unreadable_input_file(tmp_path, capsys):
     assert code == 3
     err = json.loads(capsys.readouterr().err.strip())
     assert err["error"]["module"] == "subriemannian"
+
+
+def test_main_ccdist_rejects_bad_settings(tmp_path, capsys):
+    # solver settings out of range, and a difference too large for the
+    # normalized solve, end as module errors rather than tracebacks
+    origin = '{"x":0,"y":0,"z":0}'
+    one = ["--a", origin, "--b", '{"x":1,"y":0,"z":0}']
+    argvs = [[*one, "--segments", "0"], [*one, "--segments", "-3"],
+             [*one, "--tol", "-1"], [*one, "--tol", "0"],
+             [*one, "--tol", "nan"]]
+    argvs += [["--a", origin, "--b", '{"x":%s,"y":0,"z":1}' % far]
+              for far in ("1e160", "1e200")]
+    for argv in argvs:
+        code = cli.main(["--output-dir", str(tmp_path), "ccdist", *argv])
+        assert code == 3, argv
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"]["module"] == "subriemannian"
+    assert not (tmp_path / "ccdist.bundle.json").exists()
+
+
+def test_main_unwritable_output(tmp_path, capsys):
+    # writing the bundle or its table fails: a module error, no traceback
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    qadd = ["qadd", "--x", "1", "--y", "1", "--q", "0"]
+    for argv in (["--output-dir", str(blocker / "out"), *qadd],
+                 ["--output-dir", str(tmp_path), "--format", "csv", *qadd]):
+        code = cli.main(argv)
+        assert code == 3, argv
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"]["module"] == "cli_reports"

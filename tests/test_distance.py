@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.optimize import minimize
 
 from carnot_lab import distance as dist
 from carnot_lab import geometry as geo
@@ -179,6 +180,24 @@ def test_degraded_fallback_uses_explicit_connection(monkeypatch):
     assert np.allclose(geo.integrate_path(res.witness), b, atol=1e-12)
 
 
+def test_cc_distance_validation():
+    b = hg.HeisPoint(0.3, 0.2, 0.1)
+    for bad in (0, -3, True, 2.5, "8", None):
+        with pytest.raises(DomainError):
+            dist.cc_distance(O, b, segments=bad)
+    for bad in (0.0, -1.0, math.nan, math.inf, True, "1e-6"):
+        with pytest.raises(DomainError):
+            dist.cc_distance(O, b, endpoint_tol=bad)
+    assert dist.cc_distance(O, b, segments=np.int64(8)).segments == 8
+    # the normalized solve divides by the squared gauge of A^-1 B
+    for far in ((1e160, 0.0, 1.0), (1e200, 0.0, 1.0), (0.0, 0.0, math.inf)):
+        with pytest.raises(DomainError):
+            dist.cc_distance(O, hg.HeisPoint(*far))
+    a = hg.HeisPoint(1e200, 1e200, 0.0)  # A^-1 B has z = inf - inf
+    with pytest.raises(DomainError):
+        dist.cc_distance(a, hg.HeisPoint(1e200, 1e200, 1.0))
+
+
 def test_deterministic_repeat():
     a = hg.HeisPoint(0.4, -0.2, 0.3)
     b = hg.HeisPoint(-0.6, 0.5, -0.1)
@@ -219,7 +238,7 @@ def test_l2_distance_within_elementary_bounds(rho, abs_z):
 
 
 def test_l2_distance_matches_optimizer():
-    # independent of the closed form: the optimizer's witness is a
+    # independent of the closed form: the witness of cc_distance is a
     # feasible path, so its length can only exceed the exact distance
     rng = np.random.default_rng(56)
     pairs = [(hg.HeisPoint(*rng.uniform(-1.5, 1.5, 3)),
@@ -232,6 +251,116 @@ def test_l2_distance_matches_optimizer():
                                        abs(delta.z)))
         value = dist.cc_distance(a, b, segments=64).value
         assert exact * (1.0 - 1e-9) <= value <= exact * (1.0 + 1e-3)
+
+
+# ---------------------------------------------------------------------------
+# exact discrete l2 geodesics: the shortest path on the slot grid
+
+def slot_path(U):
+    n = len(U) // 2
+    return geo.HorizontalPath(O, np.column_stack(
+        [U[:n], U[n:], np.full(n, 1.0 / n)]))
+
+
+def slot_endpoint(U):
+    # integrate_path without its Python loop, for SLSQP's many calls:
+    # z gathers half the cross product of each slot step with its start
+    n = len(U) // 2
+    steps = np.column_stack([U[:n], U[n:]]) / n
+    starts = np.cumsum(steps, axis=0) - steps
+    z = 0.5 * float(np.sum(starts[:, 0] * steps[:, 1]
+                           - starts[:, 1] * steps[:, 0]))
+    return np.array([*steps.sum(axis=0), z])
+
+
+def test_vertical_polygon_matches_zenodorus():
+    # independent oracle: among n-gons of a given area the regular one is
+    # the shortest (Zenodorus), so the best n-slot loop enclosing |z| has
+    # length 2 sqrt(n tan(pi/n) |z|)
+    for n in (3, 4, 16, 64):
+        zenodorus = 2.0 * math.sqrt(n * math.tan(math.pi / n))
+        for z in (1.0, -1.0):
+            length, _, err = dist._solve_normalized(
+                np.array([0.0, 0.0, z]), n, "l2", 1e-13)
+            assert length == pytest.approx(zenodorus, rel=1e-12)
+            assert err <= 1e-13
+        for z in (0.25, -3.0):
+            value = dist.cc_distance(O, hg.HeisPoint(0.0, 0.0, z),
+                                     segments=n).value
+            # below five slots the explicit square loop, 4 sqrt|z|, wins
+            assert value == pytest.approx(
+                min(zenodorus, 4.0) * math.sqrt(abs(z)), rel=1e-12)
+
+
+def test_slot_polygon_edge_cases():
+    def solve(target, n):
+        return dist._solve_normalized(np.array(target), n, "l2", 1e-13)
+
+    # one slot encloses no area and two slots cannot close a loop
+    assert solve([0.6, 0.8, 0.1], 1) is None
+    assert solve([0.0, 0.0, 1.0], 2) is None
+    # targets in the plane or nearly so take the straight path, targets
+    # nearly on the axis the regular polygon
+    assert solve([0.6, 0.8, 0.0], 1)[0] == pytest.approx(1.0, rel=1e-15)
+    for z in (5e-324, -1e-300):
+        assert solve([0.6, 0.8, z], 64)[0] == pytest.approx(1.0, rel=1e-13)
+    assert solve([1e-160, 0.0, 1.0], 64)[0] == pytest.approx(
+        2.0 * math.sqrt(64 * math.tan(math.pi / 64)), rel=1e-13)
+    res = dist.cc_distance(O, hg.HeisPoint(0.0, 0.0, 1.0), segments=2)
+    assert res.degraded and res.value == pytest.approx(4.0)
+    # so near the axis the two-slot path overflows its projection
+    with np.errstate(all="ignore"):
+        res = dist.cc_distance(O, hg.HeisPoint(1e-154, 0.0, 1.0),
+                               segments=2)
+    assert res.degraded and res.value == pytest.approx(4.0)
+
+
+def test_slsqp_finds_no_shorter_slot_path():
+    # independent of the closed form: constrained local search over the
+    # n slot controls, from seeded random starts, with the endpoint as an
+    # equality constraint; the energy is minimized, which at fixed
+    # duration also minimizes the length
+    rng = np.random.default_rng(58)
+    targets = [hg.HeisPoint(*rng.uniform(-1.0, 1.0, 3)) for _ in range(3)]
+    targets.append(hg.HeisPoint(0.05, -0.02, 0.8))  # near-vertical
+    for n in (8, 16):
+        for target in targets:
+            value = dist.cc_distance(O, target, segments=n).value
+            feasible = 0
+            for _ in range(3):
+                sol = minimize(
+                    lambda U: (float(U @ U) / n, 2.0 * U / n),
+                    rng.normal(0.0, 2.0, 2 * n), method="SLSQP", jac=True,
+                    constraints={"type": "eq",
+                                 "fun": lambda U: slot_endpoint(U) - target},
+                    options={"maxiter": 500, "ftol": 1e-14})
+                end = geo.integrate_path(slot_path(sol.x))
+                if max(abs(np.subtract(end, target))) > 1e-9:
+                    continue
+                feasible += 1
+                length = geo.cc_length(slot_path(sol.x))
+                assert length >= value * (1.0 - 1e-9)
+            assert feasible, (n, target)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.sampled_from((3, 4, 16, 64)), log_w=st.floats(-30.0, 30.0),
+       angle=st.floats(0.0, 6.28), sign=st.sampled_from((1.0, -1.0)))
+def test_l2_polygon_between_arc_and_regular_polygon(n, log_w, angle, sign):
+    # normalized target of w = |z| / rho^2 in [1e-30, 1e30]; the discrete
+    # over the continuous length grows with w towards the vertical ratio
+    w = 10.0 ** log_w
+    rho = min(1.0, 1.0 / math.sqrt(w))
+    target = np.array([rho * math.cos(angle), rho * math.sin(angle),
+                       sign * min(w, 1.0)])
+    length, U, err = dist._solve_normalized(target, n, "l2", 1e-13)
+    assert math.isfinite(length) and err <= 1e-13
+    end = geo.integrate_path(slot_path(U))
+    assert np.allclose(end, target, rtol=0.0, atol=1e-12)
+    exact = float(dist.l2_distance(math.hypot(target[0], target[1]),
+                                   abs(target[2])))
+    ratio = math.sqrt(n * math.tan(math.pi / n) / math.pi)
+    assert exact * (1.0 - 1e-12) <= length <= exact * ratio * (1.0 + 1e-12)
 
 
 # ---------------------------------------------------------------------------
