@@ -2,7 +2,7 @@
 
 Six parts: the q-entropy algebra (``qalgebra``), exact group arithmetic
 (``heisenberg``), horizontal curves and holonomy (``geometry``), the
-distance optimizer and volume scaling (``distance``), blow-up derivatives
+distance solvers and volume scaling (``distance``), blow-up derivatives
 (``pansu``), and lattice ball growth (``growth``). ``cli`` wraps them in
 reproducible experiment runs; ``acceptance`` holds the release gate.
 """

@@ -54,7 +54,7 @@ def _json_safe(obj):
         if math.isnan(v):
             return None
         if math.isinf(v):
-            return "exact" if v > 0 else "-inf"
+            return "inf" if v > 0 else "-inf"
         return v
     if isinstance(obj, (np.integer,)):
         return int(obj)
@@ -205,7 +205,9 @@ def _cmd_ccdist(cfg):
                     "upper": res.upper,
                     "endpoint_error": res.endpoint_error,
                     "degraded": res.degraded})
-    payload = {"pairs": out, "norm": cfg["norm"], "segments": cfg["segments"]}
+    payload = {"pairs": out,
+               "degraded": any(rec["degraded"] for rec in out),
+               "norm": cfg["norm"], "segments": cfg["segments"]}
     if cfg.get("emit_path") and first_witness is not None:
         rows = geometry.sample_path(first_witness)
         with open(cfg["emit_path"], "w") as fh:
@@ -292,7 +294,11 @@ def _cmd_pansu(cfg):
     sched = pansu.BlowupSchedule(
         pansu.default_blowup_schedule(cfg["schedule"]), cfg["convention"])
     matrix, diag = pansu.pansu_derivative(gmap, base, sched)
-    return {"matrix": matrix.tolist(), "per_entry_order": _json_safe(diag),
+    # an infinite order marks an entry whose quotient is already constant
+    order = {direction: {k: "exact" if v == math.inf else v
+                         for k, v in orders.items()}
+             for direction, orders in diag.items()}
+    return {"matrix": matrix.tolist(), "per_entry_order": order,
             "kind": cfg["kind"], "convention": cfg["convention"],
             "base": list(base)}
 
@@ -447,7 +453,8 @@ def _build_parser():
     p.add_argument("--pairs", default=None,
                    help="JSON file [{A:..,B:..},..] for a survey")
     p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--segments", type=int, default=None)
+    p.add_argument("--segments", type=int, default=None,
+                   help="l2 time slots; l1 and linf are exact and ignore it")
     p.add_argument("--norm", default=None, choices=list(geometry.HORIZONTAL_NORMS))
     p.add_argument("--emit-path", default=None,
                    help="write the witness trajectory CSV here")

@@ -1,23 +1,25 @@
-"""Carnot-Caratheodory distance by direct transcription.
+"""Carnot-Caratheodory distance with exact geodesics.
 
 The distance between A and B is the infimum of horizontal path length.
-It is approximated from above by direct transcription: N piecewise
-constant controls on a unit time grid. For l2 the shortest such path is
-known exactly, an equilateral polygon of constant turning whose total
-turning solves one scalar equation, so no optimizer runs. For l1 (in
-nonnegative control parts) and linf (reduced to l1) a smooth energy
-objective with a quadratic endpoint penalty is escalated over several
-rounds of L-BFGS-B. Either path is finished by a Gauss-Newton projection
-onto the endpoint constraint. Rigorous elementary bounds (planar
-projection from below, explicit segment+loop paths from above) bracket
-the reported value.
+For the l1 norm it has a closed form: the isoperimetrix of l1 is the
+axis-parallel square (Busemann 1947), so geodesics are arcs of that
+square, at most four pieces of constant axis control, and the distance is
+a three-case formula in max(|x|, |y|), min(|x|, |y|) and |z| (Duchin and
+Mooney 2014). linf reduces to l1 through the automorphism
+(x, y, z) -> (x + y, x - y, -2z). For l2 the distance is approximated
+from above by direct transcription: N piecewise constant controls on a
+unit time grid, whose shortest path is known exactly, an equilateral
+polygon of constant turning whose total turning solves one scalar
+equation; a Gauss-Newton projection onto the endpoint constraint finishes
+it. Rigorous elementary bounds (planar projection from below, explicit
+segment+loop paths from above) bracket the reported value.
 
 Two exact symmetries are used to precondition every solve: the problem is
 left-translated so the start is the origin, and rescaled by the
 homogeneous gauge max(planar, sqrt|z|) so the target has unit size. Both
 are isometries (up to the linear dilation factor), so invariance of the
 reported distance under left translation and dilation holds by
-construction rather than by optimizer luck.
+construction.
 
 The l2 distance from the origin also has a closed form, ``l2_distance``;
 Monte Carlo ball membership uses it where the bounds leave a sample open.
@@ -31,15 +33,15 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq, minimize
+# nothing here calls minimize; the benchmark's tracer wraps distance.minimize
+from scipy.optimize import brentq, minimize  # noqa: F401
 
 from .errors import DomainError
-from .geometry import HorizontalPath, _norm_values, cc_length, chow_connect
+from .geometry import HorizontalPath, cc_length, chow_connect, integrate_path
 from .heisenberg import ORIGIN, HeisPoint, exp_inv, exp_mul
 
 DEFAULT_SEGMENTS = 64
 DEFAULT_ENDPOINT_TOL = 1e-6
-PENALTY_ROUNDS = 5
 
 
 @dataclass(frozen=True)
@@ -66,7 +68,7 @@ def distance_bounds(delta, norm="l2"):
     gives length >= sqrt(4 pi |dz|) - planar_chord. Upper: a straight
     segment to the planar target plus an area-closing loop (circle for
     the l2 norm, square otherwise). For l1 and linf this is the length
-    of ``chow_connect``'s path, which ``cc_distance`` also measures.
+    of ``chow_connect``'s path, so the exact distance never exceeds it.
     """
     dx, dy, dz = delta
     planar2 = math.hypot(dx, dy)
@@ -111,25 +113,6 @@ def _endpoint_jacobian(u, v, dt, X, Y):
     return J
 
 
-def _penalized(U, target, mu, dt):
-    """l1 energy plus endpoint penalty, and its gradient. ``U`` holds the
-    nonnegative parts (u+, v+, u-, v-) of the controls: the energy of the
-    sum of the parts is the smooth l1 energy, since a minimizer keeps one
-    part of each pair zero.
-    """
-    n = len(U) // 4
-    speed = U.reshape(4, n).sum(axis=0)
-    e = dt * float(np.sum(speed * speed))
-    ge = np.tile(2.0 * dt * speed, 4)
-    U = U[:2 * n] - U[2 * n:]
-    u, v = U[:n], U[n:]
-    P, X, Y = _endpoint(u, v, dt)
-    err = P - target
-    f = e + mu * float(err @ err)
-    g = 2.0 * mu * (_endpoint_jacobian(u, v, dt, X, Y).T @ err)
-    return f, ge + np.concatenate((g, -g))
-
-
 def _project_endpoint(U, target, dt, tol):
     """Gauss-Newton projection onto the endpoint constraint."""
     n = len(U) // 2
@@ -150,45 +133,11 @@ def _project_endpoint(U, target, dt, tol):
     return U, float(np.max(np.abs(P - target)))
 
 
-def _resample_controls(segs, n):
-    """Slot-average a piecewise-constant control law onto n equal slots of
-    a unit-duration grid (velocities carry the total-duration factor)."""
-    segs = np.asarray(segs, dtype=float).reshape(-1, 3)
-    T = segs[:, 2].sum()
-    edges = np.concatenate(([0.0], np.cumsum(segs[:, 2])))
-    u = np.zeros(n)
-    v = np.zeros(n)
-    for k in range(n):
-        a, b = k * T / n, (k + 1) * T / n
-        overlap = np.clip(np.minimum(b, edges[1:]) - np.maximum(a, edges[:-1]),
-                          0.0, None)
-        u[k] = float(overlap @ segs[:, 0]) * n  # integral / (1/n)
-        v[k] = float(overlap @ segs[:, 1]) * n
-    return np.concatenate((u, v))
-
-
-def _chow_start(target, n):
-    return _resample_controls(
-        chow_connect(ORIGIN, HeisPoint(*target)).controls, n)
-
-
-def _straight_start(target, n):
-    dx, dy, _ = target
-    u = np.full(n, dx)
-    v = np.full(n, dy)
-    if abs(dx) < 1e-12 and abs(dy) < 1e-12:
-        # symmetry-breaking kick: the all-zero start is a saddle of the
-        # penalized objective when only the vertical gap is nonzero
-        k = np.arange(n)
-        u = u + 0.5 * np.cos(2.0 * np.pi * k / n)
-        v = v + 0.5 * np.sin(2.0 * np.pi * k / n)
-    return np.concatenate((u, v))
-
-
 def _l2_polygon(target, n):
     """Controls of the shortest n-slot l2 path to ``target``, or None when
     no n-slot path reaches it (n = 1 off the plane z = 0, n = 2 on the
-    vertical axis).
+    vertical axis) or its length is not a finite float (n = 2 nearly on
+    the axis).
 
     The minimizer is an equilateral polygon of constant turning, controls
     c e^{i s k phi} with s = sign(z), k = 0 .. n-1: inscribed in a circle,
@@ -242,7 +191,10 @@ def _l2_polygon(target, n):
                        max(math.log(4.0), 2.0 * math.log(2.0 * math.pi)
                            + log_w), xtol=1e-15)
         turn, peak, s, pairs = sines(t)
-        length = n * math.sqrt(2.0 * abs(z) * s[1] / (peak * pairs))
+        # in Python floats, which overflow to inf without a warning
+        length = n * math.sqrt(2.0 * abs(z) * float(s[1]) / (peak * pairs))
+        if not math.isfinite(length):
+            return None
     sign = math.copysign(1.0, z)
     step = turn / n
     angle = (math.atan2(y, x) - 0.5 * sign * (turn - step)
@@ -250,63 +202,84 @@ def _l2_polygon(target, n):
     return length * np.concatenate((np.cos(angle), np.sin(angle)))
 
 
-def _solve_normalized(target, segments, norm, restore_tol):
-    """Shortest feasible controls, as (length, U, endpoint error), or None
-    if no candidate reaches the endpoint: for l2 the exact polygon, for l1
-    the penalty ladder of L-BFGS-B from each optimizer start."""
+def _solve_normalized(target, segments, restore_tol):
+    """Shortest n-slot l2 controls, as (length, U, endpoint error), or
+    None if the exact polygon does not reach the endpoint."""
+    U = _l2_polygon(target, segments)
+    if U is None:
+        return None
+    dt = 1.0 / segments
+    U, err = _project_endpoint(U, target, dt, restore_tol)
+    if not err <= restore_tol:  # also refuses a NaN error
+        return None
+    return dt * float(np.sum(np.hypot(*np.split(U, 2)))), U, err
+
+
+def _l1_geodesic(target, norm="l1"):
+    """Exact length and witness controls (u, v, dt) of a geodesic from the
+    origin to ``target`` for the l1 norm, or for linf.
+
+    In the reduced frame h = max(|x|, |y|), l = min(|x|, |y|), zeta = |z|
+    the distance is h + l for zeta <= hl/2 (a staircase), h + 2 zeta / h
+    for zeta <= h^2 - hl/2 (a detour below the chord) and
+    4 sqrt(zeta + hl/2) - h - l beyond (an arc of the square of side
+    sqrt(zeta + hl/2)). The witness is at most four unit axis controls of
+    free duration, mapped to the target by the signed permutation of
+    (x, y) that reduced it; reversing the pieces flips the sign of z.
+    """
+    x, y, z = (float(c) for c in target)
     if norm == "linf":
         # Phi(x, y, z) = (x + y, x - y, -2z) is an automorphism whose
         # differential doubles linf speeds into l1 speeds, so an l1
-        # geodesic to Phi(target), mapped back, is a linf geodesic;
-        # mapping back does not enlarge the max-norm endpoint error
-        x, y, z = target
-        sol = _solve_normalized(np.array([x + y, x - y, -2.0 * z]),
-                                segments, "l1", restore_tol)
-        if sol is None:
-            return None
-        length, U, err = sol
-        u, v = np.split(U, 2)
-        return 0.5 * length, 0.5 * np.concatenate((u + v, u - v)), err
-    dt = 1.0 / segments
-    if norm == "l2":
-        U = _l2_polygon(target, segments)
-        candidates = [] if U is None else [U]
+        # geodesic to Phi(target), mapped back, is a linf geodesic
+        length, ctl = _l1_geodesic((x + y, x - y, -2.0 * z))
+        u, v, dt = ctl.T
+        return 0.5 * length, np.column_stack((0.5 * (u + v),
+                                              0.5 * (u - v), dt))
+    h, l = max(abs(x), abs(y)), min(abs(x), abs(y))
+    zeta, m = abs(z), 0.5 * h * l
+    if zeta <= m:
+        s = (zeta + m) / l if l > 0.0 else h
+        length, pieces = h + l, [(1, 0, s), (0, 1, l), (1, 0, h - s)]
+    elif zeta <= h * h - m:
+        a = (zeta - m) / h
+        length = h + 2.0 * zeta / h
+        pieces = [(0, -1, a), (1, 0, h), (0, 1, l + a)]
     else:
-        candidates = []
-        bounds = [(0.0, None)] * (4 * segments)
-        for U in (_chow_start(target, segments),
-                  _straight_start(target, segments)):
-            U = np.concatenate((np.maximum(U, 0.0), np.maximum(-U, 0.0)))
-            for mu in np.logspace(2, 8, PENALTY_ROUNDS):
-                U = minimize(_penalized, U, args=(target, mu, dt), jac=True,
-                             method="L-BFGS-B", bounds=bounds,
-                             options={"maxiter": 500, "ftol": 1e-15,
-                                      "gtol": 1e-11}).x
-            candidates.append(U[:2 * segments] - U[2 * segments:])
-    best = None
-    for U in candidates:
-        U, err = _project_endpoint(U, target, dt, restore_tol)
-        if not err <= restore_tol:  # also refuses a NaN error
-            continue
-        u, v = np.split(U, 2)
-        length = dt * float(np.sum(_norm_values(u, v, norm)))
-        if best is None or length < best[0]:
-            best = (length, U, err)
-    return best
+        s = math.sqrt(zeta + m)
+        length = 4.0 * s - h - l
+        pieces = [(0, -1, s - l), (1, 0, s), (0, 1, s), (-1, 0, s - h)]
+    ctl = np.array(pieces, dtype=float)
+    ctl = ctl[ctl[:, 2] > 0.0]
+    sx, sy = math.copysign(1.0, x), math.copysign(1.0, y)
+    swap = abs(y) > abs(x)
+    ctl[:, :2] = ctl[:, [1, 0] if swap else [0, 1]] * (sx, sy)
+    if (-sx if swap else sx) * sy * z < 0.0:  # the map reverses orientation
+        ctl = ctl[::-1]
+    return length, ctl
 
 
 def cc_distance(A, B, *, segments=DEFAULT_SEGMENTS, norm="l2",
                 endpoint_tol=DEFAULT_ENDPOINT_TOL) -> DistanceResult:
-    """Distance estimate between the points A and B with a feasible
-    witness path.
+    """Distance between the points A and B with a feasible witness path.
 
-    The reported value is the length of the witness, the shorter of the
-    transcription's path (the exact polygon for l2, the optimizer's path
-    for l1 and linf) and the explicit segment+loop connection, so it is
-    an upper bound on the true distance, bracketed by ``lower``/``upper``
-    elementary bounds. ``degraded`` is set when the transcription yields
-    no path that reaches the endpoint. ``segments`` must be a positive
-    integer, ``endpoint_tol`` positive and finite.
+    For l1 and linf the value is exact. It is the length of the witness,
+    a feasible path, so it is never below the true distance. It is never
+    above it: a horizontal path to (x, y, z) is a planar curve to (x, y)
+    enclosing signed area z against its chord, and by Busemann's
+    isoperimetric inequality the shortest such l1 curves are arcs of the
+    square, which the witness traces. As a numerical check, the tests
+    find no word of the discrete Heisenberg group, a unit-speed l1 path,
+    shorter than the value. ``segments`` is unused for these norms.
+
+    For l2 the value is the length of the witness, the shorter of the
+    exact shortest path on ``segments`` equal time slots and the explicit
+    segment+loop connection, so it is an upper bound on the true
+    distance; ``degraded`` is set when no slot path reaches the endpoint.
+
+    The value is bracketed by the ``lower``/``upper`` elementary bounds.
+    ``segments`` must be a positive integer, ``endpoint_tol`` positive
+    and finite.
     """
     if isinstance(segments, bool) \
             or not isinstance(segments, numbers.Integral) or segments < 1:
@@ -329,23 +302,32 @@ def cc_distance(A, B, *, segments=DEFAULT_SEGMENTS, norm="l2",
     if not (math.isfinite(scale * scale) and math.isfinite(delta.z)):
         raise DomainError(f"A^-1 B = {tuple(delta)} is too large to solve: "
                           f"its squared gauge is not a finite float")
+    # divide twice where the squared gauge underflows
     that = np.array([delta.x / scale, delta.y / scale,
-                     delta.z / (scale * scale)])
-    restore_tol = max(5e-16, min(1e-13, endpoint_tol
-                                 / (10.0 * max(scale, scale * scale))))
-    sol = _solve_normalized(that, segments, norm, restore_tol)
-    fallback = chow_connect(A, B)
-    fallback_length = cc_length(fallback, norm)
-    if sol is None or fallback_length < scale * sol[0]:
-        return DistanceResult(fallback_length, fallback, lower,
-                              min(upper, fallback_length), 0.0,
-                              degraded=sol is None, norm=norm,
-                              segments=segments)
-
-    length_hat, U, err_hat = sol
-    n = segments
-    controls = np.column_stack([scale * U[:n], scale * U[n:],
-                                np.full(n, 1.0 / n)])
+                     delta.z / (scale * scale)
+                     if scale * scale >= sys.float_info.min
+                     else delta.z / scale / scale])
+    if norm == "l2":
+        restore_tol = max(5e-16, min(1e-13, endpoint_tol
+                                     / (10.0 * max(scale, scale * scale))))
+        sol = _solve_normalized(that, segments, restore_tol)
+        fallback = chow_connect(A, B)
+        fallback_length = cc_length(fallback)
+        if sol is None or fallback_length < scale * sol[0]:
+            return DistanceResult(fallback_length, fallback, lower,
+                                  min(upper, fallback_length), 0.0,
+                                  degraded=sol is None, norm=norm,
+                                  segments=segments)
+        length_hat, U, err_hat = sol
+        n = segments
+        controls = np.column_stack([scale * U[:n], scale * U[n:],
+                                    np.full(n, 1.0 / n)])
+    else:
+        length_hat, controls = _l1_geodesic(that, norm)
+        end = integrate_path(HorizontalPath(ORIGIN, controls))
+        err_hat = float(np.max(np.abs(np.subtract(end, that))))
+        controls[:, 2] *= scale
+        controls = controls[controls[:, 2] > 0.0]  # lost to underflow
     witness = HorizontalPath(A, controls)
     value = scale * length_hat
     err = err_hat * max(scale, scale * scale)

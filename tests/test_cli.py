@@ -308,7 +308,7 @@ def test_json_safe_sanitizes():
     safe = cli._json_safe({"a": np.float64(1.5), "b": float("inf"),
                            "c": float("nan"), "d": np.int64(3),
                            "e": [np.bool_(True)]})
-    assert safe == {"a": 1.5, "b": "exact", "c": None, "d": 3, "e": [True]}
+    assert safe == {"a": 1.5, "b": "inf", "c": None, "d": 3, "e": [True]}
     # canonical JSON must accept everything that comes out
     reports.canonical_json(safe)
 
@@ -402,3 +402,29 @@ def test_main_unwritable_output(tmp_path, capsys):
         assert code == 3, argv
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"]["module"] == "cli_reports"
+
+
+def test_main_qadd_overflow_is_inf(tmp_path, capsys):
+    # an overflowing sum is infinite, not an "exact" label
+    code = cli.main(["--output-dir", str(tmp_path), "qadd", "--x", "1e308",
+                     "--y", "1e308", "--q", "0"])
+    assert code == 0
+    out = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert out["summary"]["result"] == "inf"
+    # the label stays where it has its meaning: an infinite pansu order
+    # marks an entry whose blow-up quotient is already constant
+    assert cli.main(["--output-dir", str(tmp_path), "pansu"]) == 0
+    bundle = json.loads((tmp_path / "pansu.bundle.json").read_text())
+    orders = bundle["payload"]["per_entry_order"]["direction_0"]
+    assert set(orders.values()) == {"exact"}
+
+
+def test_main_ccdist_summary_shows_degraded(tmp_path, capsys):
+    # two slots cannot close a loop around the vertical axis, so that
+    # solve falls back to the explicit path; the summary must say so
+    base = ["--output-dir", str(tmp_path), "ccdist",
+            "--a", '{"x":0,"y":0,"z":0}', "--b", '{"x":0,"y":0,"z":1}']
+    for extra, degraded in ((["--segments", "2"], True), ([], False)):
+        assert cli.main([*base, *extra]) == 0
+        out = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert out["summary"]["degraded"] is degraded
