@@ -253,7 +253,11 @@ def _cmd_holonomy(cfg):
             loop = np.zeros((2, 2))
         else:
             raise DomainError(f"unknown loop preset {preset!r}")
-    area, length, defect = geometry.isoperimetric_check(loop)
+    with np.errstate(over="ignore", invalid="ignore"):
+        area, length, defect = geometry.isoperimetric_check(loop)
+    if not math.isfinite(area):
+        raise _InputError(f"the loop's enclosed area is not a finite float "
+                          f"(got {area!r}); scale it down")
     return {"holonomy": area, "area": area, "length": length,
             "isoperimetric_defect": defect, "samples": int(len(loop))}
 

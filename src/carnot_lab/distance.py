@@ -276,8 +276,11 @@ def cc_distance(A, B, *, segments=DEFAULT_SEGMENTS, norm="l2",
     exact shortest path on ``segments`` equal time slots and the explicit
     segment+loop connection, so it is an upper bound on the true
     distance; ``degraded`` is set when no slot path reaches the endpoint.
+    Its ``lower`` is the exact continuous distance ``l2_distance`` and its
+    ``upper`` the length of an explicit path on ``segments`` slots (or the
+    value, where that is shorter), so the value lies between them.
 
-    The value is bracketed by the ``lower``/``upper`` elementary bounds.
+    For l1 and linf the value is bracketed by the ``distance_bounds``.
     ``segments`` must be a positive integer, ``endpoint_tol`` positive
     and finite.
     """
@@ -308,6 +311,20 @@ def cc_distance(A, B, *, segments=DEFAULT_SEGMENTS, norm="l2",
                      if scale * scale >= sys.float_info.min
                      else delta.z / scale / scale])
     if norm == "l2":
+        # lower: the exact continuous distance; upper: an explicit path on
+        # the slots, a straight slot to the planar target and a regular
+        # polygon loop on the others (all of them on the axis), which
+        # needs three sides
+        rho, abs_z = math.hypot(delta.x, delta.y), abs(delta.z)
+        lower = float(l2_distance(rho, abs_z))
+        sides = segments - (rho > 0.0)
+        if abs_z == 0.0:
+            upper = rho
+        elif sides >= 3:
+            upper = rho + 2.0 * math.sqrt(
+                sides * math.tan(math.pi / sides) * abs_z)
+        else:
+            upper = math.inf
         restore_tol = max(5e-16, min(1e-13, endpoint_tol
                                      / (10.0 * max(scale, scale * scale))))
         sol = _solve_normalized(that, segments, restore_tol)
@@ -363,31 +380,34 @@ def l2_distance(rho, abs_z):
         w = q * q
         d = np.where(np.isinf(q), 2.0 * np.sqrt(np.pi * az), rho)
         arc = (w > 0) & (w <= np.pi / 8)
+        # a branch without points is skipped, which halves a scalar call;
         # w(theta) is convex with slope 1/6 at 0 and chord slope 1/4
         # to pi/2, so theta lies in [4w, 6w]; Newton descends from 6w
-        qa, wa = q[arc], w[arc]
-        lo, hi = 4.0 * wa, np.minimum(6.0 * wa, 0.5 * np.pi)
-        t = hi
-        for _ in range(_NEWTON_STEPS):
-            s = np.sin(t)
-            n = 2.0 * t - np.sin(2.0 * t)
-            step = (n - 8.0 * (qa * s) ** 2) / (4.0 * s * s
-                                                 - 2.0 * n * np.cos(t) / s)
-            t = np.fmax(lo, np.fmin(hi, t - step))
-        d[arc] = rho[arc] * t / np.sin(t)
+        if arc.any():
+            qa, wa = q[arc], w[arc]
+            lo, hi = 4.0 * wa, np.minimum(6.0 * wa, 0.5 * np.pi)
+            t = hi
+            for _ in range(_NEWTON_STEPS):
+                s = np.sin(t)
+                n = 2.0 * t - np.sin(2.0 * t)
+                step = (n - 8.0 * (qa * s) ** 2) / (
+                    4.0 * s * s - 2.0 * n * np.cos(t) / s)
+                t = np.fmax(lo, np.fmin(hi, t - step))
+            d[arc] = rho[arc] * t / np.sin(t)
         loop = (w > np.pi / 8) & np.isfinite(q)
-        # w(psi) is convex, decreasing and at least pi / (4 psi^2), so
-        # Newton climbs from sqrt(pi / (4 w)) without passing the root
-        ql = q[loop]
-        lo = 0.5 * math.sqrt(math.pi) / ql
-        p = lo
-        for _ in range(_NEWTON_STEPS):
-            s = np.sin(p)
-            n = 2.0 * np.pi - 2.0 * p + np.sin(2.0 * p)
-            step = (n - 8.0 * (ql * s) ** 2) / (4.0 * s * s
-                                                 + 2.0 * n * np.cos(p) / s)
-            p = np.fmin(0.5 * np.pi, np.fmax(lo, p + step))
-        d[loop] = rho[loop] * (np.pi - p) / np.sin(p)
+        if loop.any():
+            # w(psi) is convex, decreasing and at least pi / (4 psi^2), so
+            # Newton climbs from sqrt(pi / (4 w)) without passing the root
+            ql = q[loop]
+            lo = 0.5 * math.sqrt(math.pi) / ql
+            p = lo
+            for _ in range(_NEWTON_STEPS):
+                s = np.sin(p)
+                n = 2.0 * np.pi - 2.0 * p + np.sin(2.0 * p)
+                step = (n - 8.0 * (ql * s) ** 2) / (
+                    4.0 * s * s + 2.0 * n * np.cos(p) / s)
+                p = np.fmin(0.5 * np.pi, np.fmax(lo, p + step))
+            d[loop] = rho[loop] * (np.pi - p) / np.sin(p)
     return d
 
 

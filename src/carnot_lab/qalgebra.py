@@ -39,10 +39,12 @@ def as_distribution(weights, renormalize=False):
         raise DomainError("non-finite probability weights")
     if np.any(w < 0):
         raise DomainError("negative probability weight")
-    total = w.sum()
+    with np.errstate(over="ignore"):
+        total = w.sum()  # inf is refused below, without numpy's warning
     if renormalize:
-        if total <= 0:
-            raise DomainError("cannot renormalize a zero vector")
+        if not 0 < total < math.inf:
+            raise DomainError(f"cannot renormalize weights summing to "
+                              f"{float(total)!r}")
         w = w / total
     elif abs(total - 1.0) > SUM_TOL:
         raise DomainError(f"weights sum to {float(total)!r}, "

@@ -325,6 +325,39 @@ def test_main_growth_config_errors(tmp_path, capsys):
         assert err["error"]["module"] == "cayley_growth"
 
 
+def test_main_growth_refuses_int64_overflow(tmp_path, capsys):
+    # the search refuses generators whose coordinates would leave int64;
+    # like a memory-budget stop, this is the growth module's error
+    for big in ("1000000000000", "1" + "0" * 20):
+        code = cli.main(["--output-dir", str(tmp_path), "growth",
+                         "--gens", f"1,0,0;0,1,0;{big},0,0",
+                         "--radius", "4"])
+        assert code == 3, big
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"]["module"] == "cayley_growth"
+        assert "int64" in err["error"]["message"]
+    assert not (tmp_path / "growth.bundle.json").exists()
+
+
+def test_main_holonomy_rejects_non_finite_area(tmp_path, capsys):
+    # the squared radius overflows: a JSON error, not null values
+    code = cli.main(["--output-dir", str(tmp_path), "holonomy",
+                     "--loop", "circle", "--radius", "1e200"])
+    assert code == 2
+    err = capsys.readouterr().err.strip()
+    assert json.loads(err)["error"]["message"]
+    assert not (tmp_path / "holonomy.bundle.json").exists()
+
+
+def test_main_entropy_overflowing_sum_is_one_json_error(tmp_path, capsys):
+    code = cli.main(["--output-dir", str(tmp_path), "entropy",
+                     "--dist", "1e308,1e308", "--q", "2"])
+    assert code == 3
+    # stderr holds the JSON error alone, with no numpy warning before it
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["module"] == "q_algebra"
+
+
 def test_main_ccdist_rejects_bad_points(tmp_path, capsys):
     origin = '{"x":0,"y":0,"z":0}'
     bad = ['{"x":NaN,"y":0,"z":0}', '{"x":0,"y":Infinity,"z":0}',

@@ -68,9 +68,35 @@ def test_value_within_rigorous_sandwich():
             res = dist.cc_distance(a, b, norm=norm)
             # against the elementary bounds recomputed independently of
             # the result's own (possibly tightened) bracket
-            lo, hi = dist.distance_bounds(hg.exp_mul(hg.exp_inv(a), b), norm)
+            delta = hg.exp_mul(hg.exp_inv(a), b)
+            lo, hi = dist.distance_bounds(delta, norm)
             assert lo - 1e-9 <= res.value <= hi + 1e-9
-            assert res.lower == lo and res.upper <= hi + 1e-15
+            assert res.upper <= hi + 1e-15
+            if norm == "l2":
+                # the exact continuous distance, above the elementary bound
+                exact = float(dist.l2_distance(math.hypot(delta.x, delta.y),
+                                               abs(delta.z)))
+                assert res.lower == exact and res.lower >= lo - 1e-12
+            else:
+                assert res.lower == lo
+
+
+def test_l2_value_within_its_bracket():
+    # the bracket bounds the reported quantity: the exact continuous
+    # distance from below, an explicit path on the same slots from above
+    rng = np.random.default_rng(53)
+    pairs = [(hg.HeisPoint(*rng.uniform(-1.5, 1.5, 3)),
+              hg.HeisPoint(*rng.uniform(-1.5, 1.5, 3))) for _ in range(10)]
+    pairs += [(O, hg.HeisPoint(0.0, 0.0, z)) for z in (0.25, 1.0, -3.0)]
+    pairs += [(O, hg.HeisPoint(*rng.uniform(-1e-3, 1e-3, 2), z))
+              for z in (0.5, -2.0)]
+    pairs.append((hg.HeisPoint(0.3, -0.2, 0.1),
+                  hg.HeisPoint(0.31, -0.19, 1.4)))
+    for n in (2, 3, 4, 16, 64):
+        for a, b in pairs:
+            res = dist.cc_distance(a, b, segments=n)
+            assert res.lower * (1.0 - 1e-12) <= res.value
+            assert res.value <= res.upper * (1.0 + 1e-12)
 
 
 def test_vertical_sandwich_bounds():

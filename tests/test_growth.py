@@ -50,6 +50,29 @@ HEIS_GENS = growth.symmetrize_generators(
 RICHER_SETS = [("heis_Z", (growth.T1, growth.T2, (1, 1, 1)), 6),
                ("z3", growth.STANDARD_GENERATORS["z3"]
                 + ((1, 1, 0), (0, 1, 1)), 6)]
+# mixed signs and larger entries: wide, lopsided key radices; the set
+# generates a proper subgroup, so it stays out of the robustness tests
+MIXED_SET = ("heis_Z", ((3, -2, 7), (0, 1, -5)), 4)
+
+
+def heis_sphere_series(radius):
+    """Oracle: the coefficients of the rational sphere growth series of
+    heis_Z under the standard generators (Duchin-Shapiro 2019),
+    S(x) = (1 + x + 4x^2 + 11x^3 + 8x^4 + 21x^5 + 6x^6 + 9x^7 + x^8)
+           / ((1-x)^4 (1+x^2) (1+x+x^2)),
+    expanded in integers."""
+    num = [1, 1, 4, 11, 8, 21, 6, 9, 1]
+    den = [1]
+    for factor in ([1, -1],) * 4 + ([1, 0, 1], [1, 1, 1]):
+        den = [sum(den[i] * factor[k - i] for i in range(len(den))
+                   if 0 <= k - i < len(factor))
+               for k in range(len(den) + len(factor) - 1)]
+    coef = []
+    for k in range(radius + 1):
+        coef.append((num[k] if k < len(num) else 0)
+                    - sum(den[j] * coef[k - j]
+                          for j in range(1, min(k, len(den) - 1) + 1)))
+    return coef
 
 
 # ---------------------------------------------------------------------------
@@ -120,6 +143,12 @@ def test_word_ball_z3_octahedral_oracle():
         assert table.counts[r] == octahedral_count(r)
 
 
+def test_word_ball_heis_rational_series_oracle():
+    table = growth.word_ball("heis_Z", growth.STANDARD_GENERATORS["heis_Z"], 40)
+    spheres = np.diff(table.counts, prepend=0).tolist()
+    assert spheres == heis_sphere_series(40)
+
+
 def test_word_ball_anisotropy():
     # the vertical coordinate reach grows quadratically, the horizontal
     # one linearly
@@ -157,7 +186,7 @@ def test_word_ball_payload_schema():
     assert ("r", "count") == table.to_csv_rows()[0]
 
 
-@pytest.mark.parametrize("group,gens,norm_radius", RICHER_SETS)
+@pytest.mark.parametrize("group,gens,norm_radius", RICHER_SETS + [MIXED_SET])
 def test_word_ball_matches_reference_bfs(group, gens, norm_radius):
     law, _ = growth.GROUP_LAWS[group]
     sym = growth.symmetrize_generators(group, gens)
@@ -195,6 +224,30 @@ def test_growth_rejects_bad_radius(radius):
         growth.word_norm((1, 0, 0), "z3", radius_cap=radius)
     with pytest.raises(DomainError):
         growth.generator_robustness("z3", std, std, radius)
+
+
+@pytest.mark.parametrize("big", [10 ** 12, 10 ** 20])
+def test_growth_refuses_int64_overflow(big):
+    # the keys of a level pack all three coordinates into one int64; a
+    # level that could overflow is refused before it is computed
+    std = growth.STANDARD_GENERATORS["heis_Z"]
+    gens = std + ((big, 0, 0),)
+    with pytest.raises(DomainError, match="int64"):
+        growth.word_ball("heis_Z", gens, 3)
+    with pytest.raises(DomainError, match="int64"):
+        growth.word_norm((2, 2, 2), "heis_Z", gens, radius_cap=3)
+    with pytest.raises(DomainError, match="int64"):
+        growth.word_norm((3 * big, 0, 0), "heis_Z", gens, radius_cap=3)
+    with pytest.raises(DomainError, match="int64"):
+        growth.generator_robustness("heis_Z", std, gens, 4)
+
+
+def test_robustness_refuses_overflowing_common_radix():
+    # each set fits its own keys, but not one radix common to both
+    std = growth.STANDARD_GENERATORS["z3"]
+    with pytest.raises(DomainError, match="int64"):
+        growth.generator_robustness("z3", std + ((10 ** 9, 0, 0),),
+                                    std + ((0, 0, 10 ** 9),), 2)
 
 
 def test_growth_validation():
@@ -242,6 +295,8 @@ def test_word_norm_central_element():
 
 def test_word_norm_cap():
     assert growth.word_norm((40, 0, 0), radius_cap=5) is None
+    # an element beyond int64 lies in no sphere the search can hold
+    assert growth.word_norm((10 ** 20, 0, 0), radius_cap=5) is None
 
 
 def test_word_norm_consistent_with_word_enumeration():
