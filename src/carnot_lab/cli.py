@@ -83,14 +83,17 @@ def _parse_weights(spec_str, renormalize):
 def _cmd_entropy(cfg):
     w = _parse_weights(cfg["dist"], cfg["renormalize"])
     q = cfg["q"]
-    return {
-        "weights": list(w),
-        "q": q,
-        "tsallis": qalgebra.tsallis_entropy(w, q),
-        "bgs": qalgebra.bgs_entropy(w),
-        "rescaled": qalgebra.rescaled_entropy(w, q),
-        "abe": qalgebra.abe_entropy(w, q),
-    }
+    # far from q = 1 the power sum can leave the float range; the
+    # entropy then reads as infinite, without numpy's warning
+    with np.errstate(over="ignore"):
+        return {
+            "weights": list(w),
+            "q": q,
+            "tsallis": qalgebra.tsallis_entropy(w, q),
+            "bgs": qalgebra.bgs_entropy(w),
+            "rescaled": qalgebra.rescaled_entropy(w, q),
+            "abe": qalgebra.abe_entropy(w, q),
+        }
 
 
 def _cmd_qadd(cfg):
@@ -140,8 +143,13 @@ def _cmd_group(cfg):
         else:
             raise DomainError("mul needs two elements in the same coordinates")
     elif op == "inv":
-        result = heisenberg.inv(g1) if isinstance(g1, M) \
-            else heisenberg.exp_inv(g1)
+        if isinstance(g1, M):
+            result = heisenberg.inv(g1)
+        elif isinstance(g1, P):
+            result = heisenberg.exp_inv(g1)
+        else:
+            raise DomainError("inv needs a group element, not an algebra "
+                              "element")
     elif op == "commutator":
         if isinstance(g1, P) and isinstance(g2, P):
             result = heisenberg.matrix_to_point(
@@ -242,7 +250,15 @@ def _cmd_holonomy(cfg):
         preset = cfg["loop"]
         n = cfg["samples"]
         r = cfg["radius"]
+        if isinstance(r, bool) or not isinstance(r, (int, float)) \
+                or not math.isfinite(r):
+            raise _InputError(f"radius must be a finite number, got {r!r}")
         if preset == "circle":
+            # the loop is built at once, so its size has the volume cap
+            if isinstance(n, bool) or not isinstance(n, int) \
+                    or not 1 <= n <= distance.MAX_SAMPLES:
+                raise _InputError(f"samples must be an integer in "
+                                  f"[1, 1e7], got {n!r}")
             theta = np.linspace(0.0, 2.0 * np.pi, n + 1)
             loop = np.column_stack([r * np.cos(theta), r * np.sin(theta)])
             loop[-1] = loop[0]
@@ -420,8 +436,25 @@ def run(command, config) -> ReportBundle:
 # ---------------------------------------------------------------------------
 # argument parsing and config-file resolution
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors end as one JSON line with exit 2, like every other
+    rejected input, instead of argparse's usage text."""
+
+    def error(self, message):
+        raise _InputError(f"{self.prog}: {message}")
+
+    def parse_args(self, args=None, namespace=None):
+        ns = super().parse_args(args, namespace)
+        for key, value in vars(ns).items():
+            # argparse before 3.12 reads "--opt=--" as an empty list
+            if isinstance(value, list):
+                self.error(f"argument --{key.replace('_', '-')}: "
+                           f"expected one value")
+        return ns
+
+
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="carnot-lab",
         description="experiments in deformed entropy composition and "
                     "group-based sub-Riemannian geometry")
@@ -561,7 +594,13 @@ def resolve_config(args):
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except _InputError as exc:
+        print(canonical_json({"error": {"module": "cli_reports",
+                                        "message": str(exc)}}),
+              file=sys.stderr)
+        return 2
 
     if args.command == "plot-table":
         try:

@@ -42,6 +42,8 @@ from .heisenberg import ORIGIN, HeisPoint, exp_inv, exp_mul
 
 DEFAULT_SEGMENTS = 64
 DEFAULT_ENDPOINT_TOL = 1e-6
+# Monte Carlo samples per radius are drawn at once; more is refused
+MAX_SAMPLES = 10 ** 7
 
 
 @dataclass(frozen=True)
@@ -459,8 +461,12 @@ def ball_volume_fit(metric, radii, samples, seed) -> VolumeFit:
         raise DomainError("degenerate fit: radii have no spread")
     if not all(0.0 < r < math.inf for r in radii):
         raise DomainError("radii must be positive and finite")
+    if isinstance(samples, bool) or not isinstance(samples, numbers.Integral):
+        raise DomainError(f"samples must be an integer, got {samples!r}")
     if samples < 10_000:
         raise DomainError("need at least 1e4 samples per radius")
+    if samples > MAX_SAMPLES:
+        raise DomainError(f"at most 1e7 samples per radius, got {samples}")
     if metric not in ("cc", "euclidean"):
         raise DomainError(f"unknown metric {metric!r}")
 

@@ -12,6 +12,11 @@ Two coordinate systems are used throughout:
 `point_to_matrix` is the group isomorphism between the two. Coordinates
 are stored as plain triples; nothing here ever forms a dense matrix (the
 dense 3x3 multiply lives in the test suite as an independent oracle).
+Every law in the matrix, exponential and Lie sections is elementwise
+field arithmetic, so a triple of equal-shape float arrays is a batch of
+elements: one call acts on all of them, rounding exactly as the per-element
+calls do. Constant fields (the zero entries of a commutator or bracket)
+stay scalars and broadcast.
 
 The Abelian comparison group (componentwise translations of R^3) is
 provided by the `abelian_*` functions; every commutator there is trivial.
@@ -83,9 +88,11 @@ def commutator(g1: HeisMatrix, g2: HeisMatrix) -> HeisMatrix:
 
 def double_commutator_check(g1: HeisMatrix, g2: HeisMatrix,
                             g3: HeisMatrix) -> bool:
-    """True iff [g3, [g1, g2]] is the identity. Holds for all inputs:
-    commutators are central, so the group is 2-step nilpotent."""
-    return commutator(g3, commutator(g1, g2)) == IDENTITY
+    """True iff [g3, [g1, g2]] is the identity, for every element of a
+    batch. Holds for all finite inputs: commutators are central, so the
+    group is 2-step nilpotent."""
+    return all(bool(np.all(c == 0.0))
+               for c in commutator(g3, commutator(g1, g2)))
 
 
 # ---------------------------------------------------------------------------

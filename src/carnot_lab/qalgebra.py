@@ -35,9 +35,9 @@ def as_distribution(weights, renormalize=False):
     w = np.asarray(weights, dtype=float).ravel()
     if w.size == 0:
         raise DomainError("empty probability vector")
-    if not np.all(np.isfinite(w)):
+    if not np.isfinite(w).all():
         raise DomainError("non-finite probability weights")
-    if np.any(w < 0):
+    if (w < 0).any():
         raise DomainError("negative probability weight")
     with np.errstate(over="ignore"):
         total = w.sum()  # inf is refused below, without numpy's warning
@@ -96,6 +96,15 @@ def _power_sum_minus_one(w, q):
     return float(np.sum(nz * np.expm1((q - 1.0) * np.log(nz))))
 
 
+def _tsallis(w, q):
+    # S_q of an already validated vector w at an already checked q
+    if q <= 0 and (w == 0).any():
+        raise DomainError("0^q is undefined for q <= 0; drop zero weights")
+    if abs(q - 1.0) < Q_ONE_WINDOW:
+        return bgs_entropy(w)
+    return -_power_sum_minus_one(w, q) / (q - 1.0)
+
+
 def tsallis_entropy(p, q) -> float:
     """Entropy S_q = (1 - sum_i p_i^q) / (q - 1), k_B = 1.
 
@@ -103,13 +112,7 @@ def tsallis_entropy(p, q) -> float:
     entropy (the singularity is removable). Zero weights are admissible
     for q > 0 (0^q = 0) and rejected for q <= 0, where 0^q is undefined.
     """
-    w = as_distribution(p)
-    q = _check_q(q)
-    if q <= 0 and np.any(w == 0):
-        raise DomainError("0^q is undefined for q <= 0; drop zero weights")
-    if abs(q - 1.0) < Q_ONE_WINDOW:
-        return bgs_entropy(w)
-    return -_power_sum_minus_one(w, q) / (q - 1.0)
+    return _tsallis(as_distribution(p), _check_q(q))
 
 
 def rescaled_entropy(p, q) -> float:
@@ -128,11 +131,9 @@ def abe_entropy(p, q) -> float:
     """
     w = as_distribution(p)
     q = _check_q(q)
-    if q <= 0 and np.any(w == 0):
-        raise DomainError("0^q is undefined for q <= 0; drop zero weights")
     if abs(q - 1.0) < Q_ONE_WINDOW:
         return abe_bgs_entropy(w)
-    return -_power_sum_minus_one(w, q) / (q - 1.0)
+    return _tsallis(w, q)
 
 
 def abe_bgs_entropy(p, step=1e-5) -> float:
@@ -193,9 +194,11 @@ def composition_defect(p, r, q) -> float:
     exactly the composition rule of S_q over independent systems.
     """
     q = _check_q(q)
-    sp = tsallis_entropy(p, q)
-    sr = tsallis_entropy(r, q)
-    spr = tsallis_entropy(product_distribution(p, r), q)
+    wp = as_distribution(p)
+    sp = _tsallis(wp, q)
+    wr = as_distribution(r)
+    sr = _tsallis(wr, q)
+    spr = _tsallis(np.outer(wp, wr).ravel(), q)
     return spr - q_add(sp, sr, q)
 
 

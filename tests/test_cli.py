@@ -1,9 +1,13 @@
+import contextlib
+import io
 import json
 import math
 import os
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from carnot_lab import cli, reports
 from carnot_lab.cli import CommandError, resolve_config, run
@@ -461,3 +465,118 @@ def test_main_ccdist_summary_shows_degraded(tmp_path, capsys):
         assert cli.main([*base, *extra]) == 0
         out = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert out["summary"]["degraded"] is degraded
+
+
+def test_main_refuses_sample_counts_above_the_cap(tmp_path, capsys):
+    # refused before anything is allocated, so these sizes are safe to ask
+    for n in (10 ** 7 + 1, 10 ** 30):
+        code = cli.main(["--output-dir", str(tmp_path), "volume",
+                         "--samples", str(n)])
+        assert code == 3, n
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"]["module"] == "subriemannian"
+        assert "1e7" in err["error"]["message"]
+        code = cli.main(["--output-dir", str(tmp_path), "holonomy",
+                         "--samples", str(n)])
+        assert code == 2, n
+        err = json.loads(capsys.readouterr().err.strip())
+        assert "1e7" in err["error"]["message"]
+    assert not (tmp_path / "volume.bundle.json").exists()
+    assert not (tmp_path / "holonomy.bundle.json").exists()
+
+
+def test_main_holonomy_refuses_non_positive_samples(tmp_path, capsys):
+    for n in ("0", "-5"):
+        code = cli.main(["--output-dir", str(tmp_path), "holonomy",
+                         "--samples", n])
+        assert code == 2, n
+        err = json.loads(capsys.readouterr().err.strip())
+        assert "samples" in err["error"]["message"]
+        assert "Number of samples" not in err["error"]["message"]
+
+
+def test_main_usage_error_is_one_json_line(tmp_path, capsys):
+    for argv in (["qadd", "--x", "abc"], ["group"], ["no-such-command"],
+                 ["holonomy", "--loop", "triangle"]):
+        assert cli.main(["--output-dir", str(tmp_path), *argv]) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"]["message"]
+
+
+# ---------------------------------------------------------------------------
+# fuzz of the argv boundary: every input ends in a result or a JSON error
+
+_NUMBERS = st.one_of(
+    st.sampled_from(["0", "1", "-1", "2.5", "-0.5", "1e-320", "1e308",
+                     "-1e308", "1e400", "-1e400", "nan", "inf", "-inf",
+                     "abc", "", "1,2", "0x10", "--", "{}"]),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.integers(-10 ** 30, 10 ** 30).map(str))
+
+_JSON_VALUES = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0, 1, -7, 10 ** 400, "1", None, True, [1]]))
+
+
+def _element(keys):
+    return st.fixed_dictionaries({k: _JSON_VALUES for k in keys}).map(
+        lambda d: json.dumps(d))
+
+
+_ELEMENTS = st.one_of(
+    _element("acb"), _element("xyz"), _element(("alpha", "beta", "gamma")),
+    _element("ab"), st.sampled_from(["not json", "{", "[]", "1", "null"]))
+
+_SMALL_INTS = st.one_of(st.integers(-10 ** 4, 10 ** 4).map(str),
+                        st.sampled_from(["x", "1.5", "1e3", ""]))
+
+
+def _opt(name, values):
+    # --name value, --name=value, or the flag left out
+    return st.one_of(st.just([]), values.map(lambda v: [name, v]),
+                     values.map(lambda v: [f"{name}={v}"]))
+
+
+def _argv(command, *parts):
+    return st.tuples(*parts).map(
+        lambda ps: [command, *(tok for part in ps for tok in part)])
+
+
+_ARGV = st.one_of(
+    _argv("entropy",
+          _opt("--dist", st.one_of(
+              st.lists(_NUMBERS, min_size=1, max_size=4).map(",".join),
+              st.sampled_from(["", "0", "-3", "4", "1e3", "x"]).map(
+                  lambda n: "uniform" + n))),
+          _opt("--q", _NUMBERS),
+          st.sampled_from([[], ["--renormalize"], ["--no-renormalize"]])),
+    _argv("qadd", _opt("--x", _NUMBERS), _opt("--y", _NUMBERS),
+          _opt("--q", _NUMBERS)),
+    _argv("group",
+          st.sampled_from(["mul", "inv", "commutator", "exp", "log",
+                           "pow"]).map(lambda op: [op]),
+          _opt("--g1", _ELEMENTS), _opt("--g2", _ELEMENTS)),
+    _argv("ccdist", _opt("--a", _ELEMENTS), _opt("--b", _ELEMENTS),
+          _opt("--norm", st.sampled_from(["l2", "l1", "linf", "l3"])),
+          _opt("--segments", st.sampled_from(
+              ["0", "-3", "2", "3", "8", "64", "x", "1.5", "1e3"])),
+          _opt("--tol", _NUMBERS)),
+    _argv("holonomy",
+          _opt("--loop", st.sampled_from(["circle", "square", "point",
+                                          "triangle"])),
+          _opt("--samples", _SMALL_INTS), _opt("--radius", _NUMBERS)))
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=_ARGV)
+def test_main_fuzz_ends_in_result_or_json_error(tmp_path, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["--output-dir", str(tmp_path), *argv])
+    assert code in (0, 2, 3), (argv, code)
+    lines = (out.getvalue() + err.getvalue()).splitlines()
+    assert len(lines) == 1, (argv, lines)
+    record = json.loads(lines[0])
+    assert ("error" in record) == (code != 0), (argv, record)

@@ -554,3 +554,7 @@ def test_volume_fit_validation():
     for bad in (math.nan, math.inf):
         with pytest.raises(DomainError):
             dist.ball_volume_fit("cc", [1.0, 2.0, bad], 20_000, seed=1)
+    # refused before any sample is drawn, so these sizes allocate nothing
+    for bad in (dist.MAX_SAMPLES + 1, 10 ** 30, 2e4, True):
+        with pytest.raises(DomainError):
+            dist.ball_volume_fit("cc", [1.0, 2.0, 4.0], bad, seed=1)

@@ -109,6 +109,45 @@ def test_two_step_nilpotency():
     assert hg.double_commutator_check(hg.IDENTITY, hg.IDENTITY, hg.IDENTITY)
 
 
+def test_laws_on_coordinate_columns_equal_per_row_results():
+    # the laws are elementwise: one call on columns gives, bit for bit,
+    # what the per-row calls give
+    rows = np.random.default_rng(34).uniform(-3, 3, (500, 6))
+    cols = rows.T
+    M, P, V = hg.HeisMatrix, hg.HeisPoint, hg.LieVector
+    cases = [(hg.mul, (M, M)), (hg.inv, (M,)), (hg.commutator, (M, M)),
+             (hg.exp_mul, (P, P)), (hg.exp_inv, (P,)),
+             (hg.point_to_matrix, (P,)), (hg.matrix_to_point, (M,)),
+             (hg.exp_map, (V,)), (hg.log_map, (M,)),
+             (hg.lie_bracket, (V, V))]
+    for law, kinds in cases:
+        batch = law(*(kind(*cols[3 * i:3 * i + 3])
+                      for i, kind in enumerate(kinds)))
+        per_row = [law(*(kind(*row[3 * i:3 * i + 3])
+                         for i, kind in enumerate(kinds)))
+                   for row in rows]
+        assert type(batch) is type(per_row[0]), law.__name__
+        for k, column in enumerate(batch):
+            expected = np.array([r[k] for r in per_row])
+            assert np.all(np.broadcast_to(column, expected.shape)
+                          == expected), (law.__name__, k)
+    batch = hg.scalar_embed(cols[0])
+    for k, column in enumerate(batch):
+        assert np.all(column == np.array([hg.scalar_embed(x)[k]
+                                          for x in rows[:, 0]]))
+
+
+def test_double_commutator_check_on_a_batch_is_one_bool():
+    ints = np.random.default_rng(35).integers(-30, 31, (500, 9)).T
+    batch = [hg.HeisMatrix(*ints[k:k + 3]) for k in (0, 3, 6)]
+    assert hg.double_commutator_check(*batch) is True
+    # one element with an infinite entry is not the identity
+    floats = [hg.HeisMatrix(*(c.astype(float) for c in g)) for g in batch]
+    floats[2].a[7] = np.inf
+    with np.errstate(invalid="ignore"):
+        assert hg.double_commutator_check(*floats) is False
+
+
 def test_associativity():
     rng = np.random.default_rng(27)
     for _ in range(300):

@@ -170,6 +170,10 @@ def test_composition_defect_examples():
     r = rng.dirichlet(np.ones(4))
     assert abs(qa.composition_defect(p, r, 1.0)) < 1e-12  # BGS additivity
     assert abs(qa.composition_defect(p, r, 0.7)) < 1e-10
+    # each factor passes the 1e-12 sum check; their product is formed from
+    # the validated factors, not checked again against that tolerance
+    edge = [0.5, 0.5 + 0.9e-12]
+    assert abs(qa.composition_defect(edge, edge, 2.0)) < 1e-10
 
 
 def test_composition_defect_fuzz():
