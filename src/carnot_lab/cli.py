@@ -73,6 +73,9 @@ def _parse_weights(spec_str, renormalize):
         n = int(spec_str[len("uniform"):] or 2)
         if n < 1:
             raise DomainError("uniform preset needs n >= 1")
+        # every weight is echoed into the bundle, so the size has a cap
+        if n > 10 ** 6:
+            raise _InputError(f"uniform preset takes n <= 1e6, got {n}")
         return np.full(n, 1.0 / n)
     if os.path.exists(spec_str) or spec_str.endswith((".json", ".csv")):
         return qalgebra.load_distribution(spec_str, renormalize=renormalize)
@@ -306,6 +309,12 @@ def _parse_map(spec_str):
 
 
 def _cmd_pansu(cfg):
+    # refused before the schedule is built: 2^-n underflows to 0 for
+    # n > 1074, and a blow-up needs three levels
+    n = cfg["schedule"]
+    if isinstance(n, bool) or not isinstance(n, int) or not 3 <= n <= 1074:
+        raise _InputError(f"schedule must be an integer in [3, 1074], "
+                          f"got {n!r}")
     fn = _parse_map(cfg["map"])
     base = tuple(float(tok) for tok in cfg["base"].split(","))
     if len(base) != 3:

@@ -22,7 +22,8 @@ reported distance under left translation and dilation holds by
 construction.
 
 The l2 distance from the origin also has a closed form, ``l2_distance``;
-Monte Carlo ball membership uses it where the bounds leave a sample open.
+Monte Carlo ball membership uses it where neither the elementary bounds
+nor the bracket of its Newton solve decide a sample.
 """
 
 from __future__ import annotations
@@ -358,8 +359,28 @@ def cc_distance(A, B, *, segments=DEFAULT_SEGMENTS, norm="l2",
 # exact l2 distance (circular-arc geodesics)
 
 _NEWTON_STEPS = 5  # reaches 1e-15 relative error for w in [1e-8, 1e8]
-# undecided samples per l2_distance call: keeps its temporaries small
+# samples per membership block: its temporaries stay in cache
 _MEMBERSHIP_BLOCK = 1 << 15
+
+
+def _half_angle_brackets(q):
+    """The two branches of ``l2_distance`` for q = sqrt(abs_z) / rho, and
+    the proven range of the unknown on each, as (arc, t_lo, t_hi, loop,
+    p_lo); the ranges hold the entries of their mask, in order.
+
+    With w = q^2, on ``arc`` (0 < w <= pi/8) the half-angle theta lies in
+    [t_lo, t_hi] = [4w, min(6w, pi/2)]: w(theta) is convex with slope 1/6
+    at 0 and chord slope 1/4 to pi/2. On ``loop`` (pi/8 < w, q finite)
+    psi = pi - theta lies in [p_lo, pi/2] with p_lo = sqrt(pi / (4w)):
+    w(psi) is decreasing and at least pi / (4 psi^2). Call it under
+    ``np.errstate(all="ignore")``.
+    """
+    w = q * q
+    arc = (w > 0) & (w <= np.pi / 8)
+    loop = (w > np.pi / 8) & np.isfinite(q)
+    wa = w[arc]
+    return (arc, 4.0 * wa, np.minimum(6.0 * wa, 0.5 * np.pi),
+            loop, 0.5 * math.sqrt(math.pi) / q[loop])
 
 
 def l2_distance(rho, abs_z):
@@ -370,7 +391,8 @@ def l2_distance(rho, abs_z):
     With w = abs_z / rho^2 the arc's half-angle theta in [0, pi) solves
     (2 theta - sin 2 theta) / (8 sin^2 theta) = w, and the distance is
     rho theta / sin theta (2 sqrt(pi abs_z) on the vertical axis). Newton
-    runs in theta for w <= pi/8, in psi = pi - theta as the arc closes.
+    runs in theta for w <= pi/8, in psi = pi - theta as the arc closes,
+    clipped to the brackets of ``_half_angle_brackets``.
     """
     rho, az = np.broadcast_arrays(np.asarray(rho, dtype=float),
                                   np.asarray(abs_z, dtype=float))
@@ -379,15 +401,12 @@ def l2_distance(rho, abs_z):
     # finite at both ends; fmin/fmax send a NaN step back to its start
     with np.errstate(all="ignore"):
         q = np.sqrt(az) / rho
-        w = q * q
         d = np.where(np.isinf(q), 2.0 * np.sqrt(np.pi * az), rho)
-        arc = (w > 0) & (w <= np.pi / 8)
+        arc, lo, hi, loop, p_lo = _half_angle_brackets(q)
         # a branch without points is skipped, which halves a scalar call;
-        # w(theta) is convex with slope 1/6 at 0 and chord slope 1/4
-        # to pi/2, so theta lies in [4w, 6w]; Newton descends from 6w
+        # in theta Newton descends from the top of the bracket
         if arc.any():
-            qa, wa = q[arc], w[arc]
-            lo, hi = 4.0 * wa, np.minimum(6.0 * wa, 0.5 * np.pi)
+            qa = q[arc]
             t = hi
             for _ in range(_NEWTON_STEPS):
                 s = np.sin(t)
@@ -396,34 +415,73 @@ def l2_distance(rho, abs_z):
                     4.0 * s * s - 2.0 * n * np.cos(t) / s)
                 t = np.fmax(lo, np.fmin(hi, t - step))
             d[arc] = rho[arc] * t / np.sin(t)
-        loop = (w > np.pi / 8) & np.isfinite(q)
         if loop.any():
-            # w(psi) is convex, decreasing and at least pi / (4 psi^2), so
-            # Newton climbs from sqrt(pi / (4 w)) without passing the root
+            # w(psi) is convex, so Newton climbs from p_lo without
+            # passing the root
             ql = q[loop]
-            lo = 0.5 * math.sqrt(math.pi) / ql
-            p = lo
+            p = p_lo
             for _ in range(_NEWTON_STEPS):
                 s = np.sin(p)
                 n = 2.0 * np.pi - 2.0 * p + np.sin(2.0 * p)
                 step = (n - 8.0 * (ql * s) ** 2) / (
                     4.0 * s * s + 2.0 * n * np.cos(p) / s)
-                p = np.fmin(0.5 * np.pi, np.fmax(lo, p + step))
+                p = np.fmin(0.5 * np.pi, np.fmax(p_lo, p + step))
             d[loop] = rho[loop] * (np.pi - p) / np.sin(p)
     return d
 
 
 def _cc_membership(x, y, z, r):
-    """Vectorized membership in the l2 distance ball of radius r."""
-    rho = np.hypot(x, y)
-    vertical = 2.0 * np.sqrt(np.pi * np.abs(z))
-    # the elementary bounds of distance_bounds decide most samples
-    inside = rho + vertical <= r
-    undecided = np.flatnonzero(~inside
-                               & (np.maximum(rho, vertical - rho) <= r))
-    for start in range(0, undecided.size, _MEMBERSHIP_BLOCK):
-        idx = undecided[start:start + _MEMBERSHIP_BLOCK]
-        inside[idx] = l2_distance(rho[idx], np.abs(z[idx])) <= r
+    """Membership in the l2 distance ball of radius r, as a bool array.
+
+    Equal, element for element, to ``l2_distance(np.hypot(x, y), |z|) <=
+    r``. The samples go in blocks of ``_MEMBERSHIP_BLOCK`` through three
+    tiers, each deciding what it can and passing on the rest:
+
+    1. the elementary bounds of ``distance_bounds``,
+       max(rho, 2 sqrt(pi |z|) - rho) <= d <= rho + 2 sqrt(pi |z|);
+    2. the distances at the ends of ``_half_angle_brackets``, since
+       theta / sin theta increases on [0, pi): rho t_lo / sin t_lo <= d
+       <= rho t_hi / sin t_hi on the arc branch, rho pi / 2 <= d <=
+       rho (pi - p_lo) / sin p_lo on the loop branch;
+    3. ``l2_distance`` itself.
+
+    A bound decides only where it clears r by a relative 1e-12, far more
+    than the rounding of the bounds and of ``l2_distance`` (below 4e-16
+    relative), so near-ties reach the exact value. x * x + y * y must not
+    overflow; ``ball_volume_fit``'s radius domain sees to that.
+    """
+    inside = np.empty(len(x), dtype=bool)
+    r_in, r_out = r * (1.0 - 1e-12), r * (1.0 + 1e-12)
+    for start in range(0, len(x), _MEMBERSHIP_BLOCK):
+        block = slice(start, start + _MEMBERSHIP_BLOCK)
+        xb, yb, zb = x[block], y[block], z[block]
+        # tier 1; sqrt(x^2 + y^2) is within the margin of np.hypot and
+        # several times faster
+        rho = np.sqrt(xb * xb + yb * yb)
+        az = np.abs(zb)
+        vertical = 2.0 * np.sqrt(np.pi * az)
+        hit = rho + vertical <= r_in
+        band = np.flatnonzero(~hit & (np.maximum(rho, vertical - rho)
+                                      <= r_out))
+        # tier 2; on the axis (q = inf) and the plane (w = 0) the tier-1
+        # bounds coincide, so only near-ties get here and pass on
+        rho = rho[band]
+        with np.errstate(all="ignore"):
+            arc, t_lo, t_hi, loop, p_lo = _half_angle_brackets(
+                np.sqrt(az[band]) / rho)
+            ra, rl = rho[arc], rho[loop]
+            lower = np.concatenate((ra * t_lo / np.sin(t_lo),
+                                    rl * (0.5 * np.pi)))
+            upper = np.concatenate((ra * t_hi / np.sin(t_hi),
+                                    rl * (np.pi - p_lo) / np.sin(p_lo)))
+        bracketed = np.concatenate((band[arc], band[loop]))
+        surely_in = upper <= r_in
+        hit[bracketed[surely_in]] = True
+        rest = np.concatenate((bracketed[~surely_in & (lower <= r_out)],
+                               band[~(arc | loop)]))
+        # tier 3
+        hit[rest] = l2_distance(np.hypot(xb[rest], yb[rest]), az[rest]) <= r
+        inside[block] = hit
     return inside
 
 
@@ -449,10 +507,16 @@ def ball_volume_fit(metric, radii, samples, seed) -> VolumeFit:
 
     Euclidean balls are sampled in the cube [-r, r]^3; distance balls in
     the anisotropic box [-r, r]^2 x [-r^2, r^2], with the l2 norm as the
-    horizontal one. Distance-ball membership takes the elementary
-    lower/upper path bounds first and the exact ``l2_distance`` inside
-    the band they leave undecided. Expected exponents: 3 for the
-    Euclidean metric, 4 for the horizontal one.
+    horizontal one. Distance-ball membership is ``_cc_membership``: the
+    elementary path bounds, then the half-angle bracket of the exact
+    distance, then the exact ``l2_distance`` on the few samples both leave
+    open, in cache-sized blocks. Expected exponents: 3 for the Euclidean
+    metric, 4 for the horizontal one.
+
+    Every radius must have a box volume (8 r^3 Euclidean, 8 r^4 cc) that
+    is a finite, normal, positive float, so that the volumes, their logs
+    and the squares of the samples are all finite; at most 1e7 samples
+    per radius, at least 1e4. Anything else is refused before drawing.
     """
     radii = [float(r) for r in radii]
     if len(radii) < 3:
@@ -469,20 +533,29 @@ def ball_volume_fit(metric, radii, samples, seed) -> VolumeFit:
         raise DomainError(f"at most 1e7 samples per radius, got {samples}")
     if metric not in ("cc", "euclidean"):
         raise DomainError(f"unknown metric {metric!r}")
+    power = 3 if metric == "euclidean" else 4
+    boxes = []
+    for r in radii:
+        try:
+            box = 8.0 * r ** power
+        except OverflowError:  # Python's float power raises, not inf
+            box = math.inf
+        if not sys.float_info.min <= box < math.inf:
+            raise DomainError(f"radius {r!r} is out of range: its box volume "
+                              f"8 r^{power} is not a finite, normal float")
+        boxes.append(box)
 
     rng = np.random.default_rng(seed)
 
     vols, hit_list, ses = [], [], []
-    for r in radii:
+    for r, box in zip(radii, boxes):
         x = rng.uniform(-r, r, samples)
         y = rng.uniform(-r, r, samples)
         if metric == "euclidean":
             z = rng.uniform(-r, r, samples)
-            box = 8.0 * r ** 3
             inside = x * x + y * y + z * z <= r * r
         else:
             z = rng.uniform(-r * r, r * r, samples)
-            box = 8.0 * r ** 4
             inside = _cc_membership(x, y, z, r)
         hits = int(inside.sum())
         frac = hits / samples

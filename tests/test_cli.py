@@ -504,6 +504,50 @@ def test_main_usage_error_is_one_json_line(tmp_path, capsys):
         assert json.loads(captured.err)["error"]["message"]
 
 
+def test_main_volume_refuses_radii_outside_the_float_range(tmp_path, capsys):
+    # 1e-200 used to give exponent null with a log warning, 1e150 an
+    # OverflowError traceback, 1e200 numpy's "range exceeds valid bounds"
+    for metric, radii in (("cc", "1e-200,2e-200,3e-200"),
+                          ("cc", "1e150,2e150,3e150"),
+                          ("cc", "1e200,2e200,3e200"),
+                          ("euclidean", "1e150,2e150,3e150")):
+        code = cli.main(["--output-dir", str(tmp_path), "volume",
+                         "--metric", metric, "--radii", radii,
+                         "--samples", "10000"])
+        assert code == 3, radii
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"]["module"] == "subriemannian"
+        assert "box volume" in err["error"]["message"]
+    assert not (tmp_path / "volume.bundle.json").exists()
+
+
+def test_main_pansu_refuses_schedules_outside_3_to_1074(tmp_path, capsys):
+    # refused before the schedule is built, so 3000000 allocates nothing
+    for n in ("2", "0", "-4", "1075", "3000000", str(10 ** 30)):
+        code = cli.main(["--output-dir", str(tmp_path), "pansu",
+                         "--schedule", n])
+        assert code == 2, n
+        err = json.loads(capsys.readouterr().err.strip())
+        assert "[3, 1074]" in err["error"]["message"]
+    assert not (tmp_path / "pansu.bundle.json").exists()
+    # 2^-1074 is the last power of two above 0
+    for n in ("3", "1074"):
+        assert cli.main(["--output-dir", str(tmp_path), "pansu",
+                         "--schedule", n]) == 0, n
+        capsys.readouterr()
+
+
+def test_main_entropy_refuses_uniform_presets_above_the_cap(tmp_path,
+                                                            capsys):
+    for n in (10 ** 6 + 1, 10 ** 30):
+        code = cli.main(["--output-dir", str(tmp_path), "entropy",
+                         "--dist", f"uniform{n}"])
+        assert code == 2, n
+        err = json.loads(capsys.readouterr().err.strip())
+        assert "1e6" in err["error"]["message"]
+    assert not (tmp_path / "entropy.bundle.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # fuzz of the argv boundary: every input ends in a result or a JSON error
 
@@ -565,10 +609,27 @@ _ARGV = st.one_of(
     _argv("holonomy",
           _opt("--loop", st.sampled_from(["circle", "square", "point",
                                           "triangle"])),
-          _opt("--samples", _SMALL_INTS), _opt("--radius", _NUMBERS)))
+          _opt("--samples", _SMALL_INTS), _opt("--radius", _NUMBERS)),
+    # samples stay at the 1e4 floor, so a run takes milliseconds; half
+    # the draws ask for exactly the floor
+    _argv("volume",
+          _opt("--metric", st.sampled_from(["cc", "euclidean", "l1"])),
+          _opt("--radii", st.lists(
+              st.one_of(st.floats(1e-3, 1e3).map(repr),
+                        st.sampled_from(["1e-200", "3e-78", "1e-77", "1e70",
+                                         "1e100", "2.8e102", "1e150",
+                                         "1e200"]), _NUMBERS),
+              min_size=2, max_size=4).map(",".join)),
+          st.sampled_from(["10000", "10000", "9999", "x"]).map(
+              lambda n: ["--samples", n]),
+          _opt("--seed", _SMALL_INTS)),
+    _argv("pansu",
+          _opt("--schedule", st.one_of(
+              st.integers(-5, 1100).map(str), _SMALL_INTS,
+              st.integers(-10 ** 30, 10 ** 30).map(str)))))
 
 
-@settings(max_examples=200, deadline=None,
+@settings(max_examples=280, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(argv=_ARGV)
 def test_main_fuzz_ends_in_result_or_json_error(tmp_path, argv):

@@ -558,3 +558,72 @@ def test_volume_fit_validation():
     for bad in (dist.MAX_SAMPLES + 1, 10 ** 30, 2e4, True):
         with pytest.raises(DomainError):
             dist.ball_volume_fit("cc", [1.0, 2.0, 4.0], bad, seed=1)
+
+
+def test_volume_fit_radius_domain(monkeypatch):
+    # accepted: radii whose box volume is a finite, normal float, however
+    # small or large; the fit is finite, with no float warning (an error
+    # under this suite's settings)
+    for metric, radii, power in (("cc", (1e-77, 2e-77, 3e-77), 4.0),
+                                 ("cc", (1e70, 2e70, 3e70), 4.0),
+                                 ("euclidean", (3e-78, 4e-78, 5e-78), 3.0),
+                                 ("euclidean", (1e100, 2e100, 2.8e102), 3.0)):
+        fit = dist.ball_volume_fit(metric, radii, 10_000, seed=2)
+        assert fit.exponent == pytest.approx(power, abs=0.3)
+        assert all(0.0 < v < math.inf for v in fit.volumes)
+
+    # refused before anything is drawn: box volumes that underflow to a
+    # subnormal or zero, or overflow (8 * r ** 4 raises for 1e150)
+    def no_draws(*args, **kwargs):
+        raise AssertionError("samples drawn for a refused radius")
+
+    monkeypatch.setattr(dist.np.random, "default_rng", no_draws)
+    for metric, bad in (("cc", 1e-200), ("cc", 3e-78), ("cc", 1e100),
+                        ("cc", 1e150), ("cc", 1e200),
+                        ("euclidean", 1e-200), ("euclidean", 1e-103),
+                        ("euclidean", 1e150), ("euclidean", 1e200)):
+        with pytest.raises(DomainError, match="box volume"):
+            dist.ball_volume_fit(metric, [bad, 2.0 * bad, 3.0 * bad],
+                                 dist.MAX_SAMPLES, seed=1)
+
+
+def _boundary_points(rng, m, r, rel):
+    # the sphere of radius r(1 + rel): the unit sphere's meridian
+    # (sin t / t, (2t - sin 2t) / (8 t^2)), t in (0, pi), dilated
+    t = rng.uniform(0.0, math.pi, m)
+    s = r * (1.0 + rel)
+    rho = s * np.sin(t) / t
+    z = s * s * (2.0 * t - np.sin(2.0 * t)) / (8.0 * t * t)
+    angle = rng.uniform(0.0, 2.0 * math.pi, m)
+    return (rho * np.cos(angle), rho * np.sin(angle),
+            z * rng.choice([-1.0, 1.0], m))
+
+
+@pytest.mark.parametrize("n, r", [(2 * dist._MEMBERSHIP_BLOCK + 1234, 1.0),
+                                  (dist._MEMBERSHIP_BLOCK, 0.37),
+                                  (777, 3.0), (5000, 1e-70), (5000, 1e70)])
+def test_cc_membership_equals_exact_distance(n, r):
+    # every tier decides as the exact distance does, element for element
+    rng = np.random.default_rng([n, 13])
+    x = rng.uniform(-r, r, n)
+    y = rng.uniform(-r, r, n)
+    z = rng.uniform(-r * r, r * r, n)
+    z[:40] = 0.0  # on the plane
+    x[40:80] = y[40:80] = 0.0  # on the vertical axis
+    m = min(2000, (n - 80) // 2)
+    for rel, rows in ((-1e-9, slice(80, 80 + m)),
+                      (1e-9, slice(80 + m, 80 + 2 * m))):
+        x[rows], y[rows], z[rows] = _boundary_points(rng, m, r, rel)
+    exact = dist.l2_distance(np.hypot(x, y), np.abs(z)) <= r
+    # the planted points sit on their side of the sphere
+    assert exact[80:80 + m].all() and not exact[80 + m:80 + 2 * m].any()
+    got = dist._cc_membership(x, y, z, r)
+    assert got.dtype == bool and got.shape == (n,)
+    assert np.array_equal(got, exact)
+
+
+def test_volume_fit_hits_pinned():
+    # the tiers only decide sooner: each count stays the one the exact
+    # distance gives at this seed
+    fit = dist.ball_volume_fit("cc", (0.5, 1, 1.5, 2), 10 ** 6, seed=7)
+    assert fit.hits == (102961, 103786, 103753, 103121)
