@@ -15,6 +15,7 @@ import math
 import os
 import sys
 import time
+import warnings
 
 import numpy as np
 
@@ -351,8 +352,21 @@ def _cmd_growth(cfg):
     # an unknown group gets no standard set and is rejected by word_ball
     gens = _parse_generators(str(cfg["gens"])) if cfg.get("gens") \
         else growth.STANDARD_GENERATORS.get(cfg["group"], ())
-    table = growth.word_ball(cfg["group"], gens, cfg["radius"],
-                             mem_budget_mb=cfg.get("mem_budget"))
+    report = None
+    if cfg.get("compare_gens"):
+        other = _parse_generators(str(cfg["compare_gens"]))
+        # the report's coverage_ok carries the non-generating warning
+        # into the summary, so stderr stays free for JSON errors
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            report = growth.generator_robustness(
+                cfg["group"], gens, other, cfg["radius"],
+                mem_budget_mb=cfg.get("mem_budget"))
+        # its first table is word_ball's for --gens: one search, not two
+        table = report.tables[0]
+    else:
+        table = growth.word_ball(cfg["group"], gens, cfg["radius"],
+                                 mem_budget_mb=cfg.get("mem_budget"))
     payload = table.to_payload()
     window = cfg.get("fit_window")
     if window:
@@ -360,10 +374,7 @@ def _cmd_growth(cfg):
         d, c, resid = growth.growth_fit(table, lo, hi)
         payload["fit"] = {"window": [lo, hi], "exponent": d, "prefactor": c,
                           "max_residual": resid}
-    if cfg.get("compare_gens"):
-        other = _parse_generators(str(cfg["compare_gens"]))
-        report = growth.generator_robustness(cfg["group"], gens, other,
-                                             cfg["radius"])
+    if report is not None:
         payload["robustness"] = {
             "exponents": list(report.exponents),
             "exponent_gap": report.exponent_gap,
@@ -642,6 +653,9 @@ def main(argv=None) -> int:
 
     summary = {k: bundle.payload[k] for k in list(bundle.payload)[:6]
                if not isinstance(bundle.payload[k], (list, dict))}
+    # a generating set that may not generate is growth's degraded result
+    if "robustness" in bundle.payload:
+        summary["coverage_ok"] = bundle.payload["robustness"]["coverage_ok"]
     print(canonical_json({"command": bundle.command, "summary": summary,
                           "bundle": f"{bundle.command}.bundle.json",
                           "sha256": bundle.digest()}))

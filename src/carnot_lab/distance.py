@@ -485,6 +485,18 @@ def _cc_membership(x, y, z, r):
     return inside
 
 
+def _euclidean_membership(x, y, z, r):
+    """``x * x + y * y + z * z <= r * r`` as a bool array, in blocks of
+    ``_MEMBERSHIP_BLOCK`` so that no full-length temporaries are built."""
+    inside = np.empty(len(x), dtype=bool)
+    rr = r * r
+    for start in range(0, len(x), _MEMBERSHIP_BLOCK):
+        block = slice(start, start + _MEMBERSHIP_BLOCK)
+        xb, yb, zb = x[block], y[block], z[block]
+        inside[block] = xb * xb + yb * yb + zb * zb <= rr
+    return inside
+
+
 # ---------------------------------------------------------------------------
 # Monte Carlo volume scaling
 
@@ -510,21 +522,27 @@ def ball_volume_fit(metric, radii, samples, seed) -> VolumeFit:
     horizontal one. Distance-ball membership is ``_cc_membership``: the
     elementary path bounds, then the half-angle bracket of the exact
     distance, then the exact ``l2_distance`` on the few samples both leave
-    open, in cache-sized blocks. Expected exponents: 3 for the Euclidean
-    metric, 4 for the horizontal one.
+    open, in cache-sized blocks; Euclidean membership goes in the same
+    blocks. Expected exponents: 3 for the Euclidean metric, 4 for the
+    horizontal one.
 
     Every radius must have a box volume (8 r^3 Euclidean, 8 r^4 cc) that
     is a finite, normal, positive float, so that the volumes, their logs
-    and the squares of the samples are all finite; at most 1e7 samples
-    per radius, at least 1e4. Anything else is refused before drawing.
+    and the squares of the samples are all finite, and the fit's design
+    [log r, 1] must have rank 2; at most 1e7 samples per radius, at least
+    1e4. Anything else is refused before drawing.
     """
     radii = [float(r) for r in radii]
     if len(radii) < 3:
         raise DomainError("need at least 3 radii to fit an exponent")
-    if len(set(radii)) < 2:
-        raise DomainError("degenerate fit: radii have no spread")
     if not all(0.0 < r < math.inf for r in radii):
         raise DomainError("radii must be positive and finite")
+    logr = np.log(np.asarray(radii))
+    design = np.column_stack([logr, np.ones_like(logr)])
+    # radii whose logs barely differ leave the slope undetermined
+    if np.linalg.matrix_rank(design) < 2:
+        raise DomainError("degenerate fit: the logs of the radii have no "
+                          "spread")
     if isinstance(samples, bool) or not isinstance(samples, numbers.Integral):
         raise DomainError(f"samples must be an integer, got {samples!r}")
     if samples < 10_000:
@@ -553,7 +571,7 @@ def ball_volume_fit(metric, radii, samples, seed) -> VolumeFit:
         y = rng.uniform(-r, r, samples)
         if metric == "euclidean":
             z = rng.uniform(-r, r, samples)
-            inside = x * x + y * y + z * z <= r * r
+            inside = _euclidean_membership(x, y, z, r)
         else:
             z = rng.uniform(-r * r, r * r, samples)
             inside = _cc_membership(x, y, z, r)
@@ -565,8 +583,6 @@ def ball_volume_fit(metric, radii, samples, seed) -> VolumeFit:
         ses.append(box * math.sqrt(max(frac * (1.0 - frac), 1e-12) / samples))
 
     logs = np.log(np.asarray(vols))
-    logr = np.log(np.asarray(radii))
-    design = np.column_stack([logr, np.ones_like(logr)])
     (slope, intercept), *_ = np.linalg.lstsq(design, logs, rcond=None)
     resid = float(np.max(np.abs(design @ np.array([slope, intercept]) - logs)))
     return VolumeFit(metric, float(slope), float(intercept), resid,

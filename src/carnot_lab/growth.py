@@ -3,16 +3,22 @@
 Breadth-first expansion over the Cayley graph of the integer Heisenberg
 group (coordinates (a, c, b) with product (a1+a2, c1+c2, b1+b2+a1*c2))
 or of Z^3, under a symmetric generating set, one sphere at a time and
-holding only the last two spheres, as int64 arrays deduplicated by
-sorting packed keys. Ball cardinalities grow
-polynomially, with degree 4 for the Heisenberg lattice and 3 for Z^3;
-the degree is a generating-set-independent invariant, which
+holding only the last two spheres. A sphere is a sorted int64 array of
+keys that pack (a, c, b) in lexicographic order, in one mixed radix
+fixed for the whole search: it is bounded up front from the radius, and
+a search whose keys, with one spare bit for a tag, could reach 2^63 is
+refused before any int64 arithmetic. Multiplying a sorted sphere by a
+generator gives a sorted run of keys, so each new sphere comes from one
+stable sort that merges those runs with the two spheres before it, the
+tag bit marking which entries are new. ``word_norm`` meets a search
+from the identity with one from the element halfway. Ball cardinalities
+grow polynomially, with degree 4 for the Heisenberg lattice and 3 for
+Z^3; the degree is a generating-set-independent invariant, which
 ``generator_robustness`` checks empirically.
 """
 
 from __future__ import annotations
 
-import itertools
 import numbers
 import time
 import warnings
@@ -33,12 +39,13 @@ STANDARD_GENERATORS = {
     "z3": ((1, 0, 0), (0, 1, 0), (0, 0, 1)),
 }
 
-_KEY_LIMIT = 2 ** 63  # the packed keys and coordinates are int64
+_KEY_LIMIT = 2 ** 63  # the tagged keys are int64
 # bytes a level holds per row of S_{r-1}, S_r and the |gens| |S_r|
-# neighbour block: 24 per int64 column (a, c, b) plus 8 per key; the
-# peak traced by tracemalloc while building S_30 is 29-31 B per row for
+# neighbour block: 8 per tagged key, 8 for its step from the key before
+# it, two bool masks and the two spheres themselves; the peak traced by
+# tracemalloc while building S_20..S_40 is 20.0-20.6 B per row for
 # heis_Z and z3
-_BYTES_PER_ROW = 32
+_BYTES_PER_ROW = 21
 
 
 def heis_mul(g, s):
@@ -126,32 +133,51 @@ def _check_radius(name, value):
                           f"got {value!r}")
 
 
+def _check_budget(mem_budget_mb):
+    if mem_budget_mb is not None and (
+            isinstance(mem_budget_mb, bool)
+            or not isinstance(mem_budget_mb, numbers.Real)
+            or not mem_budget_mb >= 0):
+        raise DomainError(f"memory budget must be a non-negative number of "
+                          f"MB, got {mem_budget_mb!r}")
+
+
+def _reach(law, gens, radius, start=IDENTITY):
+    """A bound (Python ints) on each |coordinate| of every element within
+    ``radius`` steps of ``start``: |start| m^radius under the law, with m
+    the generators' coordinate maxima. Both laws are polynomials with
+    non-negative coefficients, so the law applied to coordinate maxima
+    bounds every product; both are associative, so the power is taken
+    by squaring, in about log2(radius) steps."""
+    step = tuple(max(abs(s[i]) for s in gens) for i in range(3))
+    reach = tuple(abs(c) for c in start)
+    radius = int(radius)
+    while radius:
+        if radius & 1:
+            reach = law(reach, step)
+        step = law(step, step)
+        radius >>= 1
+    return reach
+
+
 def _radix(reach):
     """Mixed radix (w_a, w_c, w_b), w_i = 2 m_i + 1, of the int64 keys of
     elements whose |coordinate i| is at most ``reach[i]`` (Python ints).
-    Raises DomainError when such a key, or a coordinate, could reach 2^63.
+    Raises DomainError when such a key, with one spare bit for a tag,
+    could reach 2^63.
     """
     w = tuple(2 * m + 1 for m in reach)
-    if w[0] * w[1] * w[2] > _KEY_LIMIT:
+    if 2 * w[0] * w[1] * w[2] > _KEY_LIMIT:
         raise DomainError(f"lattice coordinates up to {reach} do not fit "
                           f"the search's int64 keys")
     return w
 
 
-def _pack(cols, reach):
-    """One int64 key per column (a, c, b) of ``cols``, in the radix of
-    ``_radix(reach)``; distinct elements get distinct keys."""
+def _key(g, reach):
+    """The key of the triple ``g`` in the radix of ``reach``, a Python
+    int; keys order elements lexicographically by (a, c, b)."""
     ma, mc, mb = reach
-    _, wc, wb = _radix(reach)
-    a, c, b = cols
-    key = a + ma
-    key *= wc
-    key += c
-    key += mc
-    key *= wb
-    key += b
-    key += mb
-    return key
+    return ((g[0] + ma) * (2 * mc + 1) + g[1] + mc) * (2 * mb + 1) + g[2] + mb
 
 
 def _member(sorted_keys, keys):
@@ -162,67 +188,89 @@ def _member(sorted_keys, keys):
     return hit
 
 
-def _next_sphere(law, gens, prev, sphere, reach):
-    """S_{r+1} from S_{r-1} and S_r, with the new coordinate reach.
+def _spheres(law, gens, radius, reach, start=IDENTITY):
+    """Spheres S_0, ..., S_radius about ``start`` in the Cayley graph,
+    each a sorted int64 array of its elements' keys in the radix of
+    ``reach``, which must bound every element within ``radius`` of
+    ``start`` (``_reach``); the radix is checked before any int64
+    arithmetic.
 
-    Candidates are the neighbours of S_r, deduplicated by sorting their
-    keys, less those already in S_{r-1} or S_r (found by binary search);
-    np.unique and np.isin hash in numpy 2 and are several times slower.
+    ``gens`` is symmetric, so a neighbour of S_r lies in S_{r-1}, S_r or
+    S_{r+1}; testing it against the first two alone gives the spheres of
+    a search that tests against the whole ball. Right multiplication by
+    s = (sa, sc, sb) adds key(s) - key(e) to a key, plus sc * a on
+    heis_Z, and keeps the (a, c, b) order, so each block S_r s is a
+    sorted run. S_{r+1} comes from one stable sort, which merges those
+    runs, of the tagged keys 2 k + t: S_{r-1} and S_r with t = 0, the
+    blocks with t = 1. A key is in S_{r+1} when its first occurrence
+    carries t = 1.
     """
-    # both laws are polynomials with non-negative coefficients, so the
-    # law applied to the coordinate maxima bounds every product; the
-    # guard refuses a level before any of its int64 arithmetic
-    _radix(law(reach, tuple(max(abs(s[i]) for s in gens) for i in range(3))))
-    n = sphere.shape[1]
-    cand = np.empty((3, len(gens) * n), dtype=np.int64)
-    cols = tuple(sphere)
-    for j, s in enumerate(gens):
-        cand[:, j * n:(j + 1) * n] = law(cols, s)
-    reach = tuple(max(m, int(hi), -int(lo)) for m, hi, lo in
-                  zip(reach, cand.max(axis=1), cand.min(axis=1)))
-    keys = _pack(cand, reach)
-    del cand
-    keys.sort()
-    keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
-    near = np.concatenate((_pack(prev, reach), _pack(sphere, reach)))
-    near.sort()
-    keys = keys[~_member(near, keys)]
-    ma, mc, mb = reach
     _, wc, wb = _radix(reach)
-    rest, b = np.divmod(keys, wb)
-    a, c = np.divmod(rest, wc)
-    return np.stack((a - ma, c - mc, b - mb)), reach
-
-
-def _spheres(law, gens):
-    """Spheres S_0, S_1, ... of the Cayley graph, each an int64 array of
-    shape (3, n) holding one element (a, c, b) per column, in no
-    particular order. ``gens`` is symmetric, so a neighbour of S_r lies
-    in S_{r-1}, S_r or S_{r+1}; testing it against the first two alone
-    gives the spheres of a search that tests against the whole ball.
-    """
-    reach = (0, 0, 0)  # largest |coordinate| of every element seen so far
-    prev = np.zeros((3, 0), dtype=np.int64)
-    sphere = np.zeros((3, 1), dtype=np.int64)
-    while True:
+    ma = reach[0]
+    origin = _key(IDENTITY, reach)
+    # per generator, as columns: twice the slope in a of the b it adds
+    # (sc on heis_Z, 0 on Z^3) and its tagged key step; on keys in range
+    # every partial sum below stays within +-2^63
+    slopes = np.array([[2 * (law((1, 0, 0), s)[2] - s[2])] for s in gens],
+                      dtype=np.int64)
+    steps = np.array([[2 * (_key(s, reach) - origin) + 1] for s in gens],
+                     dtype=np.int64)
+    twist = slopes.any()
+    prev = np.zeros(0, dtype=np.int64)
+    sphere = np.array([_key(start, reach)], dtype=np.int64)
+    for r in range(radius + 1):
         yield sphere
-        nxt, reach = _next_sphere(law, gens, prev, sphere, reach)
+        if r == radius:
+            return
+        m, n = len(prev), len(sphere)
+        tagged = np.empty(m + (1 + len(gens)) * n, dtype=np.int64)
+        np.left_shift(prev, 1, out=tagged[:m])
+        twice = tagged[m:m + n]
+        np.left_shift(sphere, 1, out=twice)
+        blocks = tagged[m + n:].reshape(len(gens), n)
+        if twist:
+            np.multiply(slopes, sphere // (wc * wb) - ma, out=blocks)
+            blocks += twice
+        else:
+            blocks[:] = twice
+        blocks += steps
+        tagged.sort(kind="stable")
+        # the first occurrence of a key is odd (tag 1) and more than 1
+        # above the entry before it exactly when the key is new
+        new = np.empty(len(tagged), dtype=bool)
+        new[0] = True
+        np.greater(tagged[1:] - tagged[:-1], 1, out=new[1:])
+        new &= (tagged & 1).astype(bool)
+        nxt = tagged[new]
+        del tagged, new
+        nxt >>= 1
         prev, sphere = sphere, nxt
 
 
-def _table(group, gens, spheres, radius, mem_budget_mb=None):
-    """GrowthTable of |B_0|..|B_radius| from the spheres S_0, S_1, ....
+def _table(group, gens, spheres, radius, reach, mem_budget_mb=None,
+           keep=None):
+    """GrowthTable of |B_0|..|B_radius| from the spheres S_0, S_1, ... in
+    the radix of ``reach``; ``keep``, a list, receives each sphere.
     With a memory budget, the bytes the next level will hold are checked
     before it is built; BudgetError carries the partial table."""
     t0 = time.perf_counter()
+    _, wc, wb = _radix(reach)
+    ma, mc, mb = reach
     counts, max_h, max_v = [], [], []
     total = reach_h = reach_v = prev_n = 0
     for r, sphere in enumerate(spheres):
+        if keep is not None:
+            keep.append(sphere)
         # no sphere is empty: both groups are infinite and torsion-free
-        n = sphere.shape[1]
+        n = len(sphere)
         total += n
-        reach_h = max(reach_h, int(np.abs(sphere[:2]).max()))
-        reach_v = max(reach_v, int(np.abs(sphere[2]).max()))
+        # keys order by a first, so a sphere's ends hold its extreme a
+        a_lo, a_hi = (int(k) // (wc * wb) - ma for k in sphere[[0, -1]])
+        ac, b = np.divmod(sphere, wb)
+        c = ac % wc
+        reach_h = max(reach_h, -a_lo, a_hi, int(c.max()) - mc,
+                      mc - int(c.min()))
+        reach_v = max(reach_v, int(b.max()) - mb, mb - int(b.min()))
         counts.append(total)
         max_h.append(reach_h)
         max_v.append(reach_v)
@@ -251,26 +299,28 @@ def word_ball(group, generators, radius, mem_budget_mb=None) -> GrowthTable:
     about r^3 elements rather than the r^4 of the whole ball. If a memory
     budget is given and building the next sphere would hold more bytes
     than it allows, a BudgetError carrying the partial table is raised.
-    A generating set whose coordinates would leave int64 within
-    ``radius`` raises DomainError.
+    A generating set whose coordinates could leave the int64 keys within
+    ``radius`` raises DomainError before the search starts.
     """
     _check_radius("radius", radius)
-    if mem_budget_mb is not None and (
-            isinstance(mem_budget_mb, bool)
-            or not isinstance(mem_budget_mb, numbers.Real)
-            or not mem_budget_mb >= 0):
-        raise DomainError(f"memory budget must be a non-negative number of "
-                          f"MB, got {mem_budget_mb!r}")
+    _check_budget(mem_budget_mb)
     gens = symmetrize_generators(group, generators)
     law, _ = GROUP_LAWS[group]
-    return _table(group, gens, _spheres(law, gens), radius, mem_budget_mb)
+    reach = _reach(law, gens, radius)
+    return _table(group, gens, _spheres(law, gens, radius, reach), radius,
+                  reach, mem_budget_mb)
 
 
 def word_norm(element, group="heis_Z", generators=None, radius_cap=20):
     """Minimal word length of ``element``, or None when the cap is hit.
 
-    The index of the first sphere of ``word_ball``'s search that holds
-    the element, so the two agree by construction.
+    Meet in the middle: a search from the identity and one from the
+    element g, in one radix, grow in turn, and the norm is the first k
+    at which S_i meets g S_j, with i = ceil(k/2) and j = floor(k/2). A
+    geodesic word for g splits after its i-th letter, and a common
+    element x = g w with |x| = i, |w| = j gives |g| <= i + j, so the
+    spheres first meet at k = |g|. Each search holds about B_{cap/2}.
+    Refused, with DomainError, wherever ``word_ball`` to the cap is.
     """
     _check_radius("radius cap", radius_cap)
     target = _lattice_triple(element, "element")
@@ -278,14 +328,27 @@ def word_norm(element, group="heis_Z", generators=None, radius_cap=20):
         group, generators if generators is not None
         else STANDARD_GENERATORS.get(group, ()))
     law, _ = GROUP_LAWS[group]
-    # an element beyond int64 lies in no sphere the search can hold; the
-    # search still runs, so that its overflow guard still decides
-    column = np.array(target, dtype=np.int64)[:, None] \
-        if max(map(abs, target)) < _KEY_LIMIT else None
-    spheres = itertools.islice(_spheres(law, gens), radius_cap + 1)
-    for r, sphere in enumerate(spheres):
-        if column is not None and (sphere == column).all(axis=0).any():
-            return r
+    # refused like word_ball to the cap; an element beyond the bound of
+    # that ball is not in it
+    ball = _reach(law, gens, radius_cap)
+    _radix(ball)
+    if any(abs(c) > m for c, m in zip(target, ball)):
+        return None
+    inner, outer = radius_cap - radius_cap // 2, radius_cap // 2
+    reach = tuple(map(max, _reach(law, gens, inner),
+                      _reach(law, gens, outer, target)))
+    near = _spheres(law, gens, inner, reach)
+    far = _spheres(law, gens, outer, reach, target)
+    s, t = next(near), next(far)
+    for k in range(radius_cap + 1):
+        if k:
+            if k % 2:
+                s = next(near)
+            else:
+                t = next(far)
+        small, large = sorted((s, t), key=len)
+        if _member(large, small).any():
+            return k
     return None
 
 
@@ -319,8 +382,8 @@ class RobustnessReport:
     tables: tuple = field(repr=False, default=())
 
 
-def generator_robustness(group, gens1, gens2, radius,
-                         fit_window=None) -> RobustnessReport:
+def generator_robustness(group, gens1, gens2, radius, fit_window=None,
+                         mem_budget_mb=None) -> RobustnessReport:
     """Fit the growth degree under two generating sets and compare.
 
     The degree is a quasi-isometry invariant, so the two exponents must
@@ -328,31 +391,33 @@ def generator_robustness(group, gens1, gens2, radius,
     ball counts as an empirical witness). Coverage is cross-checked: each
     set must reach, within ``radius``, everything the other reaches well
     inside it (half the radius); failing that the report flags the set as
-    possibly non-generating. One search per set yields both its table
-    and its balls, whose elements are compared as int64 keys in one
-    radix common to both.
+    possibly non-generating. Both searches run in one radix, bounded up
+    front from both sets, so their sorted keys compare directly; one
+    search per set yields both its table and its balls. A memory budget
+    applies to the search for ``gens1`` and raises the BudgetError that
+    ``word_ball(group, gens1, radius, mem_budget_mb)`` raises.
     """
     _check_radius("radius", radius)
+    _check_budget(mem_budget_mb)
+    sets = [symmetrize_generators(group, gens) for gens in (gens1, gens2)]
+    law, _ = GROUP_LAWS[group]
+    reach = tuple(map(max, *(_reach(law, gens, radius) for gens in sets)))
+    _radix(reach)
     half = radius // 2
     tables, balls, inner = [], [], []
-    for gens in (gens1, gens2):
-        gens = symmetrize_generators(group, gens)
-        law, _ = GROUP_LAWS[group]
-        spheres = list(itertools.islice(_spheres(law, gens), radius + 1))
-        tables.append(_table(group, gens, spheres, radius))
-        inner.append(np.concatenate(spheres[:half + 1], axis=1))
-        balls.append(np.concatenate(spheres, axis=1))
+    for gens, budget in zip(sets, (mem_budget_mb, None)):
+        spheres = []
+        tables.append(_table(group, gens, _spheres(law, gens, radius, reach),
+                             radius, reach, budget, keep=spheres))
+        inner.append(np.concatenate(spheres[:half + 1]))
+        balls.append(np.sort(np.concatenate(spheres), kind="stable"))
     t1, t2 = tables
     lo, hi = fit_window if fit_window is not None \
         else (min(10, max(1, radius // 2)), radius)
     d1, _, _ = growth_fit(t1, lo, hi)
     d2, _, _ = growth_fit(t2, lo, hi)
 
-    reach = tuple(max(int(m1), int(m2)) for m1, m2 in
-                  zip(*(np.abs(ball).max(axis=1) for ball in balls)))
-    keys = [np.sort(_pack(ball, reach)) for ball in balls]
-    coverage_ok = all(_member(keys[1 - i], _pack(inner[i], reach)).all()
-                      for i in (0, 1))
+    coverage_ok = all(_member(balls[1 - i], inner[i]).all() for i in (0, 1))
     if not coverage_ok:
         warnings.warn(f"a generating set for {group} misses elements the "
                       f"other reaches within radius {half}; it may not "

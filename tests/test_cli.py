@@ -3,13 +3,14 @@ import io
 import json
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from carnot_lab import cli, reports
+from carnot_lab import cli, growth, reports
 from carnot_lab.cli import CommandError, resolve_config, run
 from carnot_lab.reports import read_bundle
 
@@ -180,6 +181,11 @@ def test_growth_budget_error(tmp_path):
         run("growth", cfg)
     assert "partial" in info.value.payload
     assert info.value.module == "cayley_growth"
+    # with --compare-gens the budget stops the search for --gens alike
+    with pytest.raises(CommandError) as compare:
+        run("growth", dict(cfg, compare_gens="1,0,0;0,1,0;1,1,1"))
+    assert (str(compare.value), compare.value.payload) == \
+        (str(info.value), info.value.payload)
 
 
 def test_unknown_command(tmp_path):
@@ -327,6 +333,64 @@ def test_main_growth_config_errors(tmp_path, capsys):
         assert code == 3, line
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"]["module"] == "cayley_growth"
+
+
+def test_main_growth_refuses_huge_radius_up_front(tmp_path, capsys):
+    # the key radix is bounded from the radius before the search starts
+    for group in ("heis_Z", "z3"):
+        for radius in ("100000000", "1" + "0" * 30):
+            code = cli.main(["--output-dir", str(tmp_path), "growth",
+                             "--group", group, "--radius", radius])
+            assert code == 3, (group, radius)
+            err = json.loads(capsys.readouterr().err.strip())
+            assert err["error"]["module"] == "cayley_growth"
+            assert "int64" in err["error"]["message"]
+    assert not (tmp_path / "growth.bundle.json").exists()
+
+
+def test_main_growth_non_generating_compare_is_one_json_line(tmp_path,
+                                                             capsys):
+    # the coverage warning becomes coverage_ok: false in the summary
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main(["--output-dir", str(tmp_path), "growth",
+                         "--compare-gens", "1,0,0", "--radius", "4"])
+    assert code == 0
+    assert caught == []
+    out, err = capsys.readouterr()
+    assert err == ""
+    lines = out.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["summary"]["coverage_ok"] is False
+    bundle = read_bundle(str(tmp_path / "growth.bundle.json"))
+    assert bundle.payload["robustness"]["coverage_ok"] is False
+
+
+def test_growth_compare_searches_each_set_once(tmp_path, monkeypatch):
+    # the table for --gens is the robustness report's first table
+    searches = []
+    spheres = growth._spheres
+
+    def counted(law, gens, *args, **kwargs):
+        searches.append(gens)
+        return spheres(law, gens, *args, **kwargs)
+
+    monkeypatch.setattr(growth, "_spheres", counted)
+    bundle = run("growth", base_cfg(tmp_path, group="heis_Z", radius=10,
+                                    compare_gens="1,0,0;0,1,0;1,1,1"))
+    assert len(searches) == 2
+    assert bundle.payload["counts"] == list(growth.word_ball(
+        "heis_Z", growth.STANDARD_GENERATORS["heis_Z"], 10).counts)
+
+
+def test_main_volume_refuses_radii_without_log_spread(tmp_path, capsys):
+    code = cli.main(["--output-dir", str(tmp_path), "volume", "--radii",
+                     "1,1.0000000000000002,1.0000000000000004",
+                     "--samples", "10000"])
+    assert code == 3
+    err = json.loads(capsys.readouterr().err.strip())
+    assert "degenerate" in err["error"]["message"]
+    assert not (tmp_path / "volume.bundle.json").exists()
 
 
 def test_main_growth_refuses_int64_overflow(tmp_path, capsys):
@@ -582,6 +646,35 @@ def _opt(name, values):
                      values.map(lambda v: [f"{name}={v}"]))
 
 
+def _always(name, values):
+    # --name value or --name=value, never left out
+    return st.one_of(values.map(lambda v: [name, v]),
+                     values.map(lambda v: [f"{name}={v}"]))
+
+
+# generating sets: small triples, and malformed, identity, short and
+# 10^12-sized ones
+_TRIPLES = st.lists(
+    st.one_of(st.tuples(*[st.integers(-2, 2)] * 3).map(
+                  lambda t: ",".join(map(str, t))),
+              st.sampled_from(["0,0,0", "1,0", "1,0,0,0", "x,0,0", "1.5,0,0",
+                               "", "1000000000000,0,0", "0,0,1000000000000",
+                               "1000000000000,1,1000000000000"])),
+    min_size=1, max_size=3).map(";".join)
+
+# --radius and --gens: a radius is always given, at most 8 so that a run
+# takes milliseconds, or, with the standard set, far beyond what the int64
+# keys hold and refused before any search (a set spanning fewer
+# dimensions fits such a radius and would search it)
+_GROWTH_SIZE = st.one_of(
+    st.tuples(_always("--radius", st.sampled_from(
+                  [*map(str, range(9)), "-1", "x", "1.5"])),
+              _opt("--gens", _TRIPLES)),
+    st.tuples(_always("--radius", st.sampled_from(
+                  ["100000000", "1" + "0" * 30])), st.just([]))).map(
+    lambda parts: parts[0] + parts[1])
+
+
 def _argv(command, *parts):
     return st.tuples(*parts).map(
         lambda ps: [command, *(tok for part in ps for tok in part)])
@@ -626,10 +719,17 @@ _ARGV = st.one_of(
     _argv("pansu",
           _opt("--schedule", st.one_of(
               st.integers(-5, 1100).map(str), _SMALL_INTS,
-              st.integers(-10 ** 30, 10 ** 30).map(str)))))
+              st.integers(-10 ** 30, 10 ** 30).map(str)))),
+    _argv("growth",
+          _opt("--group", st.sampled_from(["heis_Z", "z3", "so3", "Z3"])),
+          _GROWTH_SIZE, _opt("--compare-gens", _TRIPLES),
+          _opt("--fit-window", st.sampled_from(
+              ["1,2,3", "5,2", "x", "1,4", "2,8", "3,40"])),
+          _opt("--mem-budget", st.sampled_from(["0", "1", "-1", "64", "x"]))))
 
 
-@settings(max_examples=280, deadline=None,
+# about 40 examples for each of the eight commands
+@settings(max_examples=320, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(argv=_ARGV)
 def test_main_fuzz_ends_in_result_or_json_error(tmp_path, argv):

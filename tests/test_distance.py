@@ -627,3 +627,20 @@ def test_volume_fit_hits_pinned():
     # distance gives at this seed
     fit = dist.ball_volume_fit("cc", (0.5, 1, 1.5, 2), 10 ** 6, seed=7)
     assert fit.hits == (102961, 103786, 103753, 103121)
+
+
+def test_volume_fit_euclidean_hits_pinned():
+    # membership in blocks decides each sample as the whole-array test did
+    fit = dist.ball_volume_fit("euclidean", (0.5, 1, 1.5, 2), 10 ** 6,
+                               seed=7)
+    assert fit.hits == (523962, 523696, 523324, 522842)
+
+
+def test_volume_fit_refuses_radii_without_log_spread(monkeypatch):
+    # distinct floats whose logs are one rounding apart leave the slope
+    # undetermined; the fit is refused before any sample is drawn
+    monkeypatch.setattr(dist.np.random, "default_rng", None)
+    for radii in ((1.0, 1.0000000000000002, 1.0000000000000004),
+                  (2.0, 2.0, 2.0), (1e300, 1e300, 1.0000000000000002e300)):
+        with pytest.raises(DomainError, match="degenerate"):
+            dist.ball_volume_fit("cc", radii, 10 ** 4, seed=1)

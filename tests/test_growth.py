@@ -242,6 +242,36 @@ def test_growth_refuses_int64_overflow(big):
         growth.generator_robustness("heis_Z", std, gens, 4)
 
 
+def test_growth_refuses_huge_radius_up_front():
+    # the radix is bounded from the radius before anything is searched,
+    # so a radius the keys cannot hold ends at once
+    for group in ("heis_Z", "z3"):
+        std = growth.STANDARD_GENERATORS[group]
+        for radius in (10 ** 8, 10 ** 30):
+            with pytest.raises(DomainError, match="int64"):
+                growth.word_ball(group, std, radius)
+            with pytest.raises(DomainError, match="int64"):
+                growth.word_norm((1, 0, 0), group, radius_cap=radius)
+            with pytest.raises(DomainError, match="int64"):
+                growth.generator_robustness(group, std, std, radius)
+
+
+def test_robustness_budget_is_word_balls():
+    # a budget on the robustness report stops the search for the first
+    # set exactly where word_ball stops it
+    std = growth.STANDARD_GENERATORS["heis_Z"]
+    with pytest.raises(BudgetError) as ball:
+        growth.word_ball("heis_Z", std, 40, mem_budget_mb=1)
+    with pytest.raises(BudgetError) as report:
+        growth.generator_robustness("heis_Z", std, std + ((1, 1, 1),), 40,
+                                    mem_budget_mb=1)
+    assert str(report.value) == str(ball.value)
+    assert report.value.partial.to_payload() == \
+        ball.value.partial.to_payload()
+    with pytest.raises(DomainError):
+        growth.generator_robustness("heis_Z", std, std, 4, mem_budget_mb=-1)
+
+
 def test_robustness_refuses_overflowing_common_radix():
     # each set fits its own keys, but not one radix common to both
     std = growth.STANDARD_GENERATORS["z3"]
@@ -297,6 +327,25 @@ def test_word_norm_cap():
     assert growth.word_norm((40, 0, 0), radius_cap=5) is None
     # an element beyond int64 lies in no sphere the search can hold
     assert growth.word_norm((10 ** 20, 0, 0), radius_cap=5) is None
+
+
+@pytest.mark.parametrize("group,gens,radius", [
+    ("heis_Z", growth.STANDARD_GENERATORS["heis_Z"], 10)]
+    + [s[:2] + (6,) for s in RICHER_SETS + [MIXED_SET]])
+def test_word_norm_is_the_reference_sphere_index(group, gens, radius):
+    # the meet-in-the-middle search agrees with a whole-ball search on
+    # every element of B_radius: cap r finds r, cap r - 1 finds nothing,
+    # for odd and even r (the two searches then stop at equal or unequal
+    # depths)
+    law, _ = growth.GROUP_LAWS[group]
+    frontiers = reference_bfs(
+        law, growth.symmetrize_generators(group, gens), radius)
+    for r, frontier in enumerate(frontiers):
+        for g in frontier:
+            assert growth.word_norm(g, group, gens, radius_cap=r) == r
+            if r:
+                assert growth.word_norm(g, group, gens,
+                                        radius_cap=r - 1) is None
 
 
 def test_word_norm_consistent_with_word_enumeration():
