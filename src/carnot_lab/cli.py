@@ -320,10 +320,16 @@ def _cmd_pansu(cfg):
     base = tuple(float(tok) for tok in cfg["base"].split(","))
     if len(base) != 3:
         raise DomainError("base must be three comma-separated coordinates")
+    if not all(map(math.isfinite, base)):
+        raise _InputError(f"base coordinates must be finite, got "
+                          f"{cfg['base']!r}")
     gmap = pansu.GroupMap(cfg["kind"], fn)
     sched = pansu.BlowupSchedule(
         pansu.default_blowup_schedule(cfg["schedule"]), cfg["convention"])
-    matrix, diag = pansu.pansu_derivative(gmap, base, sched)
+    # a huge base can overflow the quotients; the extrapolation then
+    # refuses their non-finite terms, without numpy's warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        matrix, diag = pansu.pansu_derivative(gmap, base, sched)
     # an infinite order marks an entry whose quotient is already constant
     order = {direction: {k: "exact" if v == math.inf else v
                          for k, v in orders.items()}
@@ -458,7 +464,24 @@ def run(command, config) -> ReportBundle:
 
 class _Parser(argparse.ArgumentParser):
     """Usage errors end as one JSON line with exit 2, like every other
-    rejected input, instead of argparse's usage text."""
+    rejected input, instead of argparse's usage text. A parser keeps its
+    flags by destination and its subcommands by name, so that config-file
+    values go through the same type and choices as the command line."""
+
+    def __init__(self, *args, **kwargs):
+        self.flags = {}
+        self.commands = {}
+        super().__init__(*args, **kwargs)
+
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        self.flags[action.dest] = action
+        return action
+
+    def add_subparsers(self, **kwargs):
+        action = super().add_subparsers(**kwargs)
+        self.commands = action.choices
+        return action
 
     def error(self, message):
         raise _InputError(f"{self.prog}: {message}")
@@ -596,13 +619,48 @@ def parse_config_file(path):
     return out
 
 
+def _file_value(action, key, value):
+    """A config-file value as its flag would give it: a switch takes true
+    or false; any other flag takes the text that would follow it on the
+    command line (a JSON string's own text, the JSON form of any other
+    value) through the flag's type and choices."""
+    if action.nargs == 0:
+        if not isinstance(value, bool):
+            raise _InputError(f"config key {key!r}: expected true or false, "
+                              f"got {value!r}")
+        return value
+    text = value if isinstance(value, str) else json.dumps(value)
+    try:
+        value = text if action.type is None else action.type(text)
+    except (TypeError, ValueError) as exc:
+        raise _InputError(f"config key {key!r}: invalid "
+                          f"{action.type.__name__} value {text!r}") from exc
+    if action.choices is not None and value not in action.choices:
+        raise _InputError(f"config key {key!r}: invalid choice {value!r} "
+                          f"(choose from {', '.join(action.choices)})")
+    return value
+
+
 def resolve_config(args):
-    """Merge defaults < config file < environment < explicit flags."""
+    """Merge defaults < config file < environment < explicit flags.
+
+    A config-file key naming a flag of the command (or a global flag) is
+    checked like that flag on the command line; a mismatch is a usage
+    error. Other keys are echoed as read.
+    """
     cfg = dict(DEFAULTS.get(args.command, {}))
     cfg["output_dir"] = "."
     cfg["format"] = "json"
     if args.config:
-        cfg.update(parse_config_file(args.config))
+        try:
+            values = parse_config_file(args.config)
+        except (OSError, UnicodeDecodeError) as exc:
+            raise _InputError(f"cannot read config file: {exc}") from exc
+        parser = _build_parser()
+        flags = {**parser.flags, **parser.commands[args.command].flags}
+        cfg.update({key: _file_value(flags[key], key, value)
+                    if key in flags else value
+                    for key, value in values.items()})
     if os.environ.get(ENV_OUTPUT):
         cfg["output_dir"] = os.environ[ENV_OUTPUT]
     for key, value in vars(args).items():

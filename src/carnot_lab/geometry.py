@@ -53,10 +53,17 @@ def is_horizontal(p: HeisPoint, v, tol=1e-9) -> bool:
 
 def frame_at(p: HeisPoint):
     """The left-invariant frame (X, Y, Z) at p as coordinate columns:
-    X = (1, 0, -y/2), Y = (0, 1, x/2), Z = (0, 0, 1)."""
-    X = np.array([1.0, 0.0, -0.5 * p.y])
-    Y = np.array([0.0, 1.0, 0.5 * p.x])
-    Z = np.array([0.0, 0.0, 1.0])
+    X = (1, 0, -y/2), Y = (0, 1, x/2), Z = (0, 0, 1).
+
+    For coordinate columns (p.x and p.y arrays) each field is one
+    3-vector per point, of shape p.x.shape + (3,).
+    """
+    x, y = np.broadcast_arrays(np.asarray(p.x, dtype=float),
+                               np.asarray(p.y, dtype=float))
+    one, zero = np.ones(x.shape), np.zeros(x.shape)
+    X = np.stack([one, zero, -0.5 * y], axis=-1)
+    Y = np.stack([zero, one, 0.5 * x], axis=-1)
+    Z = np.stack([zero, zero, one], axis=-1)
     return X, Y, Z
 
 

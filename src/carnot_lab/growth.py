@@ -248,11 +248,13 @@ def _spheres(law, gens, radius, reach, start=IDENTITY):
 
 
 def _table(group, gens, spheres, radius, reach, mem_budget_mb=None,
-           keep=None):
+           keep=None, held=0):
     """GrowthTable of |B_0|..|B_radius| from the spheres S_0, S_1, ... in
     the radix of ``reach``; ``keep``, a list, receives each sphere.
-    With a memory budget, the bytes the next level will hold are checked
-    before it is built; BudgetError carries the partial table."""
+    With a memory budget, the bytes held while the next level is built
+    are checked before it is built: the level itself, the spheres kept
+    before it and ``held`` bytes held outside the search. BudgetError
+    carries the partial table."""
     t0 = time.perf_counter()
     _, wc, wb = _radix(reach)
     ma, mc, mb = reach
@@ -277,8 +279,12 @@ def _table(group, gens, spheres, radius, reach, mem_budget_mb=None,
         if r == radius:
             break
         if mem_budget_mb is not None:
-            held = _BYTES_PER_ROW * (prev_n + n + len(gens) * n)
-            if held > mem_budget_mb * 2 ** 20:
+            # S_{r-1} and S_r are priced with the level; the kept spheres
+            # before them are 8-byte keys
+            kept = total - prev_n - n if keep is not None else 0
+            need = held + 8 * kept + _BYTES_PER_ROW * (prev_n + n
+                                                       + len(gens) * n)
+            if need > mem_budget_mb * 2 ** 20:
                 break
         prev_n = n
     table = GrowthTable(group, gens, tuple(range(len(counts))),
@@ -286,7 +292,7 @@ def _table(group, gens, spheres, radius, reach, mem_budget_mb=None,
                         truncated=len(counts) <= radius,
                         wall_time=time.perf_counter() - t0)
     if table.truncated:
-        raise BudgetError(f"building S_{len(counts)} would hold ~{held} "
+        raise BudgetError(f"building S_{len(counts)} would hold ~{need} "
                           f"bytes, over the memory budget of "
                           f"{mem_budget_mb} MB", partial=table)
     return table
@@ -394,8 +400,11 @@ def generator_robustness(group, gens1, gens2, radius, fit_window=None,
     possibly non-generating. Both searches run in one radix, bounded up
     front from both sets, so their sorted keys compare directly; one
     search per set yields both its table and its balls. A memory budget
-    applies to the search for ``gens1`` and raises the BudgetError that
-    ``word_ball(group, gens1, radius, mem_budget_mb)`` raises.
+    applies to both searches and prices what the report holds while it
+    builds a level: the level, the spheres the running search has kept,
+    and the ball and inner ball kept from the search for ``gens1`` once
+    it is done. The search that would exceed it raises BudgetError with
+    its partial table.
     """
     _check_radius("radius", radius)
     _check_budget(mem_budget_mb)
@@ -405,12 +414,18 @@ def generator_robustness(group, gens1, gens2, radius, fit_window=None,
     _radix(reach)
     half = radius // 2
     tables, balls, inner = [], [], []
-    for gens, budget in zip(sets, (mem_budget_mb, None)):
+    held = 0
+    for gens in sets:
         spheres = []
         tables.append(_table(group, gens, _spheres(law, gens, radius, reach),
-                             radius, reach, budget, keep=spheres))
+                             radius, reach, mem_budget_mb, keep=spheres,
+                             held=held))
         inner.append(np.concatenate(spheres[:half + 1]))
-        balls.append(np.sort(np.concatenate(spheres), kind="stable"))
+        ball = np.concatenate(spheres)
+        del spheres
+        ball.sort(kind="stable")
+        balls.append(ball)
+        held += 8 * (len(ball) + len(inner[-1]))
     t1, t2 = tables
     lo, hi = fit_window if fit_window is not None \
         else (min(10, max(1, radius // 2)), radius)

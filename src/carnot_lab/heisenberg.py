@@ -127,11 +127,16 @@ def left_jacobian(g: HeisPoint) -> np.ndarray:
     """Differential of the left translation by g, as a 3x3 array.
 
     Independent of the point the translation acts on; its determinant is
-    1, so left translations preserve volume.
+    1, so left translations preserve volume. For coordinate columns (g.x
+    and g.y arrays) it is one 3x3 per element, of shape g.x.shape + (3, 3).
     """
-    return np.array([[1.0, 0.0, 0.0],
-                     [0.0, 1.0, 0.0],
-                     [-0.5 * g.y, 0.5 * g.x, 1.0]])
+    x, y = np.broadcast_arrays(np.asarray(g.x, dtype=float),
+                               np.asarray(g.y, dtype=float))
+    J = np.zeros(x.shape + (3, 3))
+    J[..., 0, 0] = J[..., 1, 1] = J[..., 2, 2] = 1.0
+    J[..., 2, 0] = -0.5 * y
+    J[..., 2, 1] = 0.5 * x
+    return J
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from carnot_lab import cli, growth, reports
+from carnot_lab import cli, growth, pansu, reports
 from carnot_lab.cli import CommandError, resolve_config, run
 from carnot_lab.reports import read_bundle
 
@@ -181,11 +181,30 @@ def test_growth_budget_error(tmp_path):
         run("growth", cfg)
     assert "partial" in info.value.payload
     assert info.value.module == "cayley_growth"
-    # with --compare-gens the budget stops the search for --gens alike
+    # with --compare-gens the budget also prices the spheres the report
+    # keeps, so the search for --gens stops no later
     with pytest.raises(CommandError) as compare:
         run("growth", dict(cfg, compare_gens="1,0,0;0,1,0;1,1,1"))
-    assert (str(compare.value), compare.value.payload) == \
-        (str(info.value), info.value.payload)
+    assert compare.value.module == "cayley_growth"
+    counts = compare.value.payload["partial"]["counts"]
+    assert counts == info.value.payload["partial"]["counts"][:len(counts)]
+
+
+def test_main_growth_budget_covers_the_compared_set(tmp_path, capsys):
+    # --gens fits the budget at radius 14; the compared set, searched
+    # while the first ball is held, does not: exit 3 with its partial
+    argv = ["--output-dir", str(tmp_path), "growth", "--radius", "14",
+            "--compare-gens", "1,0,0;0,1,0;1,1,1"]
+    assert cli.main(argv + ["--mem-budget", "1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)["error"]
+    assert err["module"] == "cayley_growth"
+    partial = err["payload"]["partial"]
+    assert len(partial["generators"]) == 6
+    assert 1 < len(partial["counts"]) <= 14
+    assert not (tmp_path / "growth.bundle.json").exists()
+    assert cli.main(argv) == 0
 
 
 def test_unknown_command(tmp_path):
@@ -323,16 +342,74 @@ def test_json_safe_sanitizes():
     reports.canonical_json(safe)
 
 
+def _main_with_config(tmp_path, capsys, command, line, *argv):
+    # run one command with a one-line config file; return the exit code
+    # and the one JSON line it printed
+    conf = tmp_path / f"{command}.conf"
+    conf.write_text(line + "\n")
+    code = cli.main(["--output-dir", str(tmp_path), "--config", str(conf),
+                     command, *argv])
+    captured = capsys.readouterr()
+    lines = (captured.out + captured.err).splitlines()
+    assert len(lines) == 1, (line, lines)
+    return code, json.loads(lines[0])
+
+
 def test_main_growth_config_errors(tmp_path, capsys):
+    # a value its flag's type or choices refuse is a usage error, as on
+    # the command line; a value of the right type that growth refuses is
+    # growth's error
     for line in ("radius = 2.5", 'group = "so3"', "radius = true",
-                 'mem_budget = "x"', "gens = 5", "fit_window = 10"):
-        conf = tmp_path / "growth.conf"
-        conf.write_text(line + "\n")
-        code = cli.main(["--output-dir", str(tmp_path), "--config",
-                         str(conf), "growth"])
+                 'mem_budget = "x"'):
+        code, out = _main_with_config(tmp_path, capsys, "growth", line)
+        assert code == 2, line
+        assert out["error"]["module"] == "cli_reports"
+        assert line.split()[0] in out["error"]["message"]
+    for line in ("gens = 5", "fit_window = 10"):
+        code, out = _main_with_config(tmp_path, capsys, "growth", line)
         assert code == 3, line
-        err = json.loads(capsys.readouterr().err.strip())
-        assert err["error"]["module"] == "cayley_growth"
+        assert out["error"]["module"] == "cayley_growth"
+
+
+def test_main_config_values_go_through_their_flags(tmp_path, capsys):
+    # each of these one-line files used to end in a traceback
+    for command, line in (("volume", "seed = 1.5"), ("entropy", "q = [1]"),
+                          ("verify-all", "seed = 1.5")):
+        code, out = _main_with_config(tmp_path, capsys, command, line)
+        assert code == 2, line
+        assert "config key" in out["error"]["message"]
+    # the text a flag would get reaches the command, which refuses it
+    for command, line, module in (("entropy", "dist = 5", "q_algebra"),
+                                  ("pansu", "base = [1,2,3]", "pansu")):
+        code, out = _main_with_config(tmp_path, capsys, command, line)
+        assert code == 3, line
+        assert out["error"]["module"] == module
+    # as --x "1" does, a JSON string reads through the flag's type
+    code, out = _main_with_config(tmp_path, capsys, "qadd", 'x = "1"')
+    assert code == 0 and out["summary"]["result"] == 1.0
+    # a switch takes a JSON boolean, a JSON object is an element's text
+    code, out = _main_with_config(tmp_path, capsys, "entropy",
+                                  "renormalize = 1")
+    assert code == 2
+    code, out = _main_with_config(tmp_path, capsys, "entropy",
+                                  "renormalize = true", "--dist", "1,3")
+    assert code == 0
+    code, out = _main_with_config(tmp_path, capsys, "group",
+                                  'g2 = {"a": 1, "c": 2, "b": 3}',
+                                  "mul", "--g1", '{"a":1,"c":0,"b":0}')
+    assert code == 0
+    payload = read_bundle(str(tmp_path / "group.bundle.json")).payload
+    assert payload["result"] == {"a": 2.0, "c": 2.0, "b": 5.0}
+
+
+def test_main_unreadable_config_file_is_a_usage_error(tmp_path, capsys):
+    bad = tmp_path / "latin1.conf"
+    bad.write_bytes(b"q = 2 # \xe9\n")
+    for path in (tmp_path / "missing.conf", tmp_path, bad):
+        code = cli.main(["--output-dir", str(tmp_path), "--config",
+                         str(path), "qadd"])
+        assert code == 2, path
+        assert json.loads(capsys.readouterr().err)["error"]["message"]
 
 
 def test_main_growth_refuses_huge_radius_up_front(tmp_path, capsys):
@@ -601,6 +678,28 @@ def test_main_pansu_refuses_schedules_outside_3_to_1074(tmp_path, capsys):
         capsys.readouterr()
 
 
+def test_main_pansu_refuses_non_finite_bases_and_stays_quiet(tmp_path,
+                                                           capsys):
+    # refused before any work
+    for base in ("inf,0,0", "0,nan,0", "0,0,-inf", "1e400,0,0"):
+        code = cli.main(["--output-dir", str(tmp_path), "pansu",
+                         "--base", base])
+        assert code == 2, base
+        err = json.loads(capsys.readouterr().err)
+        assert "finite" in err["error"]["message"]
+    # a finite base whose quotients overflow: one JSON line, no warnings
+    for base in ("1e308,1e308,1e308", "1e300,1e300,1e300"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(["--output-dir", str(tmp_path), "pansu",
+                             "--base", base, "--map", "square"])
+        assert code == 3, base
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+    assert not (tmp_path / "pansu.bundle.json").exists()
+
+
 def test_main_entropy_refuses_uniform_presets_above_the_cap(tmp_path,
                                                             capsys):
     for n in (10 ** 6 + 1, 10 ** 30):
@@ -719,7 +818,16 @@ _ARGV = st.one_of(
     _argv("pansu",
           _opt("--schedule", st.one_of(
               st.integers(-5, 1100).map(str), _SMALL_INTS,
-              st.integers(-10 ** 30, 10 ** 30).map(str)))),
+              st.integers(-10 ** 30, 10 ** 30).map(str))),
+          _opt("--map", st.sampled_from(
+              ["identity", "square", "cube", "", "poly:", "poly:x",
+               "poly:1,2,3", "custom-polynomial:0,0,1", "poly:nan",
+               "poly:1e308,1e308", "poly=1e200,0,1e200"])),
+          _opt("--base", st.one_of(
+              st.lists(_NUMBERS, min_size=3, max_size=3),
+              st.lists(_NUMBERS, min_size=1, max_size=4)).map(",".join)),
+          _opt("--kind", st.sampled_from([*pansu.MAP_KINDS, "x"])),
+          _opt("--convention", st.sampled_from([*pansu.CONVENTIONS, "y"]))),
     _argv("growth",
           _opt("--group", st.sampled_from(["heis_Z", "z3", "so3", "Z3"])),
           _GROWTH_SIZE, _opt("--compare-gens", _TRIPLES),
@@ -741,3 +849,89 @@ def test_main_fuzz_ends_in_result_or_json_error(tmp_path, argv):
     assert len(lines) == 1, (argv, lines)
     record = json.loads(lines[0])
     assert ("error" in record) == (code != 0), (argv, record)
+
+
+# ---------------------------------------------------------------------------
+# fuzz of the config-file boundary: arbitrary JSON values for each
+# command's keys, read through the flags' types and choices
+
+_ANY_JSON = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-10 ** 30, 10 ** 30),
+              st.floats(allow_nan=True, allow_infinity=True),
+              st.text(max_size=8)),
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.dictionaries(st.text(max_size=3), inner,
+                                            max_size=3)),
+    max_leaves=6)
+
+
+def _int_text(value):
+    # whether the flag's int type would accept the value
+    try:
+        int(value if isinstance(value, str) else json.dumps(value))
+    except ValueError:
+        return False
+    return True
+
+
+def _size(*fast):
+    # a key that sets the size of a run: values its int type refuses, or
+    # sizes that run in milliseconds or are refused up front
+    return st.one_of(_ANY_JSON.filter(lambda v: not _int_text(v)),
+                     st.sampled_from(fast))
+
+
+# per command: the argv it always needs, the keys always in its file and
+# the keys that may be; the output directory (set on the command line)
+# and ccdist's emit_path (a file written wherever it names) are left out,
+# and verify-all gets only seeds its int type refuses
+_CONFIG_KEYS = {
+    "entropy": ([], {}, {"dist": _ANY_JSON, "q": _ANY_JSON,
+                         "renormalize": _ANY_JSON}),
+    "qadd": ([], {}, {"x": _ANY_JSON, "y": _ANY_JSON, "q": _ANY_JSON}),
+    "group": (["inv", "--g1", '{"a":1,"c":0,"b":0}'], {},
+              {"g2": _ANY_JSON, "op": _ANY_JSON}),
+    "ccdist": ([], {}, {"a": _ANY_JSON, "b": _ANY_JSON, "pairs": _ANY_JSON,
+                        "norm": _ANY_JSON, "tol": _ANY_JSON,
+                        "segments": _size(2, 8, "64", -1, 0)}),
+    "holonomy": ([], {}, {"path": _ANY_JSON, "loop": _ANY_JSON,
+                          "radius": _ANY_JSON,
+                          "samples": _size(0, 10, "100", 10 ** 8)}),
+    "volume": ([], {"samples": _size(10_000, "9999", 10 ** 30)},
+               {"metric": _ANY_JSON, "radii": _ANY_JSON,
+                "seed": _ANY_JSON}),
+    "pansu": ([], {}, {"map": _ANY_JSON, "base": _ANY_JSON,
+                       "kind": _ANY_JSON, "convention": _ANY_JSON,
+                       "schedule": _ANY_JSON}),
+    "growth": ([], {"radius": _size(0, 3, "8", -1, 10 ** 8, 10 ** 30)},
+               {"group": _ANY_JSON, "gens": _ANY_JSON,
+                "fit_window": _ANY_JSON, "mem_budget": _ANY_JSON,
+                "compare_gens": _ANY_JSON}),
+    "verify-all": ([], {"seed": _ANY_JSON.filter(
+        lambda v: not _int_text(v))}, {}),
+}
+
+_CONFIG_DRAWS = st.one_of(*(
+    st.tuples(st.just(command), st.just(argv), st.fixed_dictionaries(
+        required, optional={**optional, "format": _ANY_JSON}))
+    for command, (argv, required, optional) in _CONFIG_KEYS.items()))
+
+
+# about 25 examples for each of the nine commands
+@settings(max_examples=240, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(draw=_CONFIG_DRAWS)
+def test_main_config_fuzz_ends_in_result_or_json_error(tmp_path, draw):
+    command, argv, values = draw
+    conf = tmp_path / "fuzz.conf"
+    conf.write_text("".join(f"{key} = {json.dumps(value)}\n"
+                            for key, value in values.items()))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["--output-dir", str(tmp_path), "--config",
+                         str(conf), command, *argv])
+    assert code in (0, 2, 3), (values, code)
+    lines = (out.getvalue() + err.getvalue()).splitlines()
+    assert len(lines) == 1, (values, lines)
+    record = json.loads(lines[0])
+    assert ("error" in record) == (code != 0), (values, record)

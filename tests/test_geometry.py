@@ -45,6 +45,16 @@ def test_frame_values():
     assert np.allclose(Z, [0, 0, 1])
 
 
+def test_frame_on_columns_is_one_frame_per_point():
+    cols = np.random.default_rng(42).uniform(-3, 3, (3, 40))
+    fields = geo.frame_at(hg.HeisPoint(*cols))
+    for k in range(40):
+        point = hg.HeisPoint(*cols[:, k])
+        for batched, one in zip(fields, geo.frame_at(point)):
+            assert batched.shape == (40, 3)
+            assert np.array_equal(batched[k], one)
+
+
 def test_frame_is_horizontal():
     rng = np.random.default_rng(41)
     for _ in range(200):

@@ -256,18 +256,40 @@ def test_growth_refuses_huge_radius_up_front():
                 growth.generator_robustness(group, std, std, radius)
 
 
-def test_robustness_budget_is_word_balls():
-    # a budget on the robustness report stops the search for the first
-    # set exactly where word_ball stops it
+def test_robustness_budget_prices_both_searches():
     std = growth.STANDARD_GENERATORS["heis_Z"]
+    other = std + ((1, 1, 1),)
+    # the search for the first set also prices the spheres it keeps for
+    # the coverage check, so it stops no later than word_ball does
     with pytest.raises(BudgetError) as ball:
-        growth.word_ball("heis_Z", std, 40, mem_budget_mb=1)
-    with pytest.raises(BudgetError) as report:
-        growth.generator_robustness("heis_Z", std, std + ((1, 1, 1),), 40,
+        growth.word_ball("heis_Z", std, 20, mem_budget_mb=1)
+    with pytest.raises(BudgetError) as first:
+        growth.generator_robustness("heis_Z", std, other, 20,
                                     mem_budget_mb=1)
-    assert str(report.value) == str(ball.value)
-    assert report.value.partial.to_payload() == \
-        ball.value.partial.to_payload()
+    counts = first.value.partial.counts
+    assert first.value.partial.generators == ball.value.partial.generators
+    assert counts == ball.value.partial.counts[:len(counts)]
+    assert len(counts) < len(ball.value.partial.counts)
+    # the first set fits; the second, searched while the first set's
+    # ball is held, does not
+    growth.word_ball("heis_Z", std, 14, mem_budget_mb=1)
+    with pytest.raises(BudgetError) as second:
+        growth.generator_robustness("heis_Z", std, other, 14,
+                                    mem_budget_mb=1)
+    partial = second.value.partial
+    assert partial.truncated
+    assert partial.generators == growth.symmetrize_generators("heis_Z",
+                                                              other)
+    assert partial.counts == \
+        growth.word_ball("heis_Z", other, 14).counts[:len(partial.counts)]
+    # with room for both searches, the budget changes nothing
+    budgeted = growth.generator_robustness("heis_Z", std, other, 14,
+                                           mem_budget_mb=4)
+    free = growth.generator_robustness("heis_Z", std, other, 14)
+    assert [t.to_payload() for t in budgeted.tables] == \
+        [t.to_payload() for t in free.tables]
+    assert (budgeted.exponents, budgeted.coverage_ok) == \
+        (free.exponents, free.coverage_ok)
     with pytest.raises(DomainError):
         growth.generator_robustness("heis_Z", std, std, 4, mem_budget_mb=-1)
 

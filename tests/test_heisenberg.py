@@ -275,6 +275,15 @@ def test_left_jacobian():
         assert np.allclose(np.column_stack(cols), J, atol=1e-9)
 
 
+def test_left_jacobian_on_columns_is_one_per_element():
+    cols = np.random.default_rng(34).uniform(-3, 3, (3, 50))
+    J = hg.left_jacobian(hg.HeisPoint(*cols))
+    assert J.shape == (50, 3, 3)
+    for k in range(50):
+        one = hg.left_jacobian(hg.HeisPoint(*cols[:, k]))
+        assert np.array_equal(J[k], one)
+
+
 # ---------------------------------------------------------------------------
 # Abelian comparison group
 

@@ -39,6 +39,14 @@ def test_distribution_files(tmp_path):
     assert np.allclose(qa.load_distribution(c), [0.2, 0.3, 0.5])
     with pytest.raises(DomainError):
         qa.load_distribution(tmp_path / "d.txt")
+    # a file holds one distribution: nested lists are flattened, and
+    # weights that are no list of numbers are refused
+    j.write_text('{"weights": [[0.25, 0.25], [0.25, 0.25]]}')
+    assert qa.load_distribution(j).shape == (4,)
+    for bad in ('{}', '{"a": 1}', '[{"b": 2}]'):
+        j.write_text('{"weights": %s}' % bad)
+        with pytest.raises(DomainError):
+            qa.load_distribution(j)
 
 
 # ---------------------------------------------------------------------------
@@ -264,3 +272,77 @@ def test_abe_bgs_matches_bgs():
         p = rng.dirichlet(np.ones(4))
         assert qa.abe_bgs_entropy(p) == pytest.approx(qa.bgs_entropy(p),
                                                       abs=1e-8)
+
+
+# ---------------------------------------------------------------------------
+# rows: a 2-D array is a stack of distributions
+
+def _rows_with_zeros_and_window(rng, n, k=24):
+    # k rows of length n, every third with a zero weight when n > 1; q
+    # per row, with rows at q = 1 and inside the BGS window
+    p = rng.dirichlet(np.ones(n), size=k)
+    if n > 1:
+        p[::3, 0] = 0.0
+        p /= p.sum(axis=1, keepdims=True)
+    p = p[np.abs(p.sum(axis=1) - 1.0) <= qa.SUM_TOL]
+    q = rng.uniform(0.2, 3.0, len(p))
+    q[::4] = 1.0
+    q[1::5] = 1.0 + 1e-9
+    return p, q
+
+
+def test_rows_equal_their_one_dimensional_calls():
+    rng = np.random.default_rng(18)
+    for n in (1, 2, 5, 8, 13, 36):
+        p, q = _rows_with_zeros_and_window(rng, n)
+        r = rng.dirichlet(np.ones(3), size=len(p))
+        calls = [(qa.tsallis_entropy, (p, q)), (qa.tsallis_entropy, (p, 2.5)),
+                 (qa.abe_entropy, (p, q)), (qa.rescaled_entropy, (p, q)),
+                 (qa.bgs_entropy, (p,)), (qa.abe_bgs_entropy, (p,)),
+                 (qa.composition_defect, (p, r, q)),
+                 (qa.product_distribution, (p, r))]
+        for fn, args in calls:
+            rows = fn(*args)
+            assert len(rows) == len(p)
+            for i, row in enumerate(rows):
+                one = fn(*(a[i] if np.ndim(a) else a for a in args))
+                # bit for bit, not approximately
+                assert np.array_equal(row, one), (fn.__name__, n, i)
+                assert type(one) is (float if np.ndim(row) == 0
+                                     else np.ndarray)
+
+
+def test_one_dimensional_values_are_the_compacted_sums():
+    # without zero weights a 1-D value is the sum over the weights as
+    # the per-distribution formula forms it, to the last bit
+    rng = np.random.default_rng(19)
+    for _ in range(300):
+        p = rng.dirichlet(np.ones(rng.integers(1, 40)))
+        q = rng.uniform(0.2, 3.0)
+        s = -float(np.sum(p * np.expm1((q - 1.0) * np.log(p)))) / (q - 1.0)
+        assert qa.tsallis_entropy(p, q) == s
+        assert qa.bgs_entropy(p) == float(-np.sum(p * np.log(p)))
+
+
+def test_row_refusals():
+    ok = [0.5, 0.5]
+    with pytest.raises(DomainError, match="row 1"):
+        qa.tsallis_entropy([ok, [1.0, 0.0]], [2.0, -0.5])
+    # the same zero weight at a positive q of its own row is fine
+    assert list(qa.tsallis_entropy([ok, [1.0, 0.0]], [-0.5, 2.0])) == \
+        [qa.tsallis_entropy(ok, -0.5), 0.0]
+    for off in (1e-9, -1e-9):
+        with pytest.raises(DomainError, match="row 1: weights sum to"):
+            qa.as_distribution([ok, [0.5, 0.5 + off]])
+        with pytest.raises(DomainError, match="row 1"):
+            qa.composition_defect([ok, ok], [ok, [0.5, 0.5 + off]], 2.0)
+    with pytest.raises(DomainError, match="row 0: cannot renormalize"):
+        qa.as_distribution([[0.0, 0.0], ok], renormalize=True)
+    with pytest.raises(DomainError, match="one per row"):
+        qa.tsallis_entropy([ok, ok], [2.0, 2.0, 2.0])
+    with pytest.raises(DomainError, match="one per row"):
+        qa.tsallis_entropy(ok, [2.0])
+    with pytest.raises(DomainError, match="finite"):
+        qa.abe_entropy([ok, ok], [2.0, math.nan])
+    with pytest.raises(DomainError, match="equally many rows"):
+        qa.composition_defect([ok, ok], [ok], 2.0)
