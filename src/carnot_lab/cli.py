@@ -258,7 +258,7 @@ def _cmd_holonomy(cfg):
                 or not math.isfinite(r):
             raise _InputError(f"radius must be a finite number, got {r!r}")
         if preset == "circle":
-            # the loop is built at once, so its size has the volume cap
+            # the loop is built at once; its size shares the volume cap
             if isinstance(n, bool) or not isinstance(n, int) \
                     or not 1 <= n <= distance.MAX_SAMPLES:
                 raise _InputError(f"samples must be an integer in "
@@ -645,8 +645,8 @@ def resolve_config(args):
     """Merge defaults < config file < environment < explicit flags.
 
     A config-file key naming a flag of the command (or a global flag) is
-    checked like that flag on the command line; a mismatch is a usage
-    error. Other keys are echoed as read.
+    checked like that flag on the command line; a mismatch, or a key that
+    names no such flag, is a usage error.
     """
     cfg = dict(DEFAULTS.get(args.command, {}))
     cfg["output_dir"] = "."
@@ -658,8 +658,12 @@ def resolve_config(args):
             raise _InputError(f"cannot read config file: {exc}") from exc
         parser = _build_parser()
         flags = {**parser.flags, **parser.commands[args.command].flags}
+        # --config and --help are flags, but set nothing a file could
+        unknown = sorted(set(values) - (set(flags) - {"config", "help"}))
+        if unknown:
+            raise _InputError(f"config key {unknown[0]!r} names no flag of "
+                              f"{args.command!r}")
         cfg.update({key: _file_value(flags[key], key, value)
-                    if key in flags else value
                     for key, value in values.items()})
     if os.environ.get(ENV_OUTPUT):
         cfg["output_dir"] = os.environ[ENV_OUTPUT]

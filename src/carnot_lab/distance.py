@@ -28,6 +28,7 @@ nor the bracket of its Newton solve decide a sample.
 
 from __future__ import annotations
 
+import copy
 import math
 import numbers
 import sys
@@ -43,7 +44,8 @@ from .heisenberg import ORIGIN, HeisPoint, exp_inv, exp_mul
 
 DEFAULT_SEGMENTS = 64
 DEFAULT_ENDPOINT_TOL = 1e-6
-# Monte Carlo samples per radius are drawn at once; more is refused
+# Monte Carlo samples per radius, a bound on the fit's time (it draws in
+# blocks); more is refused
 MAX_SAMPLES = 10 ** 7
 
 
@@ -361,6 +363,9 @@ def cc_distance(A, B, *, segments=DEFAULT_SEGMENTS, norm="l2",
 _NEWTON_STEPS = 5  # reaches 1e-15 relative error for w in [1e-8, 1e8]
 # samples per membership block: its temporaries stay in cache
 _MEMBERSHIP_BLOCK = 1 << 15
+# open pairs per exact l2_distance call in ball_volume_fit; about 4% of the
+# samples stay open, so up to ~1.6e6 samples a radius takes one call
+_EXACT_BATCH = 1 << 16
 
 
 def _half_angle_brackets(q):
@@ -431,70 +436,53 @@ def l2_distance(rho, abs_z):
 
 
 def _cc_membership(x, y, z, r):
-    """Membership in the l2 distance ball of radius r, as a bool array.
+    """Membership of one block of samples in the l2 distance ball of
+    radius r, as far as the tiers before the exact distance decide it.
 
-    Equal, element for element, to ``l2_distance(np.hypot(x, y), |z|) <=
-    r``. The samples go in blocks of ``_MEMBERSHIP_BLOCK`` through three
-    tiers, each deciding what it can and passing on the rest:
+    Returns (hit, rest, rho, abs_z): ``hit`` marks the samples decided
+    inside; the samples at indices ``rest`` are left open, with planar
+    radius rho = np.hypot(x, y) and abs_z = |z|. Setting ``hit[rest] =
+    l2_distance(rho, abs_z) <= r`` makes ``hit`` equal, element for
+    element, to ``l2_distance(np.hypot(x, y), |z|) <= r``. The tiers,
+    each deciding what it can and passing on the rest:
 
     1. the elementary bounds of ``distance_bounds``,
        max(rho, 2 sqrt(pi |z|) - rho) <= d <= rho + 2 sqrt(pi |z|);
     2. the distances at the ends of ``_half_angle_brackets``, since
        theta / sin theta increases on [0, pi): rho t_lo / sin t_lo <= d
        <= rho t_hi / sin t_hi on the arc branch, rho pi / 2 <= d <=
-       rho (pi - p_lo) / sin p_lo on the loop branch;
-    3. ``l2_distance`` itself.
+       rho (pi - p_lo) / sin p_lo on the loop branch.
 
     A bound decides only where it clears r by a relative 1e-12, far more
     than the rounding of the bounds and of ``l2_distance`` (below 4e-16
     relative), so near-ties reach the exact value. x * x + y * y must not
     overflow; ``ball_volume_fit``'s radius domain sees to that.
     """
-    inside = np.empty(len(x), dtype=bool)
     r_in, r_out = r * (1.0 - 1e-12), r * (1.0 + 1e-12)
-    for start in range(0, len(x), _MEMBERSHIP_BLOCK):
-        block = slice(start, start + _MEMBERSHIP_BLOCK)
-        xb, yb, zb = x[block], y[block], z[block]
-        # tier 1; sqrt(x^2 + y^2) is within the margin of np.hypot and
-        # several times faster
-        rho = np.sqrt(xb * xb + yb * yb)
-        az = np.abs(zb)
-        vertical = 2.0 * np.sqrt(np.pi * az)
-        hit = rho + vertical <= r_in
-        band = np.flatnonzero(~hit & (np.maximum(rho, vertical - rho)
-                                      <= r_out))
-        # tier 2; on the axis (q = inf) and the plane (w = 0) the tier-1
-        # bounds coincide, so only near-ties get here and pass on
-        rho = rho[band]
-        with np.errstate(all="ignore"):
-            arc, t_lo, t_hi, loop, p_lo = _half_angle_brackets(
-                np.sqrt(az[band]) / rho)
-            ra, rl = rho[arc], rho[loop]
-            lower = np.concatenate((ra * t_lo / np.sin(t_lo),
-                                    rl * (0.5 * np.pi)))
-            upper = np.concatenate((ra * t_hi / np.sin(t_hi),
-                                    rl * (np.pi - p_lo) / np.sin(p_lo)))
-        bracketed = np.concatenate((band[arc], band[loop]))
-        surely_in = upper <= r_in
-        hit[bracketed[surely_in]] = True
-        rest = np.concatenate((bracketed[~surely_in & (lower <= r_out)],
-                               band[~(arc | loop)]))
-        # tier 3
-        hit[rest] = l2_distance(np.hypot(xb[rest], yb[rest]), az[rest]) <= r
-        inside[block] = hit
-    return inside
-
-
-def _euclidean_membership(x, y, z, r):
-    """``x * x + y * y + z * z <= r * r`` as a bool array, in blocks of
-    ``_MEMBERSHIP_BLOCK`` so that no full-length temporaries are built."""
-    inside = np.empty(len(x), dtype=bool)
-    rr = r * r
-    for start in range(0, len(x), _MEMBERSHIP_BLOCK):
-        block = slice(start, start + _MEMBERSHIP_BLOCK)
-        xb, yb, zb = x[block], y[block], z[block]
-        inside[block] = xb * xb + yb * yb + zb * zb <= rr
-    return inside
+    # tier 1; sqrt(x^2 + y^2) is within the margin of np.hypot and
+    # several times faster
+    rho = np.sqrt(x * x + y * y)
+    az = np.abs(z)
+    vertical = 2.0 * np.sqrt(np.pi * az)
+    hit = rho + vertical <= r_in
+    band = np.flatnonzero(~hit & (np.maximum(rho, vertical - rho) <= r_out))
+    # tier 2; on the axis (q = inf) and the plane (w = 0) the tier-1
+    # bounds coincide, so only near-ties get here and pass on
+    rho = rho[band]
+    with np.errstate(all="ignore"):
+        arc, t_lo, t_hi, loop, p_lo = _half_angle_brackets(
+            np.sqrt(az[band]) / rho)
+        ra, rl = rho[arc], rho[loop]
+        lower = np.concatenate((ra * t_lo / np.sin(t_lo),
+                                rl * (0.5 * np.pi)))
+        upper = np.concatenate((ra * t_hi / np.sin(t_hi),
+                                rl * (np.pi - p_lo) / np.sin(p_lo)))
+    bracketed = np.concatenate((band[arc], band[loop]))
+    surely_in = upper <= r_in
+    hit[bracketed[surely_in]] = True
+    rest = np.concatenate((bracketed[~surely_in & (lower <= r_out)],
+                           band[~(arc | loop)]))
+    return hit, rest, np.hypot(x[rest], y[rest]), az[rest]
 
 
 # ---------------------------------------------------------------------------
@@ -519,12 +507,19 @@ def ball_volume_fit(metric, radii, samples, seed) -> VolumeFit:
 
     Euclidean balls are sampled in the cube [-r, r]^3; distance balls in
     the anisotropic box [-r, r]^2 x [-r^2, r^2], with the l2 norm as the
-    horizontal one. Distance-ball membership is ``_cc_membership``: the
-    elementary path bounds, then the half-angle bracket of the exact
-    distance, then the exact ``l2_distance`` on the few samples both leave
-    open, in cache-sized blocks; Euclidean membership goes in the same
-    blocks. Expected exponents: 3 for the Euclidean metric, 4 for the
-    horizontal one.
+    horizontal one. Expected exponents: 3 for the Euclidean metric, 4 for
+    the horizontal one.
+
+    Per radius the samples are x, then y, then z: three consecutive runs
+    of ``samples`` uniform draws from the generator seeded by ``seed``.
+    They are drawn and decided in cache-sized blocks of
+    ``_MEMBERSHIP_BLOCK``, from three copies of the generator jumped to
+    the start of each run, so memory does not grow with ``samples``.
+    Distance-ball membership is ``_cc_membership`` (the elementary path
+    bounds, then the half-angle bracket of the exact distance) per block,
+    then ``l2_distance`` on the pairs both leave open, gathered into one
+    call per radius (per ``_EXACT_BATCH`` pairs beyond ~1.6e6 samples);
+    Euclidean membership is the squared norm.
 
     Every radius must have a box volume (8 r^3 Euclidean, 8 r^4 cc) that
     is a finite, normal, positive float, so that the volumes, their logs
@@ -567,15 +562,33 @@ def ball_volume_fit(metric, radii, samples, seed) -> VolumeFit:
 
     vols, hit_list, ses = [], [], []
     for r, box in zip(radii, boxes):
-        x = rng.uniform(-r, r, samples)
-        y = rng.uniform(-r, r, samples)
-        if metric == "euclidean":
-            z = rng.uniform(-r, r, samples)
-            inside = _euclidean_membership(x, y, z, r)
-        else:
-            z = rng.uniform(-r * r, r * r, samples)
-            inside = _cc_membership(x, y, z, r)
-        hits = int(inside.sum())
+        zr = r if metric == "euclidean" else r * r
+        # each uniform double takes one output of the PCG64 stream, so the
+        # x, y and z runs start 0, samples and 2 samples outputs ahead
+        gx, gy, gz = (copy.deepcopy(rng) for _ in range(3))
+        gy.bit_generator.advance(samples)
+        gz.bit_generator.advance(2 * samples)
+        rng.bit_generator.advance(3 * samples)
+        hits, open_rho, open_z = 0, [], []
+        for start in range(0, samples, _MEMBERSHIP_BLOCK):
+            m = min(_MEMBERSHIP_BLOCK, samples - start)
+            x = gx.uniform(-r, r, m)
+            y = gy.uniform(-r, r, m)
+            z = gz.uniform(-zr, zr, m)
+            if metric == "euclidean":
+                hits += int(np.count_nonzero(x * x + y * y + z * z <= r * r))
+                continue
+            hit, _, rho, az = _cc_membership(x, y, z, r)
+            hits += int(np.count_nonzero(hit))
+            open_rho.append(rho)
+            open_z.append(az)
+            # the open pairs share one exact call at the end of the radius,
+            # or sooner once they fill a batch
+            if (start + m == samples
+                    or sum(map(len, open_rho)) >= _EXACT_BATCH):
+                hits += int(np.count_nonzero(l2_distance(
+                    np.concatenate(open_rho), np.concatenate(open_z)) <= r))
+                open_rho, open_z = [], []
         frac = hits / samples
         vols.append(box * frac)
         hit_list.append(hits)

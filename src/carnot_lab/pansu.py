@@ -98,11 +98,27 @@ def _source_compose(kind, base, disp):
             base[2] + disp[2] + base[0] * disp[1])
 
 
+def _check_resolved(kind, base, disp, moved, t):
+    """Refuse a quotient whose moved point lost its displacement to
+    rounding: in some coordinate, moved - base is off from the shift the
+    product applies by more than half of it, which is what a shift below
+    about one ulp of the base does (0 for base 1e16 and t = 1/2)."""
+    shift = disp if kind == "abelian_to_abelian" else \
+        (disp[0], disp[1], disp[2] + base[0] * disp[1])
+    for name, b, s, m in zip(_ENTRY_NAMES, base, shift, moved):
+        if abs((m - b) - s) > 0.5 * abs(s):
+            raise DomainError(
+                f"base {name} = {b!r} is beyond the schedule's resolution: "
+                f"at t = {float(t)!r} rounding loses its displacement")
+
+
 def blowup_quotient(f: GroupMap, base, direction, t, convention="source_graded"):
     """Single fixed-t term of the blow-up limit, as 3 entries.
 
     The convention switch concerns the group source only; the Abelian
-    source always carries the isotropic (linear) dilations.
+    source always carries the isotropic (linear) dilations. A base so
+    large that base . delta_t(dir) rounds away the displacement is
+    refused with DomainError.
     """
     if not t > 0:
         raise DomainError("blow-up parameter t must be positive")
@@ -110,9 +126,11 @@ def blowup_quotient(f: GroupMap, base, direction, t, convention="source_graded")
         raise DomainError(f"unknown convention {convention!r}")
     if f.kind == "abelian_to_abelian":
         convention = "source_linear"
-    moved = _source_compose(f.kind, tuple(base),
-                            _source_dilate(tuple(direction), t, convention))
-    return (f.apply(moved) - f.apply(tuple(base))) / t
+    base = tuple(base)
+    disp = _source_dilate(tuple(direction), t, convention)
+    moved = _source_compose(f.kind, base, disp)
+    _check_resolved(f.kind, base, disp, moved, t)
+    return (f.apply(moved) - f.apply(base)) / t
 
 
 _UNIT_DIRECTIONS = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))

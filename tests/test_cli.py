@@ -402,6 +402,22 @@ def test_main_config_values_go_through_their_flags(tmp_path, capsys):
     assert payload["result"] == {"a": 2.0, "c": 2.0, "b": 5.0}
 
 
+def test_main_config_key_naming_no_flag_is_a_usage_error(tmp_path, capsys):
+    # a misspelt key used to run with the default and be echoed
+    code, out = _main_with_config(tmp_path, capsys, "qadd", "xs = 5",
+                                  "--y", "2")
+    assert code == 2
+    assert out["error"]["module"] == "cli_reports"
+    assert "'xs'" in out["error"]["message"]
+    assert not (tmp_path / "qadd.bundle.json").exists()
+    # a flag of another command is no flag of this one; a file can name
+    # neither another file nor --help
+    for line in ("seed = 5", 'config = "other.conf"', "help = true"):
+        code, out = _main_with_config(tmp_path, capsys, "qadd", line)
+        assert code == 2, line
+        assert repr(line.split()[0]) in out["error"]["message"]
+
+
 def test_main_unreadable_config_file_is_a_usage_error(tmp_path, capsys):
     bad = tmp_path / "latin1.conf"
     bad.write_bytes(b"q = 2 # \xe9\n")
@@ -697,6 +713,22 @@ def test_main_pansu_refuses_non_finite_bases_and_stays_quiet(tmp_path,
         captured = capsys.readouterr()
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1
+    assert not (tmp_path / "pansu.bundle.json").exists()
+
+
+def test_main_pansu_refuses_bases_beyond_the_schedules_resolution(tmp_path,
+                                                                 capsys):
+    # both used to exit 0 with a wrong matrix: entry (0, 0) = 0.0 for the
+    # identity at 1e16, a zero diagonal at 1e300
+    for base in ("1e16,0,0", "1e300,1e300,1e300"):
+        code = cli.main(["--output-dir", str(tmp_path), "pansu",
+                         "--base", base])
+        assert code == 3, base
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["error"]["module"] == "pansu"
+        assert "resolution" in err["error"]["message"]
     assert not (tmp_path / "pansu.bundle.json").exists()
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -617,8 +618,12 @@ def test_cc_membership_equals_exact_distance(n, r):
     exact = dist.l2_distance(np.hypot(x, y), np.abs(z)) <= r
     # the planted points sit on their side of the sphere
     assert exact[80:80 + m].all() and not exact[80 + m:80 + 2 * m].any()
-    got = dist._cc_membership(x, y, z, r)
+    got, rest, rho, abs_z = dist._cc_membership(x, y, z, r)
     assert got.dtype == bool and got.shape == (n,)
+    # the open samples come with their exact pairs, undecided
+    assert np.array_equal(rho, np.hypot(x[rest], y[rest]))
+    assert np.array_equal(abs_z, np.abs(z[rest])) and not got[rest].any()
+    got[rest] = dist.l2_distance(rho, abs_z) <= r
     assert np.array_equal(got, exact)
 
 
@@ -634,6 +639,42 @@ def test_volume_fit_euclidean_hits_pinned():
     fit = dist.ball_volume_fit("euclidean", (0.5, 1, 1.5, 2), 10 ** 6,
                                seed=7)
     assert fit.hits == (523962, 523696, 523324, 522842)
+
+
+@pytest.mark.parametrize("seed", [3, 11])
+@pytest.mark.parametrize("metric", ["cc", "euclidean"])
+def test_volume_fit_streams_the_whole_array_draws(metric, seed):
+    # the blocks are drawn from jumped copies of the generator; each count
+    # is the one of whole-array draws in x, y, z order, tested directly,
+    # and the next radius starts where the whole arrays left off
+    n = 2 * dist._MEMBERSHIP_BLOCK + 1234
+    radii = (0.5, 1.0, 2.0)
+    rng = np.random.default_rng(seed)
+    expected = []
+    for r in radii:
+        zr = r if metric == "euclidean" else r * r
+        x = rng.uniform(-r, r, n)
+        y = rng.uniform(-r, r, n)
+        z = rng.uniform(-zr, zr, n)
+        if metric == "euclidean":
+            inside = x * x + y * y + z * z <= r * r
+        else:
+            inside = dist.l2_distance(np.hypot(x, y), np.abs(z)) <= r
+        expected.append(int(np.count_nonzero(inside)))
+    fit = dist.ball_volume_fit(metric, radii, n, seed=seed)
+    assert fit.hits == tuple(expected)
+
+
+def test_volume_fit_memory_stays_flat():
+    # the samples are drawn and decided block by block: the whole-array
+    # draws of 10^6 samples alone held 24 MB
+    tracemalloc.start()
+    try:
+        dist.ball_volume_fit("cc", (0.5, 1, 1.5, 2), 10 ** 6, seed=7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
 
 
 def test_volume_fit_refuses_radii_without_log_spread(monkeypatch):

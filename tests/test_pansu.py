@@ -126,6 +126,25 @@ def test_homomorphism_quotients_are_t_independent():
     assert float(np.var(qs[:, 1])) < 1e-12
 
 
+def test_base_beyond_the_schedules_resolution_is_refused():
+    # 1e16 + 1/2 rounds to 1e16, so the identity's entry (0, 0) read 0.0
+    # instead of 1.0; at 1e300 the whole diagonal read 0
+    for kind in pansu.MAP_KINDS:
+        gmap = pansu.GroupMap(kind, lambda x: x)
+        for base in ((1e16, 0.0, 0.0), (1e300, 1e300, 1e300)):
+            with pytest.raises(DomainError, match="resolution"):
+                pansu.pansu_derivative(gmap, base)
+    # 2^-20 is still a multiple of one ulp of 1e9: the base is kept
+    gmap = pansu.GroupMap("heis_to_abelian", lambda x: x)
+    matrix, _ = pansu.pansu_derivative(gmap, (1e9, 0.0, 0.0))
+    assert np.allclose(matrix, [[1, 0, 0], [0, 1, 0], [0, 1e9, 0]],
+                       rtol=1e-12, atol=0.0)
+    # the product's shift counts too: 1e-10 t is below one ulp of z = 1
+    with pytest.raises(DomainError, match="base z"):
+        pansu.blowup_quotient(gmap, (1e-10, 0.0, 1.0), (0.0, 1.0, 0.0),
+                              2.0 ** -20)
+
+
 def test_divergent_entry_is_named():
     gmap = pansu.GroupMap("heis_to_abelian",
                           lambda x: math.sqrt(abs(x)))
