@@ -98,28 +98,11 @@ def _source_compose(kind, base, disp):
             base[2] + disp[2] + base[0] * disp[1])
 
 
-def _check_resolved(kind, base, disp, moved, t):
-    """Refuse a quotient whose moved point lost its displacement to
-    rounding: in some coordinate, moved - base is off from the shift the
-    product applies by more than half of it, which is what a shift below
-    about one ulp of the base does (0 for base 1e16 and t = 1/2)."""
-    shift = disp if kind == "abelian_to_abelian" else \
-        (disp[0], disp[1], disp[2] + base[0] * disp[1])
-    for name, b, s, m in zip(_ENTRY_NAMES, base, shift, moved):
-        if abs((m - b) - s) > 0.5 * abs(s):
-            raise DomainError(
-                f"base {name} = {b!r} is beyond the schedule's resolution: "
-                f"at t = {float(t)!r} rounding loses its displacement")
-
-
-def blowup_quotient(f: GroupMap, base, direction, t, convention="source_graded"):
-    """Single fixed-t term of the blow-up limit, as 3 entries.
-
-    The convention switch concerns the group source only; the Abelian
-    source always carries the isotropic (linear) dilations. A base so
-    large that base . delta_t(dir) rounds away the displacement is
-    refused with DomainError.
-    """
+def _quotient(f, base, direction, t, convention):
+    """The fixed-t quotient, and per coordinate whether its displacement
+    was lost to rounding: the dilated direction moves the coordinate, yet
+    the moved point equals the base there (a step below about half an
+    ulp of the base, such as t = 1/2 against 1e16)."""
     if not t > 0:
         raise DomainError("blow-up parameter t must be positive")
     if convention not in CONVENTIONS:
@@ -129,8 +112,29 @@ def blowup_quotient(f: GroupMap, base, direction, t, convention="source_graded")
     base = tuple(base)
     disp = _source_dilate(tuple(direction), t, convention)
     moved = _source_compose(f.kind, base, disp)
-    _check_resolved(f.kind, base, disp, moved, t)
-    return (f.apply(moved) - f.apply(base)) / t
+    lost = [d != 0 and m == b for d, m, b in zip(disp, moved, base)]
+    return (f.apply(moved) - f.apply(base)) / t, lost
+
+
+def _unresolved(base, i, t):
+    return DomainError(
+        f"base {_ENTRY_NAMES[i]} = {float(base[i])!r} is beyond the "
+        f"schedule's resolution: at t = {float(t)!r} rounding loses its "
+        f"displacement")
+
+
+def blowup_quotient(f: GroupMap, base, direction, t, convention="source_graded"):
+    """Single fixed-t term of the blow-up limit, as 3 entries.
+
+    The convention switch concerns the group source only; the Abelian
+    source always carries the isotropic (linear) dilations. A base so
+    large that base . delta_t(dir) rounds away the displacement in a
+    coordinate the direction moves is refused with DomainError.
+    """
+    q, lost = _quotient(f, base, direction, t, convention)
+    if any(lost):
+        raise _unresolved(tuple(base), lost.index(True), t)
+    return q
 
 
 _UNIT_DIRECTIONS = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
@@ -141,27 +145,41 @@ def blowup_limit(f: GroupMap, base, direction, schedule=None, tol=1e-8):
     """t -> 0+ limit of the blow-up quotient along one direction.
 
     Returns (limit 3-vector, per-entry diagnostics). Entries whose
-    extrapolation fails raise ConvergenceError naming the entry.
+    extrapolation fails raise ConvergenceError naming the entry; a base
+    that loses its displacement to rounding on a level an entry's
+    extrapolation reads raises DomainError.
     """
     sched = schedule if schedule is not None else BlowupSchedule()
     ratio = sched.ratio()
-    quotients = np.array([blowup_quotient(f, base, direction, t,
-                                          sched.convention)
-                          for t in sched.t_values])
+    base = tuple(base)
+    terms = [_quotient(f, base, direction, t, sched.convention)
+             for t in sched.t_values]
+    quotients = np.array([q for q, _ in terms])
+    lost = np.array([flags for _, flags in terms])
+
+    def check_resolved(i, levels):
+        # only the levels the extrapolation read decide the entry
+        k = np.flatnonzero(lost[:levels, i])
+        if k.size:
+            raise _unresolved(base, i, sched.t_values[k[0]])
+
     limits = np.empty(3)
     orders = {}
     for i, name in enumerate(_ENTRY_NAMES):
         seq = quotients[:, i]
         if np.allclose(seq, seq[0], rtol=0.0, atol=1e-300):
+            check_resolved(i, len(seq))
             limits[i], orders[name] = seq[0], float("inf")
             continue
         try:
             limits[i], diag = richardson_limit(seq, ratio=ratio, tol=tol,
                                                what=f"blow-up entry {name!r}")
         except ConvergenceError as exc:
+            check_resolved(i, len(seq))
             raise ConvergenceError(
                 f"entry {name!r} of the blow-up quotient diverges: {exc}"
             ) from exc
+        check_resolved(i, len(diag["diagonal"]))
         orders[name] = diag["order"]
     return limits, orders
 

@@ -730,6 +730,16 @@ def test_main_pansu_refuses_bases_beyond_the_schedules_resolution(tmp_path,
         assert err["error"]["module"] == "pansu"
         assert "resolution" in err["error"]["message"]
     assert not (tmp_path / "pansu.bundle.json").exists()
+    # lost only on levels past where the extrapolation stops: kept
+    for base, entry in (("0,0,1e5", 0.0),
+                        ("1e-10,0,1", 1.000000082740371e-10)):
+        code = cli.main(["--output-dir", str(tmp_path), "pansu",
+                         "--base", base])
+        assert code == 0, base
+        capsys.readouterr()
+        bundle = json.loads((tmp_path / "pansu.bundle.json").read_text())
+        assert bundle["payload"]["matrix"] == [[1, 0, 0], [0, 1, 0],
+                                               [0, entry, 0]]
 
 
 def test_main_entropy_refuses_uniform_presets_above_the_cap(tmp_path,

@@ -641,14 +641,8 @@ def test_volume_fit_euclidean_hits_pinned():
     assert fit.hits == (523962, 523696, 523324, 522842)
 
 
-@pytest.mark.parametrize("seed", [3, 11])
-@pytest.mark.parametrize("metric", ["cc", "euclidean"])
-def test_volume_fit_streams_the_whole_array_draws(metric, seed):
-    # the blocks are drawn from jumped copies of the generator; each count
-    # is the one of whole-array draws in x, y, z order, tested directly,
-    # and the next radius starts where the whole arrays left off
-    n = 2 * dist._MEMBERSHIP_BLOCK + 1234
-    radii = (0.5, 1.0, 2.0)
+def _whole_array_hits(metric, radii, n, seed):
+    # whole-array draws in x, y, z order per radius, tested directly
     rng = np.random.default_rng(seed)
     expected = []
     for r in radii:
@@ -661,8 +655,26 @@ def test_volume_fit_streams_the_whole_array_draws(metric, seed):
         else:
             inside = dist.l2_distance(np.hypot(x, y), np.abs(z)) <= r
         expected.append(int(np.count_nonzero(inside)))
+    return tuple(expected)
+
+
+@pytest.mark.parametrize("metric, seed, batch", [
+    ("cc", 3, None), ("cc", 11, None), ("euclidean", 3, None),
+    ("euclidean", 11, None),
+    # the open pairs go to l2_distance mid-radius, as they do beyond
+    # ~1.6e6 samples at the real batch size
+    ("cc", 3, 1000)])
+def test_volume_fit_streams_the_whole_array_draws(metric, seed, batch,
+                                                  monkeypatch):
+    # the blocks are drawn from jumped copies of the generator; each count
+    # is the one of whole-array draws, and the next radius starts where
+    # the whole arrays left off
+    if batch is not None:
+        monkeypatch.setattr(dist, "_EXACT_BATCH", batch)
+    n = 2 * dist._MEMBERSHIP_BLOCK + 1234
+    radii = (0.5, 1.0, 2.0)
     fit = dist.ball_volume_fit(metric, radii, n, seed=seed)
-    assert fit.hits == tuple(expected)
+    assert fit.hits == _whole_array_hits(metric, radii, n, seed)
 
 
 def test_volume_fit_memory_stays_flat():

@@ -139,10 +139,28 @@ def test_base_beyond_the_schedules_resolution_is_refused():
     matrix, _ = pansu.pansu_derivative(gmap, (1e9, 0.0, 0.0))
     assert np.allclose(matrix, [[1, 0, 0], [0, 1, 0], [0, 1e9, 0]],
                        rtol=1e-12, atol=0.0)
-    # the product's shift counts too: 1e-10 t is below one ulp of z = 1
+    with pytest.raises(DomainError, match="base x = 1e"):
+        pansu.blowup_quotient(gmap, (1e16, 0.0, 0.0), (1.0, 0.0, 0.0), 0.5)
+
+
+def test_only_the_levels_the_extrapolation_reads_must_resolve():
+    # the finest levels lose these bases' displacements (t^2 = 2^-40 is
+    # below half an ulp of z = 1e5; 1e-10 t is below one ulp of z = 1),
+    # but each entry's extrapolation stops on the coarse levels, so the
+    # matrices are the ones computed before the resolution check
+    gmap = pansu.GroupMap("heis_to_abelian", lambda x: x)
     with pytest.raises(DomainError, match="base z"):
-        pansu.blowup_quotient(gmap, (1e-10, 0.0, 1.0), (0.0, 1.0, 0.0),
+        pansu.blowup_quotient(gmap, (0.0, 0.0, 1e5), (0.0, 0.0, 1.0),
                               2.0 ** -20)
+    matrix, _ = pansu.pansu_derivative(gmap, (0.0, 0.0, 1e5))
+    assert matrix.tolist() == [[1, 0, 0], [0, 1, 0], [0, 0, 0]]
+    matrix, _ = pansu.pansu_derivative(gmap, (1e-10, 0.0, 1.0))
+    assert matrix.tolist() == [[1, 0, 0], [0, 1, 0],
+                               [0, 1.000000082740371e-10, 0]]
+    # a level that is read and lost still refuses: z = 1e15 rounds away
+    # t^2 = 1/16, the second level of the vertical entry
+    with pytest.raises(DomainError, match="t = 0.25"):
+        pansu.pansu_derivative(gmap, (0.0, 0.0, 1e15))
 
 
 def test_divergent_entry_is_named():
