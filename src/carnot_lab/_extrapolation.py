@@ -1,40 +1,55 @@
-"""Richardson extrapolation for sequences with geometric step schedules."""
+"""Richardson extrapolation over geometric step schedules: the one limit
+behind both the blow-up and the Jackson derivatives."""
 
 import numpy as np
 
-from .errors import ConvergenceError
+from .errors import ConvergenceError, DomainError
+
+
+def geometric_ratio(steps):
+    """Common ratio h_k / h_{k+1} of at least 3 finite, nonzero steps that
+    shrink geometrically (to a relative 1e-9); else DomainError."""
+    steps = np.asarray(steps, dtype=float)
+    if steps.ndim != 1 or len(steps) < 3:
+        raise DomainError("schedule must hold at least 3 steps")
+    if np.any(steps == 0) or not np.all(np.isfinite(steps)):
+        raise DomainError("schedule steps must be finite and nonzero")
+    r = steps[:-1] / steps[1:]
+    if not np.allclose(r, r[0], rtol=1e-9):
+        raise DomainError("schedule must shrink geometrically")
+    return float(r[0])
 
 
 def richardson_limit(values, ratio=2.0, tol=1e-9, what="sequence"):
     """Extrapolate ``values[k] = L + c1*h_k + c2*h_k^2 + ...`` to h -> 0.
 
     ``values`` must be evaluated on steps h_k shrinking by ``ratio`` per
-    index. Returns (limit, diagnostics) where diagnostics holds the
-    diagonal of the tableau and the estimated leading order. Raises
-    ConvergenceError if the last two diagonal entries disagree by more
-    than ``tol`` (absolute, or relative for large limits).
+    index. Returns (limit, diagnostics): the diagonal of the tableau, one
+    entry per value read, and the estimated leading order. The tableau
+    stops once two successive diagonal entries agree within ``tol``
+    (absolute, or relative for large limits). A constant sequence (to an
+    absolute 1e-300) is exact: its first value, order inf, and a diagonal
+    as long as the sequence. Fewer than 3 values raise DomainError;
+    non-finite ones, or no agreement, ConvergenceError.
     """
     vals = np.asarray(values, dtype=float)
     if vals.ndim != 1 or len(vals) < 3:
-        raise ValueError("need at least 3 sequence values to extrapolate")
+        raise DomainError("need at least 3 sequence values to extrapolate")
+    if np.allclose(vals, vals[0], rtol=0.0, atol=1e-300):
+        return vals[0], {"diagonal": [vals[0]] * len(vals),
+                         "order": float("inf")}
     if not np.all(np.isfinite(vals)):
         raise ConvergenceError(f"{what}: non-finite terms in schedule")
     row = vals.copy()
     diagonal = [row[0]]
-    m = len(vals)
-    for j in range(1, m):
+    for j in range(1, len(vals)):
         fac = ratio ** j
         row = (fac * row[1:] - row[:-1]) / (fac - 1.0)
         diagonal.append(row[0])
-        if len(row) >= 2 and j >= 2:
-            a, b = diagonal[-2], diagonal[-1]
-            scale = max(1.0, abs(b))
-            if abs(a - b) <= tol * scale:
-                order = _leading_order(vals, ratio)
-                return b, {"diagonal": diagonal, "order": order}
-    a, b = diagonal[-2], diagonal[-1]
-    if abs(a - b) <= tol * max(1.0, abs(b)):
-        return b, {"diagonal": diagonal, "order": _leading_order(vals, ratio)}
+        a, b = diagonal[-2], diagonal[-1]
+        if j >= 2 and abs(a - b) <= tol * max(1.0, abs(b)):
+            return b, {"diagonal": diagonal,
+                       "order": _leading_order(vals, ratio)}
     raise ConvergenceError(
         f"{what}: extrapolants did not stabilize "
         f"(last gap {abs(a - b):.3e} > tol {tol:.1e})")

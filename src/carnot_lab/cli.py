@@ -10,6 +10,7 @@ into the output directory, and prints a short summary.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -126,14 +127,6 @@ def _parse_element(data, where):
     return el
 
 
-def _element_json(el):
-    if isinstance(el, heisenberg.HeisMatrix):
-        return heisenberg.matrix_to_json(el)
-    if isinstance(el, heisenberg.HeisPoint):
-        return heisenberg.point_to_json(el)
-    return {"alpha": el.alpha, "beta": el.beta, "gamma": el.gamma}
-
-
 def _cmd_group(cfg):
     op = cfg["op"]
     g1 = _parse_element(cfg["g1"], "--g1")
@@ -175,7 +168,7 @@ def _cmd_group(cfg):
         result = heisenberg.log_map(g1)
     else:
         raise DomainError(f"unknown group op {op!r}")
-    return {"op": op, "result": _element_json(result)}
+    return {"op": op, "result": result._asdict()}
 
 
 def _ccdist_point(data, where):
@@ -211,8 +204,7 @@ def _cmd_ccdist(cfg):
                                    endpoint_tol=cfg["tol"])
         if first_witness is None:
             first_witness = res.witness
-        out.append({"A": heisenberg.point_to_json(a),
-                    "B": heisenberg.point_to_json(b),
+        out.append({"A": a._asdict(), "B": b._asdict(),
                     "dist": res.value, "lower": res.lower,
                     "upper": res.upper,
                     "endpoint_error": res.endpoint_error,
@@ -286,11 +278,7 @@ def _cmd_volume(cfg):
     radii = [float(tok) for tok in str(cfg["radii"]).split(",")]
     fit = distance.ball_volume_fit(cfg["metric"], radii, cfg["samples"],
                                    cfg["seed"])
-    return {"metric": fit.metric, "exponent": fit.exponent,
-            "intercept": fit.intercept, "max_residual": fit.max_residual,
-            "radii": list(fit.radii), "volumes": list(fit.volumes),
-            "hits": list(fit.hits), "std_errors": list(fit.std_errors),
-            "samples": fit.samples, "seed": fit.seed}
+    return dataclasses.asdict(fit)
 
 
 def _parse_map(spec_str):

@@ -39,7 +39,8 @@ import numpy as np
 from scipy.optimize import brentq, minimize  # noqa: F401
 
 from .errors import DomainError
-from .geometry import HorizontalPath, cc_length, chow_connect, integrate_path
+from .geometry import (HORIZONTAL_NORMS, HorizontalPath, cc_length,
+                       chow_connect, integrate_path)
 from .heisenberg import ORIGIN, HeisPoint, exp_inv, exp_mul
 
 DEFAULT_SEGMENTS = 64
@@ -286,8 +287,8 @@ def cc_distance(A, B, *, segments=DEFAULT_SEGMENTS, norm="l2",
     value, where that is shorter), so the value lies between them.
 
     For l1 and linf the value is bracketed by the ``distance_bounds``.
-    ``segments`` must be a positive integer, ``endpoint_tol`` positive
-    and finite.
+    ``norm`` must be one of ``HORIZONTAL_NORMS``, ``segments`` a positive
+    integer, ``endpoint_tol`` positive and finite.
     """
     if isinstance(segments, bool) \
             or not isinstance(segments, numbers.Integral) or segments < 1:
@@ -298,10 +299,11 @@ def cc_distance(A, B, *, segments=DEFAULT_SEGMENTS, norm="l2",
             or not 0.0 < endpoint_tol < math.inf:
         raise DomainError(f"endpoint tolerance must be positive and finite, "
                           f"got {endpoint_tol!r}")
+    if norm not in HORIZONTAL_NORMS:
+        raise DomainError(f"unknown horizontal norm {norm!r}")
     A = HeisPoint(*A)
     B = HeisPoint(*B)
     delta = exp_mul(exp_inv(A), B)
-    lower, upper = distance_bounds(delta, norm)
     if delta == (0.0, 0.0, 0.0):
         return DistanceResult(0.0, HorizontalPath(A), 0.0, 0.0, 0.0,
                               norm=norm, segments=segments)
@@ -345,6 +347,7 @@ def cc_distance(A, B, *, segments=DEFAULT_SEGMENTS, norm="l2",
         controls = np.column_stack([scale * U[:n], scale * U[n:],
                                     np.full(n, 1.0 / n)])
     else:
+        lower, upper = distance_bounds(delta, norm)
         length_hat, controls = _l1_geodesic(that, norm)
         end = integrate_path(HorizontalPath(ORIGIN, controls))
         err_hat = float(np.max(np.abs(np.subtract(end, that))))

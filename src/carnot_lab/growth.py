@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BudgetError, DomainError
+from .heisenberg import abelian_inv, abelian_mul
 
 IDENTITY = (0, 0, 0)
 
@@ -56,15 +57,10 @@ def heis_inv(g):
     return (-g[0], -g[1], g[0] * g[1] - g[2])
 
 
-def z3_mul(g, s):
-    return (g[0] + s[0], g[1] + s[1], g[2] + s[2])
-
-
-def z3_inv(g):
-    return (-g[0], -g[1], -g[2])
-
-
-GROUP_LAWS = {"heis_Z": (heis_mul, heis_inv), "z3": (z3_mul, z3_inv)}
+# Z^3 is heisenberg's Abelian group; heis_mul restates heisenberg.mul on
+# the plain int tuples the search multiplies
+GROUP_LAWS = {"heis_Z": (heis_mul, heis_inv),
+              "z3": (abelian_mul, abelian_inv)}
 
 
 def _lattice_triple(g, what):
@@ -120,10 +116,6 @@ class GrowthTable:
             "radii": list(self.radii),
             "counts": list(self.counts),
         }
-
-    def to_csv_rows(self):
-        return [("r", "count")] + [(r, c) for r, c in zip(self.radii,
-                                                          self.counts)]
 
 
 def _check_radius(name, value):

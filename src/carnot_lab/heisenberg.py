@@ -187,25 +187,13 @@ def abelian_bracket(v1, v2):
 
 
 # ---------------------------------------------------------------------------
-# JSON forms used by the CLI
-
-def matrix_to_json(g: HeisMatrix) -> dict:
-    return {"a": g.a, "c": g.c, "b": g.b}
-
-
-def point_to_json(p: HeisPoint) -> dict:
-    return {"x": p.x, "y": p.y, "z": p.z}
-
+# JSON forms used by the CLI: an element's JSON object is its ``_asdict()``
 
 def element_from_json(data: dict):
     """Parse {"a":..,"c":..,"b":..} as HeisMatrix, {"x":..,"y":..,"z":..}
     as HeisPoint, or {"alpha":..,"beta":..,"gamma":..} as LieVector."""
     keys = set(data)
-    if keys == {"a", "c", "b"}:
-        return HeisMatrix(float(data["a"]), float(data["c"]), float(data["b"]))
-    if keys == {"x", "y", "z"}:
-        return HeisPoint(float(data["x"]), float(data["y"]), float(data["z"]))
-    if keys == {"alpha", "beta", "gamma"}:
-        return LieVector(float(data["alpha"]), float(data["beta"]),
-                         float(data["gamma"]))
+    for cls in (HeisMatrix, HeisPoint, LieVector):
+        if keys == set(cls._fields):
+            return cls(*(float(data[k]) for k in cls._fields))
     raise ValueError(f"unrecognized group element fields {sorted(keys)}")

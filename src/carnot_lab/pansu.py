@@ -26,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._extrapolation import richardson_limit
+from ._extrapolation import geometric_ratio, richardson_limit
 from .errors import ConvergenceError, DomainError
 from .qalgebra import jackson_quotient
 
@@ -77,10 +77,7 @@ class BlowupSchedule:
         object.__setattr__(self, "t_values", ts)
 
     def ratio(self):
-        r = self.t_values[:-1] / self.t_values[1:]
-        if not np.allclose(r, r[0], rtol=1e-9):
-            raise DomainError("schedule must shrink geometrically")
-        return float(r[0])
+        return geometric_ratio(self.t_values)
 
 
 def _source_dilate(coords, t, convention):
@@ -167,10 +164,6 @@ def blowup_limit(f: GroupMap, base, direction, schedule=None, tol=1e-8):
     orders = {}
     for i, name in enumerate(_ENTRY_NAMES):
         seq = quotients[:, i]
-        if np.allclose(seq, seq[0], rtol=0.0, atol=1e-300):
-            check_resolved(i, len(seq))
-            limits[i], orders[name] = seq[0], float("inf")
-            continue
         try:
             limits[i], diag = richardson_limit(seq, ratio=ratio, tol=tol,
                                                what=f"blow-up entry {name!r}")
@@ -226,20 +219,12 @@ def jackson_profile(fn, x0, t_grid=None, tol=1e-9) -> JacksonProfile:
         raise DomainError("grid needs at least 3 t values")
     quotients = np.array([jackson_quotient(fn, x0, t) for t in ts])
     steps = ts - 1.0
-    ratios = steps[:-1] / steps[1:]
-    limit = None
-    if np.allclose(ratios, ratios[0], rtol=1e-9):
-        if np.allclose(quotients, quotients[0], rtol=0.0, atol=1e-300):
-            limit = float(quotients[0])
-        else:
-            try:
-                limit, _ = richardson_limit(quotients, ratio=float(ratios[0]),
-                                            tol=tol, what="quotient profile")
-            except ConvergenceError:
-                limit = None  # short or rough grid, fall through
-    if limit is None:
-        # best-effort polynomial extrapolation in (t - 1); the profile is
-        # an exhibit, so it never refuses to report
+    try:
+        limit, _ = richardson_limit(quotients, ratio=geometric_ratio(steps),
+                                    tol=tol, what="quotient profile")
+    except (DomainError, ConvergenceError):
+        # a non-geometric or rough grid: best-effort polynomial fit in
+        # (t - 1); the profile is an exhibit, so it never refuses to report
         deg = min(3, len(ts) - 1)
         limit = float(np.polyval(np.polyfit(steps, quotients, deg), 0.0))
     return JacksonProfile(float(x0), np.column_stack([ts, quotients]),

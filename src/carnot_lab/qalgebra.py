@@ -15,7 +15,7 @@ import os
 
 import numpy as np
 
-from ._extrapolation import richardson_limit
+from ._extrapolation import geometric_ratio, richardson_limit
 from .errors import ConvergenceError, DomainError
 
 SUM_TOL = 1e-12          # admissible deviation of sum(weights) from 1
@@ -310,21 +310,15 @@ def jackson_derivative(f, x, schedule=None, tol=1e-9) -> float:
     extrapolation over a geometric schedule of t values.
 
     The default schedule is t_k = 1 + 2^-k, k = 1..20; convergence is
-    accepted when two successive extrapolants agree to ``tol``. A schedule
-    that fails to stabilize raises ConvergenceError.
+    accepted when two successive extrapolants agree to ``tol``. Schedules
+    that are not geometric raise DomainError, quotients that fail to
+    stabilize ConvergenceError.
     """
     if x == 0:
         raise DomainError("Jackson derivative is degenerate at x = 0")
     ts = default_jackson_schedule() if schedule is None else np.asarray(schedule, float)
-    if ts.ndim != 1 or len(ts) < 3:
-        raise DomainError("schedule must hold at least 3 values of t")
-    steps = ts - 1.0
-    if np.any(steps == 0) or np.any(~np.isfinite(steps)):
-        raise DomainError("schedule values must be finite and different from 1")
-    ratios = steps[:-1] / steps[1:]
-    if not np.allclose(ratios, ratios[0], rtol=1e-9):
-        raise DomainError("schedule must approach 1 geometrically")
+    ratio = geometric_ratio(ts - 1.0)
     quotients = [jackson_quotient(f, x, t) for t in ts]
-    limit, _ = richardson_limit(quotients, ratio=float(ratios[0]), tol=tol,
+    limit, _ = richardson_limit(quotients, ratio=ratio, tol=tol,
                                 what="jackson derivative")
     return limit

@@ -300,6 +300,13 @@ def test_bounds_function():
         dist.distance_bounds((0, 0, 1), norm="l7")
 
 
+def test_cc_distance_refuses_unknown_norm():
+    # refused up front, also for coincident points, which return early
+    for b in (hg.HeisPoint(0.3, -0.4, 0.6), O):
+        with pytest.raises(DomainError, match="unknown horizontal norm"):
+            dist.cc_distance(O, b, norm="l7")
+
+
 def test_degraded_fallback_uses_explicit_connection(monkeypatch):
     # when no l2 slot path reaches the endpoint, the result is the
     # explicit segment+loop path, flagged as degraded

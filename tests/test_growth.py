@@ -6,6 +6,7 @@ import pytest
 
 from carnot_lab import growth
 from carnot_lab.errors import BudgetError, DomainError
+from carnot_lab.reports import ReportBundle, emit_plot_table
 
 
 def octahedral_count(r):
@@ -183,7 +184,8 @@ def test_word_ball_payload_schema():
     payload = table.to_payload()
     assert set(payload) == {"group", "generators", "radii", "counts"}
     assert payload["counts"] == [1, 7, 25, 63]
-    assert ("r", "count") == table.to_csv_rows()[0]
+    csv_text = emit_plot_table(ReportBundle("growth", {}, payload))
+    assert csv_text.splitlines()[0] == "r,count"
 
 
 @pytest.mark.parametrize("group,gens,norm_radius", RICHER_SETS + [MIXED_SET])

@@ -21,6 +21,14 @@ def test_schedule_validation():
         pansu.BlowupSchedule(convention="graded")
     sched = pansu.BlowupSchedule()
     assert sched.ratio() == pytest.approx(2.0)
+    # NaN, infinite, zero and non-geometric t values are refused by the
+    # schedule or by the limit that reads it
+    gmap = pansu.GroupMap("abelian_to_abelian", lambda x: x)
+    for bad in ([0.5, math.nan, 0.125], [math.inf, 0.25, 0.125],
+                [0.5, 0.25, 0.0], [0.5, 0.4, 0.35]):
+        with pytest.raises(DomainError):
+            pansu.blowup_limit(gmap, (1.0, 2.0, 3.0), (1.0, 0.0, 0.0),
+                               pansu.BlowupSchedule(np.array(bad)))
 
 
 def test_group_map_validation():
@@ -201,6 +209,15 @@ def test_jackson_profile_moment_function_gives_entropy():
         quotient_at_q = prof.table[0, 1]
         assert quotient_at_q == pytest.approx(-qa.tsallis_entropy(p, q),
                                               rel=1e-9)
+
+
+def test_jackson_profile_non_geometric_grid_falls_back_to_polyfit():
+    grid = [1.5, 1.3, 1.1, 1.05]
+    prof = pansu.jackson_profile(math.exp, 1.0, t_grid=grid)
+    steps = np.array(grid) - 1.0
+    cubic = np.polyfit(steps, prof.table[:, 1], 3)
+    assert prof.extrapolant == float(np.polyval(cubic, 0.0))
+    assert prof.extrapolant == pytest.approx(math.e, rel=1e-2)
 
 
 def test_jackson_profile_rejects_zero_base():

@@ -231,6 +231,11 @@ def test_jackson_derivative_errors():
         qa.jackson_derivative(lambda x: x, 0.0)
     with pytest.raises(DomainError):
         qa.jackson_derivative(lambda x: x, 1.0, schedule=[1.5, 1.4, 1.35])
+    # NaN, infinite and zero steps (t = 1) are not a geometric schedule
+    for bad in ([1.5, math.nan, 1.125], [math.inf, 1.25, 1.125],
+                [1.5, 1.25, 1.0], [1.5, 1.25]):
+        with pytest.raises(DomainError):
+            qa.jackson_derivative(lambda x: x, 1.0, schedule=bad)
     with pytest.raises(ConvergenceError):
         # quotient ~ 1/sqrt(t-1) blows up as t -> 1
         qa.jackson_derivative(lambda x: math.sqrt(abs(x - 1.0)), 1.0 + 1e-30)
