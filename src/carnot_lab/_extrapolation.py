@@ -8,14 +8,16 @@ from .errors import ConvergenceError, DomainError
 
 def geometric_ratio(steps):
     """Common ratio h_k / h_{k+1} of at least 3 finite, nonzero steps that
-    shrink geometrically (to a relative 1e-9); else DomainError."""
+    shrink geometrically (to a relative 1e-9, and |ratio| > 1); else
+    DomainError. A ratio of modulus 1 would make the Richardson factors
+    ratio^j - 1 vanish, and a smaller one means the steps grow."""
     steps = np.asarray(steps, dtype=float)
     if steps.ndim != 1 or len(steps) < 3:
         raise DomainError("schedule must hold at least 3 steps")
     if np.any(steps == 0) or not np.all(np.isfinite(steps)):
         raise DomainError("schedule steps must be finite and nonzero")
     r = steps[:-1] / steps[1:]
-    if not np.allclose(r, r[0], rtol=1e-9):
+    if not (np.allclose(r, r[0], rtol=1e-9) and abs(r[0]) > 1.0):
         raise DomainError("schedule must shrink geometrically")
     return float(r[0])
 

@@ -21,9 +21,11 @@ are isometries (up to the linear dilation factor), so invariance of the
 reported distance under left translation and dilation holds by
 construction.
 
-The l2 distance from the origin also has a closed form, ``l2_distance``;
-Monte Carlo ball membership uses it where neither the elementary bounds
-nor the bracket of its Newton solve decide a sample.
+The l2 distance from the origin also has a closed form, ``l2_distance``,
+and so does the height of the l2 ball, r^2 / (2 pi). Monte Carlo ball
+membership screens samples by that height first, and uses the exact
+distance where neither the height, the elementary bounds nor the bracket
+of its Newton solve decide a sample.
 """
 
 from __future__ import annotations
@@ -366,8 +368,8 @@ def cc_distance(A, B, *, segments=DEFAULT_SEGMENTS, norm="l2",
 _NEWTON_STEPS = 5  # reaches 1e-15 relative error for w in [1e-8, 1e8]
 # samples per membership block: its temporaries stay in cache
 _MEMBERSHIP_BLOCK = 1 << 15
-# open pairs per exact l2_distance call in ball_volume_fit; about 4% of the
-# samples stay open, so up to ~1.6e6 samples a radius takes one call
+# open pairs per exact l2_distance call in ball_volume_fit; about 2.7% of
+# the samples stay open, so up to ~2.4e6 samples a radius takes one call
 _EXACT_BATCH = 1 << 16
 
 
@@ -449,6 +451,14 @@ def _cc_membership(x, y, z, r):
     element, to ``l2_distance(np.hypot(x, y), |z|) <= r``. The tiers,
     each deciding what it can and passing on the rest:
 
+    0. the height of the ball, |z| <= r^2 / (2 pi): a point of the
+       sphere of radius s lies on a meridian rho = s sin theta / theta,
+       |z| = s^2 (2 theta - sin 2 theta) / (8 theta^2), theta in
+       [0, pi], and the theta-derivative of (2 theta - sin 2 theta) /
+       theta^2 is 4 cos theta (sin theta - theta cos theta) / theta^3,
+       so the height peaks at theta = pi/2, at s^2 / (2 pi). This one
+       comparison leaves 1 / (2 pi), about a sixth, of the sampling box
+       to the later tiers;
     1. the elementary bounds of ``distance_bounds``,
        max(rho, 2 sqrt(pi |z|) - rho) <= d <= rho + 2 sqrt(pi |z|);
     2. the distances at the ends of ``_half_angle_brackets``, since
@@ -456,19 +466,26 @@ def _cc_membership(x, y, z, r):
        <= rho t_hi / sin t_hi on the arc branch, rho pi / 2 <= d <=
        rho (pi - p_lo) / sin p_lo on the loop branch.
 
-    A bound decides only where it clears r by a relative 1e-12, far more
+    A tier decides only where it clears r by a relative 1e-12, far more
     than the rounding of the bounds and of ``l2_distance`` (below 4e-16
     relative), so near-ties reach the exact value. x * x + y * y must not
     overflow; ``ball_volume_fit``'s radius domain sees to that.
     """
     r_in, r_out = r * (1.0 - 1e-12), r * (1.0 + 1e-12)
+    hit = np.zeros(len(z), dtype=bool)
+    # tier 0; tiers 1 and 2 see only the candidates it gathers, and
+    # index into them
+    az = np.abs(z)
+    low = np.flatnonzero(az <= r_out * r_out / (2.0 * np.pi))
+    x, y, az = x[low], y[low], az[low]
     # tier 1; sqrt(x^2 + y^2) is within the margin of np.hypot and
     # several times faster
     rho = np.sqrt(x * x + y * y)
-    az = np.abs(z)
     vertical = 2.0 * np.sqrt(np.pi * az)
-    hit = rho + vertical <= r_in
-    band = np.flatnonzero(~hit & (np.maximum(rho, vertical - rho) <= r_out))
+    inside = rho + vertical <= r_in
+    hit[low[inside]] = True
+    band = np.flatnonzero(~inside
+                          & (np.maximum(rho, vertical - rho) <= r_out))
     # tier 2; on the axis (q = inf) and the plane (w = 0) the tier-1
     # bounds coincide, so only near-ties get here and pass on
     rho = rho[band]
@@ -482,10 +499,10 @@ def _cc_membership(x, y, z, r):
                                 rl * (np.pi - p_lo) / np.sin(p_lo)))
     bracketed = np.concatenate((band[arc], band[loop]))
     surely_in = upper <= r_in
-    hit[bracketed[surely_in]] = True
+    hit[low[bracketed[surely_in]]] = True
     rest = np.concatenate((bracketed[~surely_in & (lower <= r_out)],
                            band[~(arc | loop)]))
-    return hit, rest, np.hypot(x[rest], y[rest]), az[rest]
+    return hit, low[rest], np.hypot(x[rest], y[rest]), az[rest]
 
 
 # ---------------------------------------------------------------------------
@@ -518,11 +535,12 @@ def ball_volume_fit(metric, radii, samples, seed) -> VolumeFit:
     They are drawn and decided in cache-sized blocks of
     ``_MEMBERSHIP_BLOCK``, from three copies of the generator jumped to
     the start of each run, so memory does not grow with ``samples``.
-    Distance-ball membership is ``_cc_membership`` (the elementary path
-    bounds, then the half-angle bracket of the exact distance) per block,
-    then ``l2_distance`` on the pairs both leave open, gathered into one
-    call per radius (per ``_EXACT_BATCH`` pairs beyond ~1.6e6 samples);
-    Euclidean membership is the squared norm.
+    Distance-ball membership is ``_cc_membership`` (the ball's height,
+    which rules out about five samples in six, then the elementary path
+    bounds and the half-angle bracket of the exact distance on the rest)
+    per block, then ``l2_distance`` on the pairs all three leave open,
+    gathered into one call per radius (per ``_EXACT_BATCH`` pairs beyond
+    ~2.4e6 samples); Euclidean membership is the squared norm.
 
     Every radius must have a box volume (8 r^3 Euclidean, 8 r^4 cc) that
     is a finite, normal, positive float, so that the volumes, their logs

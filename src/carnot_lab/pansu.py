@@ -60,9 +60,9 @@ def default_blowup_schedule(levels=20):
 
 @dataclass(frozen=True)
 class BlowupSchedule:
-    """Strictly decreasing positive t values approaching 0, plus the
-    source dilation convention (graded t^2 on the vertical coordinate, or
-    linear t on all three)."""
+    """Strictly decreasing positive t values shrinking geometrically to 0,
+    plus the source dilation convention (graded t^2 on the vertical
+    coordinate, or linear t on all three)."""
     t_values: np.ndarray = field(default_factory=default_blowup_schedule)
     convention: str = "source_graded"
 
@@ -75,9 +75,11 @@ class BlowupSchedule:
         if self.convention not in CONVENTIONS:
             raise DomainError(f"unknown convention {self.convention!r}")
         object.__setattr__(self, "t_values", ts)
+        # the schedule is frozen, so its ratio is checked once, here
+        object.__setattr__(self, "_ratio", geometric_ratio(ts))
 
     def ratio(self):
-        return geometric_ratio(self.t_values)
+        return self._ratio
 
 
 def _source_dilate(coords, t, convention):

@@ -634,6 +634,75 @@ def test_cc_membership_equals_exact_distance(n, r):
     assert np.array_equal(got, exact)
 
 
+def _unit_meridian_height(t):
+    # |z| on the unit sphere's meridian at half-angle t
+    return (2.0 * t - np.sin(2.0 * t)) / (8.0 * t * t)
+
+
+def test_l2_ball_height_closed_form():
+    # the unit sphere's meridian never climbs above 1 / (2 pi), and
+    # reaches it at t = pi/2, the top rim (rho, |z|) = (2 / pi, 1 / (2 pi))
+    t = np.linspace(0.0, math.pi, 200_001)[1:]
+    height = _unit_meridian_height(t)
+    top = 1.0 / (2.0 * math.pi)
+    assert height.max() <= top * (1.0 + 1e-15)
+    assert _unit_meridian_height(0.5 * math.pi) == pytest.approx(top,
+                                                                rel=1e-15)
+    peak = minimize_scalar(lambda u: -_unit_meridian_height(u),
+                           bounds=(1e-3, math.pi), method="bounded",
+                           options={"xatol": 1e-10})
+    assert peak.x == pytest.approx(0.5 * math.pi, abs=1e-6)
+    # the exact distance puts the rim on the unit sphere
+    assert dist.l2_distance(2.0 / math.pi, top) == pytest.approx(1.0,
+                                                                rel=1e-14)
+
+
+@pytest.mark.parametrize("r", [1.0, 1e-70, 1e70])
+def test_cc_membership_height_screen_on_the_top_rim(r):
+    # points planted on the top rim of spheres just outside and just
+    # inside radius r, the second pair within the tiers' 1e-12 margin,
+    # then a run within a few dozen roundings of r, among uniform samples
+    # of the box: the screen plus the exact tier decide each as the exact
+    # distance does
+    rng = np.random.default_rng([17, int(math.log10(r)) + 100])
+    n, m, ties = 8000, 250, 3000
+    x = rng.uniform(-r, r, n)
+    y = rng.uniform(-r, r, n)
+    z = rng.uniform(-r * r, r * r, n)
+    rels = (1e-9, -1e-9, 1e-13, -1e-13)
+    s = r * (1.0 + np.concatenate((
+        np.repeat(rels, m),
+        rng.integers(-64, 65, ties) * np.finfo(float).eps)))
+    planted = len(s)
+    angle = rng.uniform(0.0, 2.0 * math.pi, planted)
+    x[:planted] = 2.0 * s / math.pi * np.cos(angle)
+    y[:planted] = 2.0 * s / math.pi * np.sin(angle)
+    z[:planted] = s * s / (2.0 * math.pi) * rng.choice([-1.0, 1.0], planted)
+    exact = dist.l2_distance(np.hypot(x, y), np.abs(z)) <= r
+    for k, rel in enumerate(rels):
+        assert (exact[k * m:(k + 1) * m] == (rel < 0)).all()
+    got, rest, rho, abs_z = dist._cc_membership(x, y, z, r)
+    # beyond the margin the rim is decided outside before the exact tier
+    assert not got[:m].any() and not np.isin(np.arange(m), rest).any()
+    got[rest] = dist.l2_distance(rho, abs_z) <= r
+    assert np.array_equal(got, exact)
+
+
+def test_volume_fit_open_share_pinned(monkeypatch):
+    # the pairs left to the exact distance at this seed: 2.7% of the
+    # samples with the height screen, 3.7% with the bounds alone
+    sent, exact = [], dist.l2_distance
+
+    def counting(rho, abs_z):
+        sent.append(len(rho))
+        return exact(rho, abs_z)
+
+    monkeypatch.setattr(dist, "l2_distance", counting)
+    samples = 10 ** 6
+    dist.ball_volume_fit("cc", (0.5, 1, 1.5, 2), samples, seed=7)
+    assert sum(sent) <= 0.03 * 4 * samples
+
+
 def test_volume_fit_hits_pinned():
     # the tiers only decide sooner: each count stays the one the exact
     # distance gives at this seed

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -218,6 +219,18 @@ def test_jackson_profile_non_geometric_grid_falls_back_to_polyfit():
     cubic = np.polyfit(steps, prof.table[:, 1], 3)
     assert prof.extrapolant == float(np.polyval(cubic, 0.0))
     assert prof.extrapolant == pytest.approx(math.e, rel=1e-2)
+
+
+def test_jackson_profile_alternating_grid_falls_back_to_polyfit():
+    # steps of +-0.5 have ratio -1, which no extrapolation can use; the
+    # profile still reports the cubic fit (rank-deficient on two
+    # distinct steps)
+    grid = [1.5, 0.5, 1.5, 0.5]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", np.exceptions.RankWarning)
+        prof = pansu.jackson_profile(math.exp, 1.0, t_grid=grid)
+        cubic = np.polyfit(np.array(grid) - 1.0, prof.table[:, 1], 3)
+    assert prof.extrapolant == float(np.polyval(cubic, 0.0))
 
 
 def test_jackson_profile_rejects_zero_base():

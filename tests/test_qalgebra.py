@@ -236,6 +236,11 @@ def test_jackson_derivative_errors():
                 [1.5, 1.25, 1.0], [1.5, 1.25]):
         with pytest.raises(DomainError):
             qa.jackson_derivative(lambda x: x, 1.0, schedule=bad)
+    # steps of ratio -1 (+-0.5) and 1 repeat instead of shrinking, and
+    # growing steps extrapolate away from t = 1
+    for bad in ([1.5, 0.5, 1.5, 0.5], [1.5, 1.5, 1.5], [1.1, 1.2, 1.4]):
+        with pytest.raises(DomainError, match="shrink geometrically"):
+            qa.jackson_derivative(math.exp, 1.0, schedule=bad)
     with pytest.raises(ConvergenceError):
         # quotient ~ 1/sqrt(t-1) blows up as t -> 1
         qa.jackson_derivative(lambda x: math.sqrt(abs(x - 1.0)), 1.0 + 1e-30)
