@@ -556,7 +556,7 @@ def _build_parser():
     p.add_argument("--radius", type=int, default=None)
     p.add_argument("--gens", default=None, help="a,c,b;a,c,b;..")
     p.add_argument("--fit-window", default=None, help="rmin,rmax")
-    p.add_argument("--mem-budget", type=int, default=None, help="MB")
+    p.add_argument("--mem-budget", type=float, default=None, help="MB")
     p.add_argument("--compare-gens", default=None,
                    help="second generating set for a robustness report")
 

@@ -3,18 +3,25 @@
 Breadth-first expansion over the Cayley graph of the integer Heisenberg
 group (coordinates (a, c, b) with product (a1+a2, c1+c2, b1+b2+a1*c2))
 or of Z^3, under a symmetric generating set, one sphere at a time and
-holding only the last two spheres. A sphere is a sorted int64 array of
-keys that pack (a, c, b) in lexicographic order, in one mixed radix
-fixed for the whole search: it is bounded up front from the radius, and
-a search whose keys, with one spare bit for a tag, could reach 2^63 is
-refused before any int64 arithmetic. Multiplying a sorted sphere by a
-generator gives a sorted run of keys, so each new sphere comes from one
-stable sort that merges those runs with the two spheres before it, the
-tag bit marking which entries are new. ``word_norm`` meets a search
-from the identity with one from the element halfway. Ball cardinalities
-grow polynomially, with degree 4 for the Heisenberg lattice and 3 for
-Z^3; the degree is a generating-set-independent invariant, which
-``generator_robustness`` checks empirically.
+holding only the last two spheres. Keys pack (a, c, b) in lexicographic
+order into int64, in one mixed radix fixed for the whole search, whose
+b digit has one spare value, so no run of consecutive keys crosses from
+one (a, c) column to the next. The radix is bounded up front from the
+radius, and a search whose keys, with one spare bit, could reach 2^63
+is refused before any int64 arithmetic. A sphere is held as its
+maximal runs of consecutive keys, two sorted arrays of starts and
+stops: on heis_Z a sphere of radius r holds O(r^2) runs for its O(r^3)
+elements, one or two per column it meets. Multiplying by a generator
+shifts both ends of each run alike, so each new sphere comes from
+sorting run ends: the union of the neighbour runs, and from it the two
+spheres before, taken away, each by sorting starts and stops on their
+own. On sets whose spheres have no runs the ends are single keys and
+the search costs about 1.2-1.6 times a search over keys.
+``word_norm`` meets a search from the identity with one from the
+element halfway, testing whether two families of runs overlap. Ball
+cardinalities grow polynomially, with degree 4 for the Heisenberg
+lattice and 3 for Z^3; the degree is a generating-set-independent
+invariant, which ``generator_robustness`` checks empirically.
 """
 
 from __future__ import annotations
@@ -40,13 +47,15 @@ STANDARD_GENERATORS = {
     "z3": ((1, 0, 0), (0, 1, 0), (0, 0, 1)),
 }
 
-_KEY_LIMIT = 2 ** 63  # the tagged keys are int64
-# bytes a level holds per row of S_{r-1}, S_r and the |gens| |S_r|
-# neighbour block: 8 per tagged key, 8 for its step from the key before
-# it, two bool masks and the two spheres themselves; the peak traced by
-# tracemalloc while building S_20..S_40 is 20.0-20.6 B per row for
-# heis_Z and z3
-_BYTES_PER_ROW = 21
+_KEY_LIMIT = 2 ** 63  # the keys are int64, with one spare bit
+# bytes a level holds per run of S_{r-1}, S_r and the |gens| runs(S_r)
+# neighbour runs: the neighbours' sorted starts and stops, the union's
+# cut indices, the four sorted arrays of the difference and the two
+# spheres themselves; the peak traced by tracemalloc while building the
+# upper half of the levels to r = 40 is 32-33 B per run for the
+# standard heis_Z and z3 sets and up to 40 B for sets whose runs are
+# single keys
+_BYTES_PER_ROW = 40
 
 
 def heis_mul(g, s):
@@ -107,9 +116,12 @@ class GrowthTable:
     max_abs_vertical: tuple = ()
     truncated: bool = False
     wall_time: float = 0.0
+    #: maximal runs of consecutive keys the search held for each sphere
+    runs: tuple = ()
 
     def to_payload(self) -> dict:
-        """Canonical JSON form (deterministic; excludes wall time)."""
+        """Canonical JSON form (deterministic; excludes wall time and
+        runs)."""
         return {
             "group": self.group,
             "generators": [list(g) for g in self.generators],
@@ -153,12 +165,15 @@ def _reach(law, gens, radius, start=IDENTITY):
 
 
 def _radix(reach):
-    """Mixed radix (w_a, w_c, w_b), w_i = 2 m_i + 1, of the int64 keys of
-    elements whose |coordinate i| is at most ``reach[i]`` (Python ints).
-    Raises DomainError when such a key, with one spare bit for a tag,
-    could reach 2^63.
+    """Mixed radix (w_a, w_c, w_b) = (2 m_a + 1, 2 m_c + 1, 2 m_b + 2) of
+    the int64 keys of elements whose |coordinate i| is at most
+    ``reach[i]`` (Python ints); the b digit has one spare value, so no run
+    of consecutive keys crosses from one (a, c) column to the next.
+    Raises DomainError when such a key, with one spare bit, could reach
+    2^63.
     """
-    w = tuple(2 * m + 1 for m in reach)
+    ma, mc, mb = reach
+    w = (2 * ma + 1, 2 * mc + 1, 2 * mb + 2)
     if 2 * w[0] * w[1] * w[2] > _KEY_LIMIT:
         raise DomainError(f"lattice coordinates up to {reach} do not fit "
                           f"the search's int64 keys")
@@ -169,74 +184,110 @@ def _key(g, reach):
     """The key of the triple ``g`` in the radix of ``reach``, a Python
     int; keys order elements lexicographically by (a, c, b)."""
     ma, mc, mb = reach
-    return ((g[0] + ma) * (2 * mc + 1) + g[1] + mc) * (2 * mb + 1) + g[2] + mb
+    return ((g[0] + ma) * (2 * mc + 1) + g[1] + mc) * (2 * mb + 2) + g[2] + mb
 
 
-def _member(sorted_keys, keys):
-    """Mask of the ``keys`` found in the sorted array ``sorted_keys``."""
-    idx = np.searchsorted(sorted_keys, keys)
-    hit = idx < len(sorted_keys)
-    hit[hit] = sorted_keys[idx[hit]] == keys[hit]
-    return hit
+def _union(lo, hi):
+    """The maximal runs of the union of the runs [lo_i, hi_i), given
+    their starts and their stops each sorted on its own: a maximal run
+    stops where the next start lies above every stop so far."""
+    edge = np.empty(len(lo) + 1, dtype=bool)
+    edge[0] = edge[-1] = True
+    np.greater(lo[1:], hi[:-1], out=edge[1:-1])
+    at = np.flatnonzero(edge)
+    return lo[at[:-1]], hi[at[1:] - 1]
+
+
+def _runs_meet(x, y):
+    """Whether some run of ``x`` overlaps some run of ``y``; each a pair
+    (starts, stops) of sorted, disjoint runs. A run of ``x`` meets ``y``
+    exactly when the first run of ``y`` that stops after its start
+    starts before it stops."""
+    if len(x[0]) > len(y[0]):
+        x, y = y, x
+    idx = np.searchsorted(y[1], x[0], side="right")
+    hit = idx < len(y[1])
+    return bool((y[0][idx[hit]] < x[1][hit]).any())
+
+
+def _runs_inside(x, ball):
+    """Whether every run of ``x`` lies inside one maximal run of
+    ``ball``, the runs of ``x`` in any order, those of ``ball`` sorted."""
+    idx = np.searchsorted(ball[1], x[0], side="right")
+    if (idx == len(ball[1])).any():
+        return False
+    return bool((ball[0][idx] <= x[0]).all() and (x[1] <= ball[1][idx]).all())
 
 
 def _spheres(law, gens, radius, reach, start=IDENTITY):
     """Spheres S_0, ..., S_radius about ``start`` in the Cayley graph,
-    each a sorted int64 array of its elements' keys in the radix of
-    ``reach``, which must bound every element within ``radius`` of
-    ``start`` (``_reach``); the radix is checked before any int64
-    arithmetic.
+    each a pair (starts, stops) of sorted int64 arrays: its maximal runs
+    [start, stop) of consecutive keys in the radix of ``reach``, which
+    must bound every element within ``radius`` of ``start``
+    (``_reach``); the radix is checked before any int64 arithmetic. A
+    run lies in one (a, c) column, and its stop, one past its last key,
+    in the same column, at worst on the spare b digit.
 
     ``gens`` is symmetric, so a neighbour of S_r lies in S_{r-1}, S_r or
-    S_{r+1}; testing it against the first two alone gives the spheres of
-    a search that tests against the whole ball. Right multiplication by
-    s = (sa, sc, sb) adds key(s) - key(e) to a key, plus sc * a on
-    heis_Z, and keeps the (a, c, b) order, so each block S_r s is a
-    sorted run. S_{r+1} comes from one stable sort, which merges those
-    runs, of the tagged keys 2 k + t: S_{r-1} and S_r with t = 0, the
-    blocks with t = 1. A key is in S_{r+1} when its first occurrence
-    carries t = 1.
+    S_{r+1}; taking the first two away alone gives the spheres of a
+    search that tests against the whole ball. Right multiplication by
+    s = (sa, sc, sb) adds key(s) - key(e) to each key of a run, plus
+    sc * a on heis_Z: it shifts both ends of a run alike, so each block
+    S_r s is a sorted family of runs. Their union comes from sorting all
+    starts and all stops on their own (``_union``). Taking away
+    X = S_{r-1} u S_r is one more pair of sorts: a point of the union
+    outside X is covered once by the union and once by a gap of X, so
+    sorting the union's starts with the gaps' starts (X's stops), and
+    its stops with the gaps' stops (X's starts), pairs the i-th start
+    with the i-th stop, and the pairs with start < stop are S_{r+1}.
     """
     _, wc, wb = _radix(reach)
     ma = reach[0]
     origin = _key(IDENTITY, reach)
-    # per generator, as columns: twice the slope in a of the b it adds
-    # (sc on heis_Z, 0 on Z^3) and its tagged key step; on keys in range
-    # every partial sum below stays within +-2^63
-    slopes = np.array([[2 * (law((1, 0, 0), s)[2] - s[2])] for s in gens],
-                      dtype=np.int64)
-    steps = np.array([[2 * (_key(s, reach) - origin) + 1] for s in gens],
-                     dtype=np.int64)
-    twist = slopes.any()
-    prev = np.zeros(0, dtype=np.int64)
-    sphere = np.array([_key(start, reach)], dtype=np.int64)
+    # per generator, as columns: the slope in a of the b it adds (sc on
+    # heis_Z, 0 on Z^3) and its key step, less slope * m_a, since a key's
+    # column index key // (w_c w_b) is a + m_a; on keys in range every
+    # partial sum below stays within +-2^63
+    slopes = [law((1, 0, 0), s)[2] - s[2] for s in gens]
+    shift = np.array([[_key(s, reach) - origin - ma * k]
+                      for s, k in zip(gens, slopes)], dtype=np.int64)
+    twist = any(slopes)
+    slopes = np.array(slopes, dtype=np.int64)[:, None]
+    none = np.zeros(0, dtype=np.int64)
+    prev = (none, none)
+    key = _key(start, reach)
+    sphere = (np.array([key], dtype=np.int64),
+              np.array([key + 1], dtype=np.int64))
+    single = True
     for r in range(radius + 1):
         yield sphere
         if r == radius:
             return
-        m, n = len(prev), len(sphere)
-        tagged = np.empty(m + (1 + len(gens)) * n, dtype=np.int64)
-        np.left_shift(prev, 1, out=tagged[:m])
-        twice = tagged[m:m + n]
-        np.left_shift(sphere, 1, out=twice)
-        blocks = tagged[m + n:].reshape(len(gens), n)
+        lo, hi = sphere
         if twist:
-            np.multiply(slopes, sphere // (wc * wb) - ma, out=blocks)
-            blocks += twice
+            step = slopes * (lo // (wc * wb))
+            step += shift
         else:
-            blocks[:] = twice
-        blocks += steps
-        tagged.sort(kind="stable")
-        # the first occurrence of a key is odd (tag 1) and more than 1
-        # above the entry before it exactly when the key is new
-        new = np.empty(len(tagged), dtype=bool)
-        new[0] = True
-        np.greater(tagged[1:] - tagged[:-1], 1, out=new[1:])
-        new &= (tagged & 1).astype(bool)
-        nxt = tagged[new]
-        del tagged, new
-        nxt >>= 1
-        prev, sphere = sphere, nxt
+            step = np.repeat(shift, len(lo), axis=1)
+        if not single:
+            bhi = (step + hi).ravel()
+            bhi.sort(kind="stable")
+        step += lo
+        blo = step.ravel()
+        blo.sort(kind="stable")
+        if single:
+            # every run is one key: the stops sort as the starts do
+            bhi = blo + 1
+        ulo, uhi = _union(blo, bhi)
+        del blo, bhi, step
+        nlo = np.concatenate((ulo, prev[1], hi))
+        nlo.sort(kind="stable")
+        nhi = np.concatenate((prev[0], lo, uhi))
+        nhi.sort(kind="stable")
+        del ulo, uhi
+        keep = np.flatnonzero(nlo < nhi)
+        prev, sphere = sphere, (nlo[keep], nhi[keep])
+        single = bool((sphere[1] - sphere[0] == 1).all())
 
 
 def _table(group, gens, spheres, radius, reach, mem_budget_mb=None,
@@ -250,39 +301,45 @@ def _table(group, gens, spheres, radius, reach, mem_budget_mb=None,
     t0 = time.perf_counter()
     _, wc, wb = _radix(reach)
     ma, mc, mb = reach
-    counts, max_h, max_v = [], [], []
-    total = reach_h = reach_v = prev_n = 0
-    for r, sphere in enumerate(spheres):
+    counts, max_h, max_v, runs = [], [], [], []
+    total = total_runs = reach_h = reach_v = prev_n = 0
+    for r, (lo, hi) in enumerate(spheres):
         if keep is not None:
-            keep.append(sphere)
+            keep.append((lo, hi))
         # no sphere is empty: both groups are infinite and torsion-free
-        n = len(sphere)
-        total += n
-        # keys order by a first, so a sphere's ends hold its extreme a
-        a_lo, a_hi = (int(k) // (wc * wb) - ma for k in sphere[[0, -1]])
-        ac, b = np.divmod(sphere, wb)
+        n = len(lo)
+        total += int((hi - lo).sum())
+        total_runs += n
+        # keys order by a first, so a sphere's ends hold its extreme a;
+        # a run and its stop lie in one (a, c) column, and its ends hold
+        # its extreme b
+        a_lo, a_hi = (int(k) // (wc * wb) - ma for k in (lo[0], hi[-1]))
+        ac, b_lo = np.divmod(lo, wb)
         c = ac % wc
         reach_h = max(reach_h, -a_lo, a_hi, int(c.max()) - mc,
                       mc - int(c.min()))
-        reach_v = max(reach_v, int(b.max()) - mb, mb - int(b.min()))
+        reach_v = max(reach_v, int((hi % wb).max()) - 1 - mb,
+                      mb - int(b_lo.min()))
         counts.append(total)
         max_h.append(reach_h)
         max_v.append(reach_v)
+        runs.append(n)
         if r == radius:
             break
         if mem_budget_mb is not None:
             # S_{r-1} and S_r are priced with the level; the kept spheres
-            # before them are 8-byte keys
-            kept = total - prev_n - n if keep is not None else 0
-            need = held + 8 * kept + _BYTES_PER_ROW * (prev_n + n
-                                                       + len(gens) * n)
+            # before them are two 8-byte keys a run
+            kept = total_runs - prev_n - n if keep is not None else 0
+            need = held + 16 * kept + _BYTES_PER_ROW * (prev_n + n
+                                                        + len(gens) * n)
             if need > mem_budget_mb * 2 ** 20:
                 break
         prev_n = n
     table = GrowthTable(group, gens, tuple(range(len(counts))),
                         tuple(counts), tuple(max_h), tuple(max_v),
                         truncated=len(counts) <= radius,
-                        wall_time=time.perf_counter() - t0)
+                        wall_time=time.perf_counter() - t0,
+                        runs=tuple(runs))
     if table.truncated:
         raise BudgetError(f"building S_{len(counts)} would hold ~{need} "
                           f"bytes, over the memory budget of "
@@ -293,10 +350,12 @@ def _table(group, gens, spheres, radius, reach, mem_budget_mb=None,
 def word_ball(group, generators, radius, mem_budget_mb=None) -> GrowthTable:
     """All ball cardinalities |B_0|..|B_radius| by breadth-first search.
 
-    Only the last two spheres and the neighbours of the last are held,
-    about r^3 elements rather than the r^4 of the whole ball. If a memory
-    budget is given and building the next sphere would hold more bytes
-    than it allows, a BudgetError carrying the partial table is raised.
+    Only the runs of the last two spheres and of the neighbours of the
+    last are held: at most about r^3 elements rather than the r^4 of the
+    whole ball, and about r^2 runs under the standard heis_Z set. If a
+    memory budget is given and building the next sphere would hold more
+    bytes than it allows, a BudgetError carrying the partial table is
+    raised; the table's ``runs`` gives the runs each sphere held.
     A generating set whose coordinates could leave the int64 keys within
     ``radius`` raises DomainError before the search starts.
     """
@@ -317,7 +376,7 @@ def word_norm(element, group="heis_Z", generators=None, radius_cap=20):
     at which S_i meets g S_j, with i = ceil(k/2) and j = floor(k/2). A
     geodesic word for g splits after its i-th letter, and a common
     element x = g w with |x| = i, |w| = j gives |g| <= i + j, so the
-    spheres first meet at k = |g|. Each search holds about B_{cap/2}.
+    spheres first meet at k = |g|, when some of their runs overlap.
     Refused, with DomainError, wherever ``word_ball`` to the cap is.
     """
     _check_radius("radius cap", radius_cap)
@@ -344,8 +403,7 @@ def word_norm(element, group="heis_Z", generators=None, radius_cap=20):
                 s = next(near)
             else:
                 t = next(far)
-        small, large = sorted((s, t), key=len)
-        if _member(large, small).any():
+        if _runs_meet(s, t):
             return k
     return None
 
@@ -390,13 +448,14 @@ def generator_robustness(group, gens1, gens2, radius, fit_window=None,
     set must reach, within ``radius``, everything the other reaches well
     inside it (half the radius); failing that the report flags the set as
     possibly non-generating. Both searches run in one radix, bounded up
-    front from both sets, so their sorted keys compare directly; one
-    search per set yields both its table and its balls. A memory budget
-    applies to both searches and prices what the report holds while it
-    builds a level: the level, the spheres the running search has kept,
-    and the ball and inner ball kept from the search for ``gens1`` once
-    it is done. The search that would exceed it raises BudgetError with
-    its partial table.
+    front from both sets, so their keys compare directly; one search per
+    set yields both its table and its balls, as runs: the inner ball is
+    covered when each of its runs lies inside one maximal run of the
+    other ball. A memory budget applies to both searches and prices what
+    the report holds while it builds a level: the level, the spheres the
+    running search has kept, and the ball and inner ball kept from the
+    search for ``gens1`` once it is done, at 16 bytes a run. The search
+    that would exceed it raises BudgetError with its partial table.
     """
     _check_radius("radius", radius)
     _check_budget(mem_budget_mb)
@@ -412,19 +471,19 @@ def generator_robustness(group, gens1, gens2, radius, fit_window=None,
         tables.append(_table(group, gens, _spheres(law, gens, radius, reach),
                              radius, reach, mem_budget_mb, keep=spheres,
                              held=held))
-        inner.append(np.concatenate(spheres[:half + 1]))
-        ball = np.concatenate(spheres)
+        inner.append(tuple(np.concatenate(ends)
+                           for ends in zip(*spheres[:half + 1])))
+        balls.append(_union(*(np.sort(np.concatenate(ends), kind="stable")
+                              for ends in zip(*spheres))))
         del spheres
-        ball.sort(kind="stable")
-        balls.append(ball)
-        held += 8 * (len(ball) + len(inner[-1]))
+        held += 16 * (len(balls[-1][0]) + len(inner[-1][0]))
     t1, t2 = tables
     lo, hi = fit_window if fit_window is not None \
         else (min(10, max(1, radius // 2)), radius)
     d1, _, _ = growth_fit(t1, lo, hi)
     d2, _, _ = growth_fit(t2, lo, hi)
 
-    coverage_ok = all(_member(balls[1 - i], inner[i]).all() for i in (0, 1))
+    coverage_ok = all(_runs_inside(inner[i], balls[1 - i]) for i in (0, 1))
     if not coverage_ok:
         warnings.warn(f"a generating set for {group} misses elements the "
                       f"other reaches within radius {half}; it may not "

@@ -176,7 +176,7 @@ def test_growth_run_custom_and_compare(tmp_path):
 
 
 def test_growth_budget_error(tmp_path):
-    cfg = base_cfg(tmp_path, group="heis_Z", radius=40, mem_budget=1)
+    cfg = base_cfg(tmp_path, group="heis_Z", radius=40, mem_budget=0.15)
     with pytest.raises(CommandError) as info:
         run("growth", cfg)
     assert "partial" in info.value.payload
@@ -195,7 +195,7 @@ def test_main_growth_budget_covers_the_compared_set(tmp_path, capsys):
     # while the first ball is held, does not: exit 3 with its partial
     argv = ["--output-dir", str(tmp_path), "growth", "--radius", "14",
             "--compare-gens", "1,0,0;0,1,0;1,1,1"]
-    assert cli.main(argv + ["--mem-budget", "1"]) == 3
+    assert cli.main(argv + ["--mem-budget", "0.15"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     err = json.loads(captured.err)["error"]

@@ -738,7 +738,7 @@ def _whole_array_hits(metric, radii, n, seed):
     ("cc", 3, None), ("cc", 11, None), ("euclidean", 3, None),
     ("euclidean", 11, None),
     # the open pairs go to l2_distance mid-radius, as they do beyond
-    # ~1.6e6 samples at the real batch size
+    # ~2.4e6 samples at the real batch size
     ("cc", 3, 1000)])
 def test_volume_fit_streams_the_whole_array_draws(metric, seed, batch,
                                                   monkeypatch):

@@ -54,6 +54,14 @@ RICHER_SETS = [("heis_Z", (growth.T1, growth.T2, (1, 1, 1)), 6),
 # mixed signs and larger entries: wide, lopsided key radices; the set
 # generates a proper subgroup, so it stays out of the robustness tests
 MIXED_SET = ("heis_Z", ((3, -2, 7), (0, 1, -5)), 4)
+# sets whose spheres hold few or no runs of consecutive keys: strided
+# and skewed heis_Z sets, planes of z3 and a line; every element of B_8
+# has its word norm checked
+RUNLESS_SETS = [("heis_Z", ((2, 0, 0), (0, 2, 0)), 8),
+                ("heis_Z", ((1, 0, 0), (2, 0, 1), (0, 2, 0)), 8),
+                ("z3", ((1, 0, 0), (0, 1, 0)), 8),
+                ("z3", ((1, 1, 0), (0, 1, 1)), 8),
+                ("heis_Z", ((1, 0, 0),), 8)]
 
 
 def heis_sphere_series(radius):
@@ -145,9 +153,47 @@ def test_word_ball_z3_octahedral_oracle():
 
 
 def test_word_ball_heis_rational_series_oracle():
-    table = growth.word_ball("heis_Z", growth.STANDARD_GENERATORS["heis_Z"], 40)
+    table = growth.word_ball("heis_Z", growth.STANDARD_GENERATORS["heis_Z"], 80)
     spheres = np.diff(table.counts, prepend=0).tolist()
-    assert spheres == heis_sphere_series(40)
+    assert spheres == heis_sphere_series(80)
+
+
+def test_word_ball_heis_runs_per_column():
+    # a sphere of the standard set meets at most 2r^2 + 2r + 1 (a, c)
+    # columns, |a| + |c| <= r, and holds at most two runs in each
+    table = growth.word_ball("heis_Z", growth.STANDARD_GENERATORS["heis_Z"], 40)
+    assert len(table.runs) == 41
+    for r, runs in enumerate(table.runs):
+        assert 1 <= runs <= 2 * (2 * r * r + 2 * r + 1)
+    # the runs are a trace of the search, not part of the result
+    assert "runs" not in table.to_payload()
+
+
+@pytest.mark.parametrize("group,gens", [
+    ("heis_Z", growth.STANDARD_GENERATORS["heis_Z"]),
+    ("z3", growth.STANDARD_GENERATORS["z3"])]
+    + [s[:2] for s in RICHER_SETS + [MIXED_SET] + RUNLESS_SETS])
+def test_spheres_are_maximal_runs_of_the_reference_frontiers(group, gens):
+    # each sphere's runs are sorted, disjoint, non-adjacent and nonempty,
+    # each lies, with its stop, in one (a, c) column, and together they
+    # hold exactly the keys of the reference search's frontier
+    law, _ = growth.GROUP_LAWS[group]
+    sym = growth.symmetrize_generators(group, gens)
+    radius = 8
+    reach = growth._reach(law, sym, radius)
+    wb = growth._radix(reach)[2]
+    frontiers = reference_bfs(law, sym, radius)
+    spheres = list(growth._spheres(law, sym, radius, reach))
+    assert len(spheres) == len(frontiers)
+    for (lo, hi), frontier in zip(spheres, frontiers):
+        assert lo.dtype == hi.dtype == np.int64 and len(lo) == len(hi)
+        assert np.all(lo < hi)
+        assert np.all(lo[1:] > hi[:-1])
+        assert np.array_equal(lo // wb, (hi - 1) // wb)
+        assert np.array_equal(hi // wb, lo // wb)
+        keys = np.concatenate([np.arange(a, b) for a, b in zip(lo, hi)])
+        assert keys.tolist() == sorted(growth._key(g, reach)
+                                       for g in frontier)
 
 
 def test_word_ball_anisotropy():
@@ -172,7 +218,7 @@ def test_word_ball_determinism():
 def test_word_ball_budget_error_carries_partial():
     with pytest.raises(BudgetError) as info:
         growth.word_ball("heis_Z", growth.STANDARD_GENERATORS["heis_Z"], 40,
-                         mem_budget_mb=1)
+                         mem_budget_mb=0.15)
     partial = info.value.partial
     assert partial is not None and partial.truncated
     assert partial.counts[0] == 1
@@ -188,7 +234,8 @@ def test_word_ball_payload_schema():
     assert csv_text.splitlines()[0] == "r,count"
 
 
-@pytest.mark.parametrize("group,gens,norm_radius", RICHER_SETS + [MIXED_SET])
+@pytest.mark.parametrize("group,gens,norm_radius",
+                         RICHER_SETS + [MIXED_SET] + RUNLESS_SETS)
 def test_word_ball_matches_reference_bfs(group, gens, norm_radius):
     law, _ = growth.GROUP_LAWS[group]
     sym = growth.symmetrize_generators(group, gens)
@@ -264,20 +311,20 @@ def test_robustness_budget_prices_both_searches():
     # the search for the first set also prices the spheres it keeps for
     # the coverage check, so it stops no later than word_ball does
     with pytest.raises(BudgetError) as ball:
-        growth.word_ball("heis_Z", std, 20, mem_budget_mb=1)
+        growth.word_ball("heis_Z", std, 20, mem_budget_mb=0.15)
     with pytest.raises(BudgetError) as first:
         growth.generator_robustness("heis_Z", std, other, 20,
-                                    mem_budget_mb=1)
+                                    mem_budget_mb=0.15)
     counts = first.value.partial.counts
     assert first.value.partial.generators == ball.value.partial.generators
     assert counts == ball.value.partial.counts[:len(counts)]
     assert len(counts) < len(ball.value.partial.counts)
     # the first set fits; the second, searched while the first set's
     # ball is held, does not
-    growth.word_ball("heis_Z", std, 14, mem_budget_mb=1)
+    growth.word_ball("heis_Z", std, 14, mem_budget_mb=0.15)
     with pytest.raises(BudgetError) as second:
         growth.generator_robustness("heis_Z", std, other, 14,
-                                    mem_budget_mb=1)
+                                    mem_budget_mb=0.15)
     partial = second.value.partial
     assert partial.truncated
     assert partial.generators == growth.symmetrize_generators("heis_Z",
@@ -286,7 +333,7 @@ def test_robustness_budget_prices_both_searches():
         growth.word_ball("heis_Z", other, 14).counts[:len(partial.counts)]
     # with room for both searches, the budget changes nothing
     budgeted = growth.generator_robustness("heis_Z", std, other, 14,
-                                           mem_budget_mb=4)
+                                           mem_budget_mb=0.6)
     free = growth.generator_robustness("heis_Z", std, other, 14)
     assert [t.to_payload() for t in budgeted.tables] == \
         [t.to_payload() for t in free.tables]
