@@ -28,9 +28,6 @@ from .reports import ReportBundle, canonical_json, emit_plot_table, \
 
 ENV_OUTPUT = "CARNOT_LAB_OUTPUT"
 
-COMMANDS = ("entropy", "qadd", "group", "ccdist", "holonomy", "volume",
-            "pansu", "growth", "verify-all")
-
 
 class _InputError(DomainError):
     """A command input rejected where it is parsed; like a usage error,
@@ -662,44 +659,40 @@ def resolve_config(args):
     return cfg
 
 
+def _fail(code, module, message, payload=None):
+    """Print one JSON error line to stderr and return the exit code."""
+    err = {"module": module, "message": message,
+           **({"payload": payload} if payload else {})}
+    print(canonical_json({"error": err}), file=sys.stderr)
+    return code
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except _InputError as exc:
-        print(canonical_json({"error": {"module": "cli_reports",
-                                        "message": str(exc)}}),
-              file=sys.stderr)
-        return 2
+        return _fail(2, "cli_reports", str(exc))
 
     if args.command == "plot-table":
         try:
             text = emit_plot_table(read_bundle(args.bundle))
+            if args.out:
+                with open(args.out, "w") as fh:
+                    fh.write(text)
+            else:
+                sys.stdout.write(text)
         except (ValueError, OSError) as exc:
-            print(canonical_json({"error": {"module": "cli_reports",
-                                            "message": str(exc)}}),
-                  file=sys.stderr)
-            return 3
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+            return _fail(3, "cli_reports", str(exc))
         return 0
 
     try:
         cfg = resolve_config(args)
         bundle = run(args.command, cfg)
     except CommandError as exc:
-        err = {"error": {"module": exc.module, "message": str(exc),
-                         **({"payload": exc.payload} if exc.payload else {})}}
-        print(canonical_json(err), file=sys.stderr)
-        return 3
+        return _fail(3, exc.module, str(exc), exc.payload)
     except DomainError as exc:
-        print(canonical_json({"error": {"module": "cli_reports",
-                                        "message": str(exc)}}),
-              file=sys.stderr)
-        return 2
+        return _fail(2, "cli_reports", str(exc))
 
     summary = {k: bundle.payload[k] for k in list(bundle.payload)[:6]
                if not isinstance(bundle.payload[k], (list, dict))}

@@ -167,13 +167,6 @@ def sample_path(path: HorizontalPath, per_segment=8) -> np.ndarray:
     return np.array(rows)
 
 
-def concat_controls(*parts):
-    parts = [np.asarray(p, dtype=float).reshape(-1, 3) for p in parts]
-    if not parts:
-        return np.zeros((0, 3))
-    return np.vstack(parts)
-
-
 def square_loop_controls(area: float):
     """Unit-speed square loop enclosing signed area ``area`` (4 segments,
     total length 4 sqrt|area|); empty for area = 0."""
@@ -193,13 +186,10 @@ def chow_connect(A: HeisPoint, B: HeisPoint) -> HorizontalPath:
     equals the gap. Length: ||(dx, dy)||_2 + 4 sqrt|dz|.
     """
     d = exp_mul(exp_inv(A), B)
-    parts = []
+    rows = square_loop_controls(d.z)
     if d.x != 0 or d.y != 0:
-        parts.append([[d.x, d.y, 1.0]])
-    loops = square_loop_controls(d.z)
-    if loops.size:
-        parts.append(loops)
-    return HorizontalPath(A, concat_controls(*parts))
+        rows = np.vstack(([[d.x, d.y, 1.0]], rows))
+    return HorizontalPath(A, rows)
 
 
 # ---------------------------------------------------------------------------

@@ -27,14 +27,13 @@ invariant, which ``generator_robustness`` checks empirically.
 from __future__ import annotations
 
 import numbers
-import time
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import BudgetError, DomainError
-from .heisenberg import abelian_inv, abelian_mul
+from .heisenberg import abelian_inv, abelian_mul, inv, mul
 
 IDENTITY = (0, 0, 0)
 
@@ -58,18 +57,9 @@ _KEY_LIMIT = 2 ** 63  # the keys are int64, with one spare bit
 _BYTES_PER_ROW = 40
 
 
-def heis_mul(g, s):
-    return (g[0] + s[0], g[1] + s[1], g[2] + s[2] + g[0] * s[1])
-
-
-def heis_inv(g):
-    return (-g[0], -g[1], g[0] * g[1] - g[2])
-
-
-# Z^3 is heisenberg's Abelian group; heis_mul restates heisenberg.mul on
-# the plain int tuples the search multiplies
-GROUP_LAWS = {"heis_Z": (heis_mul, heis_inv),
-              "z3": (abelian_mul, abelian_inv)}
+# heisenberg's matrix-coordinate law and its Abelian group, on the
+# plain int triples the search multiplies
+GROUP_LAWS = {"heis_Z": (mul, inv), "z3": (abelian_mul, abelian_inv)}
 
 
 def _lattice_triple(g, what):
@@ -93,7 +83,8 @@ def symmetrize_generators(group, generators):
     seen = set()
     for g in generators:
         g = _lattice_triple(g, "generator")
-        for h in (g, inv(g)):
+        # heis_Z's inverse is a HeisMatrix; the set holds plain triples
+        for h in (g, tuple(inv(g))):
             if h == IDENTITY:
                 raise DomainError("identity is not an admissible generator")
             if h not in seen:
@@ -115,13 +106,11 @@ class GrowthTable:
     max_abs_horizontal: tuple = ()
     max_abs_vertical: tuple = ()
     truncated: bool = False
-    wall_time: float = 0.0
     #: maximal runs of consecutive keys the search held for each sphere
     runs: tuple = ()
 
     def to_payload(self) -> dict:
-        """Canonical JSON form (deterministic; excludes wall time and
-        runs)."""
+        """Canonical JSON form (deterministic; excludes runs)."""
         return {
             "group": self.group,
             "generators": [list(g) for g in self.generators],
@@ -298,7 +287,6 @@ def _table(group, gens, spheres, radius, reach, mem_budget_mb=None,
     are checked before it is built: the level itself, the spheres kept
     before it and ``held`` bytes held outside the search. BudgetError
     carries the partial table."""
-    t0 = time.perf_counter()
     _, wc, wb = _radix(reach)
     ma, mc, mb = reach
     counts, max_h, max_v, runs = [], [], [], []
@@ -337,9 +325,7 @@ def _table(group, gens, spheres, radius, reach, mem_budget_mb=None,
         prev_n = n
     table = GrowthTable(group, gens, tuple(range(len(counts))),
                         tuple(counts), tuple(max_h), tuple(max_v),
-                        truncated=len(counts) <= radius,
-                        wall_time=time.perf_counter() - t0,
-                        runs=tuple(runs))
+                        truncated=len(counts) <= radius, runs=tuple(runs))
     if table.truncated:
         raise BudgetError(f"building S_{len(counts)} would hold ~{need} "
                           f"bytes, over the memory budget of "
@@ -438,12 +424,13 @@ class RobustnessReport:
     tables: tuple = field(repr=False, default=())
 
 
-def generator_robustness(group, gens1, gens2, radius, fit_window=None,
+def generator_robustness(group, gens1, gens2, radius,
                          mem_budget_mb=None) -> RobustnessReport:
     """Fit the growth degree under two generating sets and compare.
 
-    The degree is a quasi-isometry invariant, so the two exponents must
-    agree closely (the report records their gap and the min/max ratio of
+    The fit window is [min(10, max(1, radius // 2)), radius]. The degree
+    is a quasi-isometry invariant, so the two exponents must agree
+    closely (the report records their gap and the min/max ratio of
     ball counts as an empirical witness). Coverage is cross-checked: each
     set must reach, within ``radius``, everything the other reaches well
     inside it (half the radius); failing that the report flags the set as
@@ -478,8 +465,7 @@ def generator_robustness(group, gens1, gens2, radius, fit_window=None,
         del spheres
         held += 16 * (len(balls[-1][0]) + len(inner[-1][0]))
     t1, t2 = tables
-    lo, hi = fit_window if fit_window is not None \
-        else (min(10, max(1, radius // 2)), radius)
+    lo, hi = min(10, max(1, radius // 2)), radius
     d1, _, _ = growth_fit(t1, lo, hi)
     d2, _, _ = growth_fit(t2, lo, hi)
 

@@ -68,12 +68,15 @@ def scalar_embed(x) -> HeisMatrix:
     return HeisMatrix(x, x, x)
 
 
+# mul and inv index their operands, so any (a, c, b) triple works: the
+# integer lattice search multiplies plain int tuples with them
 def mul(g1: HeisMatrix, g2: HeisMatrix) -> HeisMatrix:
-    return HeisMatrix(g1.a + g2.a, g1.c + g2.c, g1.b + g2.b + g1.a * g2.c)
+    return HeisMatrix(g1[0] + g2[0], g1[1] + g2[1],
+                      g1[2] + g2[2] + g1[0] * g2[1])
 
 
 def inv(g: HeisMatrix) -> HeisMatrix:
-    return HeisMatrix(-g.a, -g.c, g.a * g.c - g.b)
+    return HeisMatrix(-g[0], -g[1], g[0] * g[1] - g[2])
 
 
 def commutator(g1: HeisMatrix, g2: HeisMatrix) -> HeisMatrix:

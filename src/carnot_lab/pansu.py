@@ -28,6 +28,7 @@ import numpy as np
 
 from ._extrapolation import geometric_ratio, richardson_limit
 from .errors import ConvergenceError, DomainError
+from .heisenberg import abelian_mul, mul
 from .qalgebra import jackson_quotient
 
 MAP_KINDS = ("heis_to_abelian", "abelian_to_abelian")
@@ -89,30 +90,22 @@ def _source_dilate(coords, t, convention):
     return (t * x, t * y, t * z)
 
 
-def _source_compose(kind, base, disp):
-    if kind == "abelian_to_abelian":
-        return (base[0] + disp[0], base[1] + disp[1], base[2] + disp[2])
-    # matrix-coordinate product (x1+x2, y1+y2, z1+z2 + x1*y2)
-    return (base[0] + disp[0], base[1] + disp[1],
-            base[2] + disp[2] + base[0] * disp[1])
+# the source group's product: matrix coordinates, or componentwise sums
+_SOURCE_MUL = {"heis_to_abelian": mul, "abelian_to_abelian": abelian_mul}
 
 
-def _quotient(f, base, direction, t, convention):
-    """The fixed-t quotient, and per coordinate whether its displacement
-    was lost to rounding: the dilated direction moves the coordinate, yet
-    the moved point equals the base there (a step below about half an
-    ulp of the base, such as t = 1/2 against 1e16)."""
-    if not t > 0:
-        raise DomainError("blow-up parameter t must be positive")
-    if convention not in CONVENTIONS:
-        raise DomainError(f"unknown convention {convention!r}")
+def _quotient(f, base, f_base, direction, t, convention):
+    """The fixed-t quotient, given the tuple ``base`` and ``f_base`` =
+    f.apply(base), and per coordinate whether its displacement was lost
+    to rounding: the dilated direction moves the coordinate, yet the
+    moved point equals the base there (a step below about half an ulp of
+    the base, such as t = 1/2 against 1e16)."""
     if f.kind == "abelian_to_abelian":
         convention = "source_linear"
-    base = tuple(base)
-    disp = _source_dilate(tuple(direction), t, convention)
-    moved = _source_compose(f.kind, base, disp)
+    disp = _source_dilate(direction, t, convention)
+    moved = _SOURCE_MUL[f.kind](base, disp)
     lost = [d != 0 and m == b for d, m, b in zip(disp, moved, base)]
-    return (f.apply(moved) - f.apply(base)) / t, lost
+    return (f.apply(moved) - f_base) / t, lost
 
 
 def _unresolved(base, i, t):
@@ -130,9 +123,14 @@ def blowup_quotient(f: GroupMap, base, direction, t, convention="source_graded")
     large that base . delta_t(dir) rounds away the displacement in a
     coordinate the direction moves is refused with DomainError.
     """
-    q, lost = _quotient(f, base, direction, t, convention)
+    if not t > 0:
+        raise DomainError("blow-up parameter t must be positive")
+    if convention not in CONVENTIONS:
+        raise DomainError(f"unknown convention {convention!r}")
+    base = tuple(base)
+    q, lost = _quotient(f, base, f.apply(base), direction, t, convention)
     if any(lost):
-        raise _unresolved(tuple(base), lost.index(True), t)
+        raise _unresolved(base, lost.index(True), t)
     return q
 
 
@@ -140,8 +138,9 @@ _UNIT_DIRECTIONS = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
 _ENTRY_NAMES = ("x", "y", "z")
 
 
-def blowup_limit(f: GroupMap, base, direction, schedule=None, tol=1e-8):
-    """t -> 0+ limit of the blow-up quotient along one direction.
+def blowup_limit(f: GroupMap, base, direction, schedule=None):
+    """t -> 0+ limit of the blow-up quotient along one direction, taken
+    when two successive extrapolants agree to 1e-8.
 
     Returns (limit 3-vector, per-entry diagnostics). Entries whose
     extrapolation fails raise ConvergenceError naming the entry; a base
@@ -151,7 +150,8 @@ def blowup_limit(f: GroupMap, base, direction, schedule=None, tol=1e-8):
     sched = schedule if schedule is not None else BlowupSchedule()
     ratio = sched.ratio()
     base = tuple(base)
-    terms = [_quotient(f, base, direction, t, sched.convention)
+    f_base = f.apply(base)
+    terms = [_quotient(f, base, f_base, direction, t, sched.convention)
              for t in sched.t_values]
     quotients = np.array([q for q, _ in terms])
     lost = np.array([flags for _, flags in terms])
@@ -167,7 +167,7 @@ def blowup_limit(f: GroupMap, base, direction, schedule=None, tol=1e-8):
     for i, name in enumerate(_ENTRY_NAMES):
         seq = quotients[:, i]
         try:
-            limits[i], diag = richardson_limit(seq, ratio=ratio, tol=tol,
+            limits[i], diag = richardson_limit(seq, ratio=ratio, tol=1e-8,
                                                what=f"blow-up entry {name!r}")
         except ConvergenceError as exc:
             check_resolved(i, len(seq))
@@ -179,20 +179,18 @@ def blowup_limit(f: GroupMap, base, direction, schedule=None, tol=1e-8):
     return limits, orders
 
 
-def pansu_derivative(f: GroupMap, base, schedule=None, directions=None,
-                     tol=1e-8):
+def pansu_derivative(f: GroupMap, base, schedule=None):
     """Blow-up derivative matrix at ``base``: column j is the limit along
-    the j-th probe direction (the coordinate unit displacements unless
-    ``directions`` overrides them).
+    the j-th coordinate unit displacement.
 
     For ``abelian_to_abelian`` maps with a differentiable entry function
     this is the diagonal Jacobian diag(fn'(base)).
     """
-    dirs = _UNIT_DIRECTIONS if directions is None else tuple(directions)
+    sched = schedule if schedule is not None else BlowupSchedule()
     cols = []
     diagnostics = {}
-    for j, direction in enumerate(dirs):
-        vec, orders = blowup_limit(f, base, direction, schedule, tol)
+    for j, direction in enumerate(_UNIT_DIRECTIONS):
+        vec, orders = blowup_limit(f, base, direction, sched)
         cols.append(vec)
         diagnostics[f"direction_{j}"] = orders
     return np.column_stack(cols), diagnostics
@@ -210,9 +208,10 @@ class JacksonProfile:
     extrapolant: float
 
 
-def jackson_profile(fn, x0, t_grid=None, tol=1e-9) -> JacksonProfile:
+def jackson_profile(fn, x0, t_grid=None) -> JacksonProfile:
     """Tabulate (fn(t x0) - fn(x0)) / (t x0 - x0) over a grid of t -> 1
-    and extrapolate the limit."""
+    and extrapolate the limit, taken when two successive extrapolants
+    agree to 1e-9."""
     if x0 == 0:
         raise DomainError("quotient profile is degenerate at x0 = 0")
     ts = (1.0 + 2.0 ** -np.arange(1, 13)) if t_grid is None \
@@ -223,7 +222,7 @@ def jackson_profile(fn, x0, t_grid=None, tol=1e-9) -> JacksonProfile:
     steps = ts - 1.0
     try:
         limit, _ = richardson_limit(quotients, ratio=geometric_ratio(steps),
-                                    tol=tol, what="quotient profile")
+                                    tol=1e-9, what="quotient profile")
     except (DomainError, ConvergenceError):
         # a non-geometric or rough grid: best-effort polynomial fit in
         # (t - 1); the profile is an exhibit, so it never refuses to report

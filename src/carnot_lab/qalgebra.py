@@ -196,18 +196,19 @@ def abe_entropy(p, q):
     return _value(np.where(near, _abe_bgs(w), s) if near.any() else s)
 
 
-def _abe_bgs(w, step=1e-5):
+def _abe_bgs(w):
     def g(x):
         return _positive_sum(w, lambda p: p ** x)
 
+    step = 1e-5
     return -(g(1.0 + step) - g(1.0 - step)) / (2.0 * step)
 
 
-def abe_bgs_entropy(p, step=1e-5):
-    """-g'(1) for g(x) = sum p_i^x by central difference; the classical
-    (ordinary-derivative) counterpart of ``abe_entropy``. One value per
-    row for a 2-D ``p``."""
-    return _value(_abe_bgs(as_distribution(p), step))
+def abe_bgs_entropy(p):
+    """-g'(1) for g(x) = sum p_i^x by central difference with step 1e-5;
+    the classical (ordinary-derivative) counterpart of ``abe_entropy``.
+    One value per row for a 2-D ``p``."""
+    return _value(_abe_bgs(as_distribution(p)))
 
 
 # ---------------------------------------------------------------------------
@@ -305,12 +306,12 @@ def default_jackson_schedule(levels=20):
     return 1.0 + 2.0 ** -np.arange(1, levels + 1)
 
 
-def jackson_derivative(f, x, schedule=None, tol=1e-9) -> float:
+def jackson_derivative(f, x, schedule=None) -> float:
     """t -> 1 limit of the q-difference quotient, by Richardson
     extrapolation over a geometric schedule of t values.
 
     The default schedule is t_k = 1 + 2^-k, k = 1..20; convergence is
-    accepted when two successive extrapolants agree to ``tol``. Schedules
+    accepted when two successive extrapolants agree to 1e-9. Schedules
     that are not geometric raise DomainError, quotients that fail to
     stabilize ConvergenceError.
     """
@@ -319,6 +320,6 @@ def jackson_derivative(f, x, schedule=None, tol=1e-9) -> float:
     ts = default_jackson_schedule() if schedule is None else np.asarray(schedule, float)
     ratio = geometric_ratio(ts - 1.0)
     quotients = [jackson_quotient(f, x, t) for t in ts]
-    limit, _ = richardson_limit(quotients, ratio=ratio, tol=tol,
+    limit, _ = richardson_limit(quotients, ratio=ratio, tol=1e-9,
                                 what="jackson derivative")
     return limit

@@ -50,15 +50,14 @@ class ReportBundle:
                               .encode()).hexdigest()
 
 
-def write_bundle(bundle: ReportBundle, directory, stem=None):
-    """Write ``<stem>.bundle.json`` (deterministic) and
-    ``<stem>.meta.json`` (volatile) under ``directory``; returns the
+def write_bundle(bundle: ReportBundle, directory):
+    """Write ``<command>.bundle.json`` (deterministic) and
+    ``<command>.meta.json`` (volatile) under ``directory``; returns the
     bundle path."""
     import os
     os.makedirs(directory, exist_ok=True)
-    stem = stem or bundle.command
-    bundle_path = os.path.join(directory, f"{stem}.bundle.json")
-    meta_path = os.path.join(directory, f"{stem}.meta.json")
+    bundle_path = os.path.join(directory, f"{bundle.command}.bundle.json")
+    meta_path = os.path.join(directory, f"{bundle.command}.meta.json")
     with open(bundle_path, "w") as fh:
         fh.write(canonical_json(bundle.to_dict()))
         fh.write("\n")
@@ -73,13 +72,18 @@ def write_bundle(bundle: ReportBundle, directory, stem=None):
     return bundle_path
 
 
+_BUNDLE_KEYS = ("command", "config", "payload", "ledger_entries", "version")
+
+
 def read_bundle(path) -> ReportBundle:
+    """The bundle written at ``path``; JSON that is not a bundle object
+    raises ValueError."""
     with open(path) as fh:
         data = json.load(fh)
-    return ReportBundle(command=data["command"], config=data["config"],
-                        payload=data["payload"],
-                        ledger_entries=data["ledger_entries"],
-                        version=data["version"])
+    if not isinstance(data, dict) or not set(_BUNDLE_KEYS) <= set(data):
+        raise ValueError(f"{path} is not a report bundle: expected a JSON "
+                         f"object with keys {', '.join(_BUNDLE_KEYS)}")
+    return ReportBundle(**{k: data[k] for k in _BUNDLE_KEYS})
 
 
 # ---------------------------------------------------------------------------
@@ -90,7 +94,8 @@ def emit_plot_table(bundle: ReportBundle) -> str:
 
     Supported payloads: growth tables (r,count), volume fits
     (log_r,log_volume plus the fitted line), distance surveys
-    (pair,lower,value,upper). Anything else raises ValueError.
+    (pair,lower,value,upper). Anything else, or a table missing entries
+    or holding entries of the wrong type, raises ValueError.
     """
     out = io.StringIO()
     payload = bundle.payload
@@ -100,22 +105,26 @@ def emit_plot_table(bundle: ReportBundle) -> str:
             out.write(",".join(str(c) for c in row))
             out.write("\n")
 
-    if "counts" in payload and "radii" in payload:
-        emit([("r", "count")])
-        emit(zip(payload["radii"], payload["counts"]))
-    elif "exponent" in payload and "volumes" in payload:
-        import math
-        emit([("log_r", "log_volume", "fit_log_volume")])
-        slope = payload["exponent"]
-        intercept = payload["intercept"]
-        for r, v in zip(payload["radii"], payload["volumes"]):
-            lr = math.log(r)
-            emit([(lr, math.log(v), intercept + slope * lr)])
-    elif "pairs" in payload:
-        emit([("pair", "lower", "value", "upper")])
-        for i, rec in enumerate(payload["pairs"]):
-            emit([(i, rec["lower"], rec["dist"], rec["upper"])])
-    else:
-        raise ValueError(
-            f"payload of {bundle.command!r} has no tabular form")
+    try:
+        if "counts" in payload and "radii" in payload:
+            emit([("r", "count")])
+            emit(zip(payload["radii"], payload["counts"]))
+        elif "exponent" in payload and "volumes" in payload:
+            import math
+            emit([("log_r", "log_volume", "fit_log_volume")])
+            slope = payload["exponent"]
+            intercept = payload["intercept"]
+            for r, v in zip(payload["radii"], payload["volumes"]):
+                lr = math.log(r)
+                emit([(lr, math.log(v), intercept + slope * lr)])
+        elif "pairs" in payload:
+            emit([("pair", "lower", "value", "upper")])
+            for i, rec in enumerate(payload["pairs"]):
+                emit([(i, rec["lower"], rec["dist"], rec["upper"])])
+        else:
+            raise ValueError(
+                f"payload of {bundle.command!r} has no tabular form")
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"payload of {bundle.command!r} has a malformed "
+                         f"table: {exc!r}") from exc
     return out.getvalue()

@@ -305,6 +305,31 @@ def test_main_plot_table(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("r,count")
 
 
+def test_main_plot_table_refuses_what_it_cannot_render(tmp_path, capsys):
+    cli.main(["--output-dir", str(tmp_path), "growth", "--radius", "2"])
+    capsys.readouterr()
+    good = str(tmp_path / "growth.bundle.json")
+    bundle = json.loads((tmp_path / "growth.bundle.json").read_text())
+    cases = {"list": [1, 2], "no-keys": {"command": "growth"},
+             "list-payload": {**bundle, "payload": [1]},
+             "bad-rows": {**bundle, "payload": {"pairs": [1]}}}
+    argvs = []
+    for name, data in cases.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(data))
+        argvs.append(["plot-table", str(path)])
+    # an output path that is a directory
+    argvs.append(["plot-table", good, "-o", str(tmp_path)])
+    for argv in argvs:
+        code = cli.main(argv)
+        out, err = capsys.readouterr()
+        assert code == 3, argv
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"]["module"] == "cli_reports"
+
+
 def test_config_file_and_precedence(tmp_path, monkeypatch):
     conf = tmp_path / "lab.conf"
     conf.write_text("q = 2.0\ndist = uniform2  # comment\n")

@@ -14,6 +14,9 @@ def octahedral_count(r):
     return (2 * r + 1) * (2 * r * r + 2 * r + 3) // 3
 
 
+HEIS_MUL, HEIS_INV = growth.GROUP_LAWS["heis_Z"]
+
+
 def enumerate_words(gens, length, law):
     """Oracle: the set of all products of words up to the given length."""
     seen = {growth.IDENTITY}
@@ -89,10 +92,10 @@ def heis_sphere_series(radius):
 
 def test_heis_law_and_inverse():
     g = (3, -2, 5)
-    assert growth.heis_mul(g, growth.heis_inv(g)) == growth.IDENTITY
-    assert growth.heis_mul(growth.heis_inv(g), g) == growth.IDENTITY
-    assert growth.heis_mul((1, 0, 0), (0, 1, 0)) == (1, 1, 1)
-    assert growth.heis_mul((0, 1, 0), (1, 0, 0)) == (1, 1, 0)
+    assert HEIS_MUL(g, HEIS_INV(g)) == growth.IDENTITY
+    assert HEIS_MUL(HEIS_INV(g), g) == growth.IDENTITY
+    assert HEIS_MUL((1, 0, 0), (0, 1, 0)) == (1, 1, 1)
+    assert HEIS_MUL((0, 1, 0), (1, 0, 0)) == (1, 1, 0)
 
 
 def test_heis_double_commutator_trivial():
@@ -102,9 +105,8 @@ def test_heis_double_commutator_trivial():
                       for _ in range(3))
 
         def comm(a, b):
-            return growth.heis_mul(
-                growth.heis_mul(a, b),
-                growth.heis_mul(growth.heis_inv(a), growth.heis_inv(b)))
+            return HEIS_MUL(HEIS_MUL(a, b),
+                            HEIS_MUL(HEIS_INV(a), HEIS_INV(b)))
 
         inner = comm(g1, g2)
         assert inner[0] == 0 and inner[1] == 0
@@ -134,7 +136,7 @@ def test_word_ball_first_counts():
 def test_word_ball_matches_exhaustive_enumeration():
     table = growth.word_ball("heis_Z", growth.STANDARD_GENERATORS["heis_Z"], 4)
     for r in range(5):
-        oracle = enumerate_words(HEIS_GENS, r, growth.heis_mul)
+        oracle = enumerate_words(HEIS_GENS, r, HEIS_MUL)
         assert table.counts[r] == len(oracle)
 
 
@@ -390,8 +392,8 @@ def test_word_norm_central_element():
     # oracle: exhaustive enumeration of short words
     for length in range(norm):
         assert (0, 0, 1) not in enumerate_words(HEIS_GENS, length,
-                                                growth.heis_mul)
-    assert (0, 0, 1) in enumerate_words(HEIS_GENS, norm, growth.heis_mul)
+                                                HEIS_MUL)
+    assert (0, 0, 1) in enumerate_words(HEIS_GENS, norm, HEIS_MUL)
 
 
 def test_word_norm_cap():
@@ -423,7 +425,7 @@ def test_word_norm_consistent_with_word_enumeration():
     # the norm is the first word length whose exhaustive product set
     # contains the element
     rng = np.random.default_rng(72)
-    balls = [enumerate_words(HEIS_GENS, n, growth.heis_mul)
+    balls = [enumerate_words(HEIS_GENS, n, HEIS_MUL)
              for n in range(6)]
     for _ in range(30):
         g = (int(rng.integers(-2, 3)), int(rng.integers(-2, 3)),

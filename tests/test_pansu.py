@@ -113,6 +113,19 @@ def test_pansu_derivative_matches_finite_differences():
         assert np.allclose(matrix, fd, atol=1e-6)
 
 
+def test_pansu_derivative_evaluates_the_base_once_per_direction():
+    # 20 levels and the base, three entries each, in each of 3 directions
+    calls = []
+
+    def fn(x):
+        calls.append(x)
+        return x * x
+
+    gmap = pansu.GroupMap("heis_to_abelian", fn)
+    pansu.pansu_derivative(gmap, (0.5, -1.0, 2.0))
+    assert len(calls) == 3 * (3 * 20 + 3)
+
+
 def test_pansu_identity_graded_kills_center():
     gmap = pansu.GroupMap("heis_to_abelian", lambda x: x)
     matrix, _ = pansu.pansu_derivative(gmap, (0.0, 0.0, 0.0))
