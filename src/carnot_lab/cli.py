@@ -247,14 +247,14 @@ def _cmd_holonomy(cfg):
                 or not math.isfinite(r):
             raise _InputError(f"radius must be a finite number, got {r!r}")
         if preset == "circle":
-            # the loop is built at once; its size shares the volume cap
+            # the loop is streamed in blocks; its size shares the volume cap
             if isinstance(n, bool) or not isinstance(n, int) \
                     or not 1 <= n <= distance.MAX_SAMPLES:
                 raise _InputError(f"samples must be an integer in "
                                   f"[1, 1e7], got {n!r}")
-            theta = np.linspace(0.0, 2.0 * np.pi, n + 1)
-            loop = np.column_stack([r * np.cos(theta), r * np.sin(theta)])
-            loop[-1] = loop[0]
+            with np.errstate(over="ignore", invalid="ignore"):
+                check = geometry.circle_isoperimetric_check(r, n)
+            return _holonomy_payload(*check, n + 1)
         elif preset == "square":
             loop = r * np.array([[0, 0], [1, 0], [1, 1], [0, 1], [0, 0]],
                                 dtype=float)
@@ -263,12 +263,16 @@ def _cmd_holonomy(cfg):
         else:
             raise DomainError(f"unknown loop preset {preset!r}")
     with np.errstate(over="ignore", invalid="ignore"):
-        area, length, defect = geometry.isoperimetric_check(loop)
+        check = geometry.isoperimetric_check(loop)
+    return _holonomy_payload(*check, len(loop))
+
+
+def _holonomy_payload(area, length, defect, samples):
     if not math.isfinite(area):
         raise _InputError(f"the loop's enclosed area is not a finite float "
                           f"(got {area!r}); scale it down")
     return {"holonomy": area, "area": area, "length": length,
-            "isoperimetric_defect": defect, "samples": int(len(loop))}
+            "isoperimetric_defect": defect, "samples": int(samples)}
 
 
 def _cmd_volume(cfg):

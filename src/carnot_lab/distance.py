@@ -22,15 +22,16 @@ reported distance under left translation and dilation holds by
 construction.
 
 The l2 distance from the origin also has a closed form, ``l2_distance``,
-and so does the height of the l2 ball, r^2 / (2 pi). Monte Carlo ball
-membership screens samples by that height first, and uses the exact
-distance where neither the height, the elementary bounds nor the bracket
-of its Newton solve decide a sample.
+and so does the l2 sphere, a meridian curve turned about the z axis.
+Monte Carlo ball membership screens samples by the sphere's height,
+r^2 / (2 pi), then by a certified table of its meridian, and uses the
+exact distance only where neither decides a sample.
 """
 
 from __future__ import annotations
 
 import copy
+import functools
 import math
 import numbers
 import sys
@@ -366,31 +367,11 @@ def cc_distance(A, B, *, segments=DEFAULT_SEGMENTS, norm="l2",
 # exact l2 distance (circular-arc geodesics)
 
 _NEWTON_STEPS = 5  # reaches 1e-15 relative error for w in [1e-8, 1e8]
-# samples per membership block: its temporaries stay in cache
+# Monte Carlo membership: samples per block, whose temporaries stay in
+# cache, and cells of the meridian table over u = rho / r in [0, 1); both
+# tables together take 32 KB
 _MEMBERSHIP_BLOCK = 1 << 15
-# open pairs per exact l2_distance call in ball_volume_fit; about 2.7% of
-# the samples stay open, so up to ~2.4e6 samples a radius takes one call
-_EXACT_BATCH = 1 << 16
-
-
-def _half_angle_brackets(q):
-    """The two branches of ``l2_distance`` for q = sqrt(abs_z) / rho, and
-    the proven range of the unknown on each, as (arc, t_lo, t_hi, loop,
-    p_lo); the ranges hold the entries of their mask, in order.
-
-    With w = q^2, on ``arc`` (0 < w <= pi/8) the half-angle theta lies in
-    [t_lo, t_hi] = [4w, min(6w, pi/2)]: w(theta) is convex with slope 1/6
-    at 0 and chord slope 1/4 to pi/2. On ``loop`` (pi/8 < w, q finite)
-    psi = pi - theta lies in [p_lo, pi/2] with p_lo = sqrt(pi / (4w)):
-    w(psi) is decreasing and at least pi / (4 psi^2). Call it under
-    ``np.errstate(all="ignore")``.
-    """
-    w = q * q
-    arc = (w > 0) & (w <= np.pi / 8)
-    loop = (w > np.pi / 8) & np.isfinite(q)
-    wa = w[arc]
-    return (arc, 4.0 * wa, np.minimum(6.0 * wa, 0.5 * np.pi),
-            loop, 0.5 * math.sqrt(math.pi) / q[loop])
+_MERIDIAN_CELLS = 1 << 11
 
 
 def l2_distance(rho, abs_z):
@@ -402,7 +383,7 @@ def l2_distance(rho, abs_z):
     (2 theta - sin 2 theta) / (8 sin^2 theta) = w, and the distance is
     rho theta / sin theta (2 sqrt(pi abs_z) on the vertical axis). Newton
     runs in theta for w <= pi/8, in psi = pi - theta as the arc closes,
-    clipped to the brackets of ``_half_angle_brackets``.
+    clipped to a proven bracket of the unknown.
     """
     rho, az = np.broadcast_arrays(np.asarray(rho, dtype=float),
                                   np.asarray(abs_z, dtype=float))
@@ -412,11 +393,16 @@ def l2_distance(rho, abs_z):
     with np.errstate(all="ignore"):
         q = np.sqrt(az) / rho
         d = np.where(np.isinf(q), 2.0 * np.sqrt(np.pi * az), rho)
-        arc, lo, hi, loop, p_lo = _half_angle_brackets(q)
-        # a branch without points is skipped, which halves a scalar call;
-        # in theta Newton descends from the top of the bracket
+        w = q * q
+        arc = (w > 0) & (w <= np.pi / 8)
+        loop = (w > np.pi / 8) & np.isfinite(q)
+        # a branch without points is skipped, which halves a scalar call
         if arc.any():
-            qa = q[arc]
+            # theta lies in [4w, min(6w, pi/2)]: w(theta) is convex with
+            # slope 1/6 at 0 and chord slope 1/4 to pi/2. Newton descends
+            # from the top of the bracket
+            qa, wa = q[arc], w[arc]
+            lo, hi = 4.0 * wa, np.minimum(6.0 * wa, 0.5 * np.pi)
             t = hi
             for _ in range(_NEWTON_STEPS):
                 s = np.sin(t)
@@ -426,9 +412,11 @@ def l2_distance(rho, abs_z):
                 t = np.fmax(lo, np.fmin(hi, t - step))
             d[arc] = rho[arc] * t / np.sin(t)
         if loop.any():
-            # w(psi) is convex, so Newton climbs from p_lo without
-            # passing the root
+            # psi lies in [p_lo, pi/2], p_lo = sqrt(pi / (4w)): w(psi) is
+            # decreasing and at least pi / (4 psi^2). It is convex, so
+            # Newton climbs from p_lo without passing the root
             ql = q[loop]
+            p_lo = 0.5 * math.sqrt(math.pi) / ql
             p = p_lo
             for _ in range(_NEWTON_STEPS):
                 s = np.sin(p)
@@ -438,6 +426,56 @@ def l2_distance(rho, abs_z):
                 p = np.fmin(0.5 * np.pi, np.fmax(p_lo, p + step))
             d[loop] = rho[loop] * (np.pi - p) / np.sin(p)
     return d
+
+
+@functools.cache
+def _meridian_table():
+    """Certified bounds (lo, hi) of the l2 ball's height per cell of
+    u = rho / r: two arrays of K + 2 entries, K = ``_MERIDIAN_CELLS``,
+    built on first use (~0.5 ms).
+
+    The sphere of radius s is the meridian rho = s u, |z| = s^2 H turned
+    about the z axis, where u = sin t / t, H = (2t - sin 2t) / (8 t^2)
+    and t runs over [0, pi] (Montgomery 2002). At fixed rho the distance
+    increases with |z|, so the ball of radius s is {rho <= s, |z| <=
+    Z_s(rho)}, Z_s(rho) = s^2 H(rho / s). Since dH/du = -cos t / (2t), H
+    rises on [0, 2/pi] from 1/(4 pi) to 1/(2 pi) and falls to 0 at u = 1:
+    on cell k, [k/K, (k+1)/K], H lies between the cell's knot values, or
+    at most 1/(2 pi) in the cell of 2/pi. The knots' t come from Newton
+    on sin t = u t from t = sqrt(6 (1 - u)), to a rounding in five steps.
+
+    ``_cc_membership`` reads cell k = floor(rho K / r). For r' = r(1 -+
+    1e-12), rho / r' lies in the cell widened to [k/K (1 - d), (k+1)/K
+    (1 + d)], d = 2e-12, which covers the 1e-12 and the roundings of rho
+    and of the index. Below u_{K-1} (1 + d) the slope |dH/du| is less
+    than 1 / t_{K-1}, so on the widened cells 0 .. K - 2 H passes its
+    knot values by less than d / t_{K-1}. The dilation, Z_r'(rho) =
+    (r'/r)^2 r^2 H(rho / r'), and the roundings of the knots and of
+    r^2 lo and r^2 hi add less than d r^2 / 4, as H <= 1 / (2 pi). So
+    with pad = d (1 + 1 / t_{K-1}) taken off lo and added to hi,
+    r^2 lo[k] <= Z_{r(1-1e-12)}(rho) and r^2 hi[k] >= Z_{r(1+1e-12)}(rho):
+    a sample with |z| <= r^2 lo[k] is inside the ball of radius
+    r(1 - 1e-12), one with |z| > r^2 hi[k] outside that of radius
+    r(1 + 1e-12). The widened cells K - 1 and K reach past u = 1, where
+    the ball ends: lo = -1, none is inside, and hi is that of cell K - 1,
+    since H decreases there. From cell K + 1 on, rho > r(1 + 1e-12) and
+    lo = hi = -1: all are outside.
+    """
+    K = _MERIDIAN_CELLS
+    u = np.arange(K) / K
+    t = np.minimum(np.sqrt(6.0 * (1.0 - u)), np.pi)
+    for _ in range(5):
+        t = np.minimum(np.pi, t - (np.sin(t) - u * t) / (np.cos(t) - u))
+    knots = np.append((2.0 * t - np.sin(2.0 * t)) / (8.0 * t * t), 0.0)
+    pad = 2e-12 * (1.0 + 1.0 / t[-1])
+    lo = np.minimum(knots[:-1], knots[1:]) - pad
+    hi = np.maximum(knots[:-1], knots[1:]) + pad
+    hi[int(2.0 * K / np.pi)] = 0.5 / np.pi + pad
+    lo[-1] = -1.0
+    lo, hi = np.append(lo, (-1.0, -1.0)), np.append(hi, (hi[-1], -1.0))
+    # every caller shares the cached arrays
+    lo.flags.writeable = hi.flags.writeable = False
+    return lo, hi
 
 
 def _cc_membership(x, y, z, r):
@@ -451,57 +489,35 @@ def _cc_membership(x, y, z, r):
     element, to ``l2_distance(np.hypot(x, y), |z|) <= r``. The tiers,
     each deciding what it can and passing on the rest:
 
-    0. the height of the ball, |z| <= r^2 / (2 pi): a point of the
-       sphere of radius s lies on a meridian rho = s sin theta / theta,
-       |z| = s^2 (2 theta - sin 2 theta) / (8 theta^2), theta in
-       [0, pi], and the theta-derivative of (2 theta - sin 2 theta) /
-       theta^2 is 4 cos theta (sin theta - theta cos theta) / theta^3,
-       so the height peaks at theta = pi/2, at s^2 / (2 pi). This one
-       comparison leaves 1 / (2 pi), about a sixth, of the sampling box
-       to the later tiers;
-    1. the elementary bounds of ``distance_bounds``,
-       max(rho, 2 sqrt(pi |z|) - rho) <= d <= rho + 2 sqrt(pi |z|);
-    2. the distances at the ends of ``_half_angle_brackets``, since
-       theta / sin theta increases on [0, pi): rho t_lo / sin t_lo <= d
-       <= rho t_hi / sin t_hi on the arc branch, rho pi / 2 <= d <=
-       rho (pi - p_lo) / sin p_lo on the loop branch.
+    0. the height of the ball, |z| <= r^2 / (2 pi), the peak of the
+       meridian of ``_meridian_table``. This one comparison leaves
+       1 / (2 pi), about a sixth, of the sampling box to the table;
+    1. the meridian table: in the cell k = floor(rho K / r), a sample
+       with |z| <= r^2 lo[k] is inside, one with |z| > r^2 hi[k]
+       outside. About one sample in 7,000 is left open.
 
-    A tier decides only where it clears r by a relative 1e-12, far more
-    than the rounding of the bounds and of ``l2_distance`` (below 4e-16
-    relative), so near-ties reach the exact value. x * x + y * y must not
-    overflow; ``ball_volume_fit``'s radius domain sees to that.
+    A tier decides only what is inside the ball of radius r(1 - 1e-12)
+    or outside that of radius r(1 + 1e-12), far more than the rounding of
+    ``l2_distance`` (below 4e-16 relative), so near-ties reach the exact
+    value. x * x + y * y must not overflow; ``ball_volume_fit``'s radius
+    domain sees to that.
     """
-    r_in, r_out = r * (1.0 - 1e-12), r * (1.0 + 1e-12)
     hit = np.zeros(len(z), dtype=bool)
-    # tier 0; tiers 1 and 2 see only the candidates it gathers, and
-    # index into them
+    # tier 0; the table sees only the candidates it gathers, and indexes
+    # into them
+    r_out = r * (1.0 + 1e-12)
     az = np.abs(z)
     low = np.flatnonzero(az <= r_out * r_out / (2.0 * np.pi))
     x, y, az = x[low], y[low], az[low]
-    # tier 1; sqrt(x^2 + y^2) is within the margin of np.hypot and
-    # several times faster
+    # tier 1; sqrt(x^2 + y^2) is within the table's widening of np.hypot
+    # and several times faster
     rho = np.sqrt(x * x + y * y)
-    vertical = 2.0 * np.sqrt(np.pi * az)
-    inside = rho + vertical <= r_in
+    lo, hi = _meridian_table()
+    K = _MERIDIAN_CELLS
+    cell = np.minimum(rho * (K / r), K + 1.0).astype(np.intp)
+    inside = az <= (r * r * lo)[cell]
     hit[low[inside]] = True
-    band = np.flatnonzero(~inside
-                          & (np.maximum(rho, vertical - rho) <= r_out))
-    # tier 2; on the axis (q = inf) and the plane (w = 0) the tier-1
-    # bounds coincide, so only near-ties get here and pass on
-    rho = rho[band]
-    with np.errstate(all="ignore"):
-        arc, t_lo, t_hi, loop, p_lo = _half_angle_brackets(
-            np.sqrt(az[band]) / rho)
-        ra, rl = rho[arc], rho[loop]
-        lower = np.concatenate((ra * t_lo / np.sin(t_lo),
-                                rl * (0.5 * np.pi)))
-        upper = np.concatenate((ra * t_hi / np.sin(t_hi),
-                                rl * (np.pi - p_lo) / np.sin(p_lo)))
-    bracketed = np.concatenate((band[arc], band[loop]))
-    surely_in = upper <= r_in
-    hit[low[bracketed[surely_in]]] = True
-    rest = np.concatenate((bracketed[~surely_in & (lower <= r_out)],
-                           band[~(arc | loop)]))
+    rest = np.flatnonzero(~inside & (az <= (r * r * hi)[cell]))
     return hit, low[rest], np.hypot(x[rest], y[rest]), az[rest]
 
 
@@ -536,11 +552,11 @@ def ball_volume_fit(metric, radii, samples, seed) -> VolumeFit:
     ``_MEMBERSHIP_BLOCK``, from three copies of the generator jumped to
     the start of each run, so memory does not grow with ``samples``.
     Distance-ball membership is ``_cc_membership`` (the ball's height,
-    which rules out about five samples in six, then the elementary path
-    bounds and the half-angle bracket of the exact distance on the rest)
-    per block, then ``l2_distance`` on the pairs all three leave open,
-    gathered into one call per radius (per ``_EXACT_BATCH`` pairs beyond
-    ~2.4e6 samples); Euclidean membership is the squared norm.
+    which rules out about five samples in six, then the certified table of
+    the ball's meridian on the rest) per block, then ``l2_distance`` on
+    the pairs both leave open, about one sample in 7,000 at every radius,
+    gathered into one call per radius (~1.4e3 pairs at 1e7 samples);
+    Euclidean membership is the squared norm.
 
     Every radius must have a box volume (8 r^3 Euclidean, 8 r^4 cc) that
     is a finite, normal, positive float, so that the volumes, their logs
@@ -603,13 +619,10 @@ def ball_volume_fit(metric, radii, samples, seed) -> VolumeFit:
             hits += int(np.count_nonzero(hit))
             open_rho.append(rho)
             open_z.append(az)
-            # the open pairs share one exact call at the end of the radius,
-            # or sooner once they fill a batch
-            if (start + m == samples
-                    or sum(map(len, open_rho)) >= _EXACT_BATCH):
-                hits += int(np.count_nonzero(l2_distance(
-                    np.concatenate(open_rho), np.concatenate(open_z)) <= r))
-                open_rho, open_z = [], []
+        if metric == "cc":
+            # the open pairs of all blocks share one exact call
+            hits += int(np.count_nonzero(l2_distance(
+                np.concatenate(open_rho), np.concatenate(open_z)) <= r))
         frac = hits / samples
         vols.append(box * frac)
         hit_list.append(hits)

@@ -19,6 +19,8 @@ from .errors import DomainError
 from .heisenberg import HeisPoint, exp_inv, exp_mul
 
 CLOSURE_TOL = 1e-12
+# segments of a sampled circle per block of ``circle_isoperimetric_check``
+_LOOP_BLOCK = 1 << 16
 
 HORIZONTAL_NORMS = ("l2", "l1", "linf")
 
@@ -104,6 +106,34 @@ def isoperimetric_check(planar_loop):
     pts = np.asarray(planar_loop, dtype=float)
     area = holonomy(pts)
     length = float(np.sum(np.hypot(*np.diff(pts, axis=0).T)))
+    defect = length * length / (4.0 * np.pi) - abs(area)
+    return area, length, defect
+
+
+def circle_isoperimetric_check(radius, samples):
+    """``isoperimetric_check`` of the circle of ``radius`` through the
+    points at the angles np.linspace(0, 2 pi, samples + 1), the last point
+    set to the first, built and summed in blocks of ``_LOOP_BLOCK``
+    segments so that memory does not grow with ``samples``.
+
+    Each block's points are the whole loop's, bit for bit. The running
+    area enters the next block's cumulative sum as its first term, so the
+    area is the whole loop's too. The length is summed per block: beyond
+    one block its last bits differ from the whole loop's pairwise sum.
+    """
+    step = 2.0 * np.pi / samples
+    area = length = 0.0
+    for start in range(0, samples, _LOOP_BLOCK):
+        stop = min(start + _LOOP_BLOCK, samples)
+        theta = np.arange(start, stop + 1, dtype=float) * step
+        x, y = radius * np.cos(theta), radius * np.sin(theta)
+        if start == 0:
+            first = x[0], y[0]
+        if stop == samples:
+            x[-1], y[-1] = first
+        dz = 0.5 * (x[:-1] * y[1:] - x[1:] * y[:-1])
+        area = float(np.cumsum(np.concatenate(([area], dz)))[-1])
+        length += float(np.sum(np.hypot(np.diff(x), np.diff(y))))
     defect = length * length / (4.0 * np.pi) - abs(area)
     return area, length, defect
 

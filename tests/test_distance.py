@@ -688,9 +688,87 @@ def test_cc_membership_height_screen_on_the_top_rim(r):
     assert np.array_equal(got, exact)
 
 
+def _unit_meridian_angle(u):
+    # t in [0, pi] with sin t / t = u, by bisection: sin t / t decreases
+    lo, hi = np.zeros_like(u), np.full_like(u, math.pi)
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        above = np.sin(mid) / mid > u
+        lo, hi = np.where(above, mid, lo), np.where(above, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+def test_meridian_table_is_certified():
+    # the unit meridian, walked densely and through every knot and just
+    # beside it, lies within the bounds of each cell the 1e-12 margin can
+    # read it from, scaled by the margin's dilation (1 -+ 1e-12)^2
+    lo, hi = dist._meridian_table()
+    K = dist._MERIDIAN_CELLS
+    assert lo.shape == hi.shape == (K + 2,)
+    assert np.isfinite(lo).all() and np.isfinite(hi).all()
+    assert (lo <= hi).all()
+    # past the ball, nothing is inside and everything outside
+    assert (lo[K - 1:] < 0.0).all() and hi[K + 1] < 0.0
+    t = np.concatenate((np.linspace(0.0, math.pi, 200_001)[1:],
+                        _unit_meridian_angle(np.outer(
+                            np.arange(1, K) / K,
+                            (1.0 - 9e-13, 1.0, 1.0 + 9e-13)).ravel())))
+    u = np.sin(t) / t
+    h = _unit_meridian_height(t)
+    for rel in (-1e-12, 0.0, 1e-12):
+        cell = np.floor(u * (1.0 + rel) * K).astype(int)
+        assert (lo[cell] <= h * (1.0 - 1e-12) ** 2).all()
+        assert (hi[cell] >= h * (1.0 + 1e-12) ** 2).all()
+
+
+@pytest.mark.parametrize("r", [1.0, 1e-70, 1e70])
+def test_cc_membership_decides_ties_as_the_exact_distance(r):
+    # samples planted where the meridian table is closest to deciding
+    # wrongly: the plane and the axis within 64 roundings of the sphere,
+    # every knot of the table at the sphere's height and at its cell's
+    # bounds, and the top rim across the peak cell; each is decided as
+    # the exact distance decides it
+    rng = np.random.default_rng([19, int(math.log10(r)) + 100])
+    K = dist._MERIDIAN_CELLS
+    lo, hi = dist._meridian_table()
+    ties = np.arange(-64, 65) * np.finfo(float).eps
+    knots = np.arange(K + 1) / K
+    peak = int(2.0 * K / math.pi)
+    across = np.linspace(peak, peak + 1, 257) / K
+    rim = _unit_meridian_height(_unit_meridian_angle(across))
+    height = _unit_meridian_height(_unit_meridian_angle(knots))
+    u = np.concatenate((
+        1.0 + ties,  # the plane
+        np.zeros_like(ties),  # the axis
+        np.repeat(knots, 5),
+        np.repeat(across, 2)))
+    h = np.concatenate((
+        np.zeros_like(ties),
+        (1.0 + ties) / (4.0 * math.pi),
+        np.column_stack((
+            height, height * (1.0 + rng.choice(ties, K + 1)),
+            lo[:K + 1], hi[:K + 1], np.append(lo[0], lo[:K]))).ravel(),
+        np.column_stack((rim * (1.0 + rng.choice(ties, 257)),
+                         np.full(257, 0.5 / math.pi))).ravel()))
+    h = np.abs(h)  # lo = -1 past the ball plants |z| = r^2 there
+    angle = rng.uniform(0.0, 2.0 * math.pi, len(u))
+    angle[:len(ties)] = 0.0  # the plane's ties stay exact in x
+    x, y = r * u * np.cos(angle), r * u * np.sin(angle)
+    z = r * r * h * rng.choice([-1.0, 1.0], len(u))
+    exact = dist.l2_distance(np.hypot(x, y), np.abs(z)) <= r
+    # the plane and the axis straddle the sphere
+    for part in (slice(0, len(ties)), slice(len(ties), 2 * len(ties))):
+        assert exact[part].any() and not exact[part].all()
+    got, rest, rho, abs_z = dist._cc_membership(x, y, z, r)
+    assert not got[rest].any()
+    got[rest] = dist.l2_distance(rho, abs_z) <= r
+    assert np.array_equal(got, exact)
+
+
 def test_volume_fit_open_share_pinned(monkeypatch):
-    # the pairs left to the exact distance at this seed: 2.7% of the
-    # samples with the height screen, 3.7% with the bounds alone
+    # the pairs left to the exact distance at this seed: 0.014% of the
+    # samples with the meridian table, 2.7% with the path bounds and the
+    # half-angle bracket it replaced
     sent, exact = [], dist.l2_distance
 
     def counting(rho, abs_z):
@@ -700,7 +778,7 @@ def test_volume_fit_open_share_pinned(monkeypatch):
     monkeypatch.setattr(dist, "l2_distance", counting)
     samples = 10 ** 6
     dist.ball_volume_fit("cc", (0.5, 1, 1.5, 2), samples, seed=7)
-    assert sum(sent) <= 0.03 * 4 * samples
+    assert sum(sent) <= 2e-4 * 4 * samples
 
 
 def test_volume_fit_hits_pinned():
@@ -734,19 +812,12 @@ def _whole_array_hits(metric, radii, n, seed):
     return tuple(expected)
 
 
-@pytest.mark.parametrize("metric, seed, batch", [
-    ("cc", 3, None), ("cc", 11, None), ("euclidean", 3, None),
-    ("euclidean", 11, None),
-    # the open pairs go to l2_distance mid-radius, as they do beyond
-    # ~2.4e6 samples at the real batch size
-    ("cc", 3, 1000)])
-def test_volume_fit_streams_the_whole_array_draws(metric, seed, batch,
-                                                  monkeypatch):
+@pytest.mark.parametrize("metric, seed", [
+    ("cc", 3), ("cc", 11), ("euclidean", 3), ("euclidean", 11)])
+def test_volume_fit_streams_the_whole_array_draws(metric, seed):
     # the blocks are drawn from jumped copies of the generator; each count
     # is the one of whole-array draws, and the next radius starts where
     # the whole arrays left off
-    if batch is not None:
-        monkeypatch.setattr(dist, "_EXACT_BATCH", batch)
     n = 2 * dist._MEMBERSHIP_BLOCK + 1234
     radii = (0.5, 1.0, 2.0)
     fit = dist.ball_volume_fit(metric, radii, n, seed=seed)

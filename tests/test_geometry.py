@@ -145,6 +145,25 @@ def test_holonomy_equals_signed_area():
         assert geo.holonomy(poly) == pytest.approx(shoelace(poly), abs=1e-12)
 
 
+@pytest.mark.parametrize("radius, samples", [
+    (2.5, 1), (2.5, 3), (2.5, 10_000), (-1.5, geo._LOOP_BLOCK),
+    (2.5, geo._LOOP_BLOCK + 1), (-1.5, 3 * geo._LOOP_BLOCK + 5)])
+def test_circle_check_streams_the_whole_loop(radius, samples):
+    # the whole loop, as the holonomy preset used to build it
+    theta = np.linspace(0.0, 2.0 * np.pi, samples + 1)
+    loop = np.column_stack([radius * np.cos(theta), radius * np.sin(theta)])
+    loop[-1] = loop[0]
+    whole = geo.isoperimetric_check(loop)
+    area, length, defect = geo.circle_isoperimetric_check(radius, samples)
+    assert area == whole[0]
+    if samples <= geo._LOOP_BLOCK:
+        assert (length, defect) == whole[1:]
+    else:
+        # summed per block, not pairwise over the whole loop
+        assert length == pytest.approx(whole[1], rel=1e-15)
+        assert defect == pytest.approx(whole[2], abs=1e-13)
+
+
 def test_holonomy_requires_closure():
     with pytest.raises(DomainError):
         geo.holonomy([[0.0, 0.0], [1.0, 0.0]])
