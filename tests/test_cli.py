@@ -81,6 +81,46 @@ def test_group_mixed_coordinates_rejected(tmp_path):
         run("group", cfg)
 
 
+_G1 = {"matrix": '{"a":1.5,"c":-2,"b":0.25}',
+       "point": '{"x":1.5,"y":-2,"z":0.25}',
+       "algebra": '{"alpha":1.5,"beta":-2,"gamma":0.25}'}
+_G2 = {"matrix": '{"a":-0.5,"c":3,"b":1}', "point": '{"x":-0.5,"y":3,"z":1}',
+       "algebra": '{"alpha":-0.5,"beta":3,"gamma":1}', "none": None}
+_SAME_COORDS = "{} needs two elements in the same coordinates"
+# op -> result per --g1 kind (for a binary op, only with a --g2 of that
+# kind), or the refusal for any other operand
+_GROUP_RESULTS = {
+    "mul": ({"matrix": {"a": 1.0, "c": 1.0, "b": 5.75},
+             "point": {"x": 1.0, "y": 1.0, "z": 3.0}},
+            _SAME_COORDS.format("mul")),
+    "inv": ({"matrix": {"a": -1.5, "c": 2.0, "b": -3.25},
+             "point": {"x": -1.5, "y": 2.0, "z": -0.25}},
+            "inv needs a group element, not an algebra element"),
+    "commutator": ({"matrix": {"a": 0.0, "c": 0.0, "b": 3.5},
+                    "point": {"x": 0.0, "y": 0.0, "z": 3.5}},
+                   _SAME_COORDS.format("commutator")),
+    "exp": ({"algebra": {"a": 1.5, "c": -2.0, "b": -1.25}},
+            'exp needs an algebra element {"alpha":..,"beta":..,"gamma":..}'),
+    "log": ({"matrix": {"alpha": 1.5, "beta": -2.0, "gamma": 1.75}},
+            'log needs a matrix element {"a":..,"c":..,"b":..}'),
+}
+
+
+@pytest.mark.parametrize("g2", list(_G2))
+@pytest.mark.parametrize("g1", list(_G1))
+@pytest.mark.parametrize("op", list(_GROUP_RESULTS))
+def test_group_every_op_and_operand_kind(tmp_path, op, g1, g2):
+    results, refusal = _GROUP_RESULTS[op]
+    cfg = base_cfg(tmp_path, op=op, g1=_G1[g1], g2=_G2[g2])
+    if g1 in results and (op not in ("mul", "commutator") or g2 == g1):
+        assert run("group", cfg).payload == {"op": op, "result": results[g1]}
+    else:
+        with pytest.raises(CommandError) as info:
+            run("group", cfg)
+        assert (info.value.module, str(info.value)) == \
+            ("heisenberg_group", refusal)
+
+
 def test_ccdist_run_single_and_survey(tmp_path):
     cfg = base_cfg(tmp_path, a='{"x":0,"y":0,"z":0}', b='{"x":1,"y":0,"z":0}',
                    tol=1e-6, segments=32, norm="l2")
