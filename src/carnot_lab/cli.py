@@ -48,19 +48,15 @@ def _json_safe(obj):
         return {k: _json_safe(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_json_safe(v) for v in obj]
-    if isinstance(obj, (np.floating, float)):
-        v = float(obj)
-        if math.isnan(v):
-            return None
-        if math.isinf(v):
-            return "inf" if v > 0 else "-inf"
-        return v
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
     if isinstance(obj, np.ndarray):
         return _json_safe(obj.tolist())
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
+    if isinstance(obj, np.generic):
+        obj = obj.item()
+    if isinstance(obj, float):
+        if math.isnan(obj):
+            return None
+        if math.isinf(obj):
+            return "inf" if obj > 0 else "-inf"
     return obj
 
 
@@ -124,47 +120,38 @@ def _parse_element(data, where):
     return el
 
 
+def _point_commutator(p1, p2):
+    return heisenberg.matrix_to_point(heisenberg.commutator(
+        heisenberg.point_to_matrix(p1), heisenberg.point_to_matrix(p2)))
+
+
+_M, _P = heisenberg.HeisMatrix, heisenberg.HeisPoint
+# op -> (operand count, function per operand type, refusal); the two
+# operands of a binary op share their type
+_GROUP_OPS = {
+    "mul": (2, {_M: heisenberg.mul, _P: heisenberg.exp_mul},
+            "mul needs two elements in the same coordinates"),
+    "inv": (1, {_M: heisenberg.inv, _P: heisenberg.exp_inv},
+            "inv needs a group element, not an algebra element"),
+    "commutator": (2, {_M: heisenberg.commutator, _P: _point_commutator},
+                   "commutator needs two elements in the same coordinates"),
+    "exp": (1, {heisenberg.LieVector: heisenberg.exp_map},
+            'exp needs an algebra element {"alpha":..,"beta":..,"gamma":..}'),
+    "log": (1, {_M: heisenberg.log_map},
+            'log needs a matrix element {"a":..,"c":..,"b":..}'),
+}
+
+
 def _cmd_group(cfg):
     op = cfg["op"]
     g1 = _parse_element(cfg["g1"], "--g1")
     g2 = _parse_element(cfg["g2"], "--g2") if cfg.get("g2") else None
-    M, P = heisenberg.HeisMatrix, heisenberg.HeisPoint
-    if op == "mul":
-        if isinstance(g1, M) and isinstance(g2, M):
-            result = heisenberg.mul(g1, g2)
-        elif isinstance(g1, P) and isinstance(g2, P):
-            result = heisenberg.exp_mul(g1, g2)
-        else:
-            raise DomainError("mul needs two elements in the same coordinates")
-    elif op == "inv":
-        if isinstance(g1, M):
-            result = heisenberg.inv(g1)
-        elif isinstance(g1, P):
-            result = heisenberg.exp_inv(g1)
-        else:
-            raise DomainError("inv needs a group element, not an algebra "
-                              "element")
-    elif op == "commutator":
-        if isinstance(g1, P) and isinstance(g2, P):
-            result = heisenberg.matrix_to_point(
-                heisenberg.commutator(heisenberg.point_to_matrix(g1),
-                                      heisenberg.point_to_matrix(g2)))
-        elif isinstance(g1, M) and isinstance(g2, M):
-            result = heisenberg.commutator(g1, g2)
-        else:
-            raise DomainError("commutator needs two elements in the same "
-                              "coordinates")
-    elif op == "exp":
-        if not isinstance(g1, heisenberg.LieVector):
-            raise DomainError("exp needs an algebra element "
-                              '{"alpha":..,"beta":..,"gamma":..}')
-        result = heisenberg.exp_map(g1)
-    elif op == "log":
-        if not isinstance(g1, M):
-            raise DomainError('log needs a matrix element {"a":..,"c":..,"b":..}')
-        result = heisenberg.log_map(g1)
-    else:
+    if op not in _GROUP_OPS:
         raise DomainError(f"unknown group op {op!r}")
+    arity, by_type, refusal = _GROUP_OPS[op]
+    if type(g1) not in by_type or (arity == 2 and type(g2) is not type(g1)):
+        raise DomainError(refusal)
+    result = by_type[type(g1)](*(g1, g2)[:arity])
     return {"op": op, "result": result._asdict()}
 
 

@@ -287,7 +287,9 @@ def cc_distance(A, B, *, segments=DEFAULT_SEGMENTS, norm="l2",
     distance; ``degraded`` is set when no slot path reaches the endpoint.
     Its ``lower`` is the exact continuous distance ``l2_distance`` and its
     ``upper`` the length of an explicit path on ``segments`` slots (or the
-    value, where that is shorter), so the value lies between them.
+    value, where that is shorter); where the witness is the segment+loop
+    connection, ``upper`` is that path's length. So the value lies between
+    them.
 
     For l1 and linf the value is bracketed by the ``distance_bounds``.
     ``norm`` must be one of ``HORIZONTAL_NORMS``, ``segments`` a positive
@@ -342,7 +344,7 @@ def cc_distance(A, B, *, segments=DEFAULT_SEGMENTS, norm="l2",
         fallback_length = cc_length(fallback)
         if sol is None or fallback_length < scale * sol[0]:
             return DistanceResult(fallback_length, fallback, lower,
-                                  min(upper, fallback_length), 0.0,
+                                  fallback_length, 0.0,
                                   degraded=sol is None, norm=norm,
                                   segments=segments)
         length_hat, U, err_hat = sol

@@ -22,17 +22,13 @@ CLOSURE_TOL = 1e-12
 # segments of a sampled circle per block of ``circle_isoperimetric_check``
 _LOOP_BLOCK = 1 << 16
 
-HORIZONTAL_NORMS = ("l2", "l1", "linf")
-
-
-def _norm_values(u, v, norm):
-    if norm == "l2":
-        return np.hypot(u, v)
-    if norm == "l1":
-        return np.abs(u) + np.abs(v)
-    if norm == "linf":
-        return np.maximum(np.abs(u), np.abs(v))
-    raise DomainError(f"unknown horizontal norm {norm!r}")
+# horizontal norm -> the speed of the controls (u, v) in it
+_SPEEDS = {
+    "l2": np.hypot,
+    "l1": lambda u, v: np.abs(u) + np.abs(v),
+    "linf": lambda u, v: np.maximum(np.abs(u), np.abs(v)),
+}
+HORIZONTAL_NORMS = tuple(_SPEEDS)
 
 
 # ---------------------------------------------------------------------------
@@ -163,8 +159,10 @@ def cc_length(path: HorizontalPath, norm="l2") -> float:
     """Length sum_k ||(u_k, v_k)||_norm * dt_k of the control path."""
     if not path.controls.size:
         return 0.0
+    if norm not in _SPEEDS:
+        raise DomainError(f"unknown horizontal norm {norm!r}")
     u, v, dt = path.controls.T
-    return float(np.sum(_norm_values(u, v, norm) * dt))
+    return float(np.sum(_SPEEDS[norm](u, v) * dt))
 
 
 def integrate_path(path: HorizontalPath) -> HeisPoint:

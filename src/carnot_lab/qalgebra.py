@@ -215,21 +215,30 @@ def abe_bgs_entropy(p):
 # deformed additions
 
 def q_add(x, y, q) -> float:
-    """Deformed sum x + y + (1-q) x y; ordinary addition at q = 1."""
+    """Deformed sum x + y + (1-q) x y; ordinary addition at q = 1. A sum
+    whose terms overflow with opposite signs has no value and is
+    refused."""
     q = _check_q(q)
     if not (math.isfinite(x) and math.isfinite(y)):
         raise DomainError("q_add requires finite summands")
-    return _deformed_sum(x, y, q)
+    s = _deformed_sum(x, y, q)
+    if math.isnan(s):
+        raise DomainError(f"q_add({x}, {y}, q={q}): its terms overflow "
+                          f"with opposite signs")
+    return s
 
 
 def _deformed_sum(x, y, q):
-    # the deformed sum of checked summands, elementwise on arrays
-    return x + y + (1.0 - q) * x * y
+    # the deformed sum of checked summands, elementwise on arrays; x y is
+    # formed first, so that a zero summand leaves the other one as it is
+    return x + y + (1.0 - q) * (x * y)
 
 
 def q_add_inverse(x, q) -> float:
     """The additive inverse of x under q_add: -x / (1 + (1-q) x)."""
     q = _check_q(q)
+    if not math.isfinite(x):
+        raise DomainError("q_add_inverse requires a finite x")
     d = 1.0 + (1.0 - q) * x
     if d == 0:
         raise DomainError(f"{x} has no q_add inverse at q={q}")

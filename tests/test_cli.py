@@ -9,7 +9,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from carnot_lab import cli, growth, pansu, reports
@@ -680,6 +680,42 @@ def test_main_qadd_overflow_is_inf(tmp_path, capsys):
     assert set(orders.values()) == {"exact"}
 
 
+@pytest.mark.parametrize("argv", [
+    ["--x=1e300", "--y=0", "--q=-1e20"], ["--x=-1e308", "--y=0", "--q=1e8"],
+    ["--x=-1e20", "--y=0", "--q=1e308"], ["--x=1e308", "--y=1e308",
+                                          "--q=1e308"]])
+def test_main_qadd_ends_in_a_number_or_a_json_error(tmp_path, capsys, argv):
+    # (1-q) x overflows in each; a zero summand still gives the other one
+    # back, and terms overflowing with opposite signs are refused
+    code = cli.main(["--output-dir", str(tmp_path), "qadd", *argv])
+    captured = capsys.readouterr()
+    lines = (captured.out + captured.err).splitlines()
+    assert len(lines) == 1, lines
+    record = json.loads(lines[0])
+    x, y = (float(arg.split("=")[1]) for arg in argv[:2])
+    if y == 0.0:
+        assert code == 0
+        assert record["summary"]["result"] == x
+    else:
+        assert code == 3
+        assert record["error"]["module"] == "q_algebra"
+        assert not (tmp_path / "qadd.bundle.json").exists()
+
+
+def test_main_ccdist_fallback_lies_in_its_bracket(tmp_path, capsys):
+    # the slot projection misses its tolerance here; the reported value is
+    # the segment+loop path's length, and the bracket must hold it
+    b = ('{"x":-119354.33185670934,"y":183352.27505853245,'
+         '"z":3.0360396502926784e-12}')
+    assert cli.main(["--output-dir", str(tmp_path), "ccdist", "--a",
+                     '{"x":0,"y":0,"z":0}', "--b", b,
+                     "--segments", "1000"]) == 0
+    rec = read_bundle(str(tmp_path / "ccdist.bundle.json")) \
+        .payload["pairs"][0]
+    assert rec["degraded"] is True
+    assert rec["lower"] <= rec["dist"] <= rec["upper"]
+
+
 def test_main_ccdist_summary_shows_degraded(tmp_path, capsys):
     # two slots cannot close a loop around the vertical axis, so that
     # solve falls back to the explicit path; the summary must say so
@@ -970,6 +1006,7 @@ _ARGV = st.one_of(
 @settings(max_examples=320, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(argv=_ARGV)
+@example(argv=["qadd", "--x=1e300", "--y=0", "--q=-1e20"])
 def test_main_fuzz_ends_in_result_or_json_error(tmp_path, argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -979,6 +1016,9 @@ def test_main_fuzz_ends_in_result_or_json_error(tmp_path, argv):
     assert len(lines) == 1, (argv, lines)
     record = json.loads(lines[0])
     assert ("error" in record) == (code != 0), (argv, record)
+    # a NaN result is written as null; exit 0 must carry real values
+    if code == 0:
+        assert None not in record["summary"].values(), (argv, record)
 
 
 # ---------------------------------------------------------------------------
@@ -1051,6 +1091,7 @@ _CONFIG_DRAWS = st.one_of(*(
 @settings(max_examples=240, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(draw=_CONFIG_DRAWS)
+@example(draw=("qadd", [], {"x": 1e300, "y": 0, "q": -1e20}))
 def test_main_config_fuzz_ends_in_result_or_json_error(tmp_path, draw):
     command, argv, values = draw
     conf = tmp_path / "fuzz.conf"
@@ -1065,3 +1106,5 @@ def test_main_config_fuzz_ends_in_result_or_json_error(tmp_path, draw):
     assert len(lines) == 1, (values, lines)
     record = json.loads(lines[0])
     assert ("error" in record) == (code != 0), (values, record)
+    if code == 0:
+        assert None not in record["summary"].values(), (values, record)

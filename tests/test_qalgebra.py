@@ -153,6 +153,33 @@ def test_q_add_group_laws():
             assert qa.q_add(x, xin, q) == pytest.approx(0.0, abs=1e-12)
 
 
+def test_q_add_zero_is_neutral():
+    # 0 is the neutral element for every finite q, also where (1-q) x
+    # alone would overflow
+    values = [0.0, -0.0, 1e-300, -2.5, 7.0, 1e20, -1e20, 1e300, -1e308,
+              1.7976931348623157e308]
+    qs = [1.0, 0.0, 0.5, 3.0, -1e20, 1e8, 1e308, -1e308]
+    for x in values:
+        for q in qs:
+            assert qa.q_add(x, 0.0, q) == x, (x, q)
+            assert qa.q_add(0.0, x, q) == x, (x, q)
+
+
+def test_q_add_refuses_overflow_with_opposite_signs():
+    # x + y overflows to +inf and (1-q) x y to -inf: no value is right
+    with pytest.raises(DomainError):
+        qa.q_add(1e308, 1e308, 1e308)
+    # overflow of one sign is the infinite value it tends to
+    assert qa.q_add(1e308, 1e308, 0.0) == math.inf
+    assert qa.q_add(1e308, 1e308, -1e308) == math.inf
+
+
+def test_q_add_inverse_refuses_non_finite():
+    for x in (math.inf, -math.inf, math.nan):
+        with pytest.raises(DomainError):
+            qa.q_add_inverse(x, 0.5)
+
+
 # ---------------------------------------------------------------------------
 # products and composition
 
