@@ -215,23 +215,24 @@ def abe_bgs_entropy(p):
 # deformed additions
 
 def q_add(x, y, q) -> float:
-    """Deformed sum x + y + (1-q) x y; ordinary addition at q = 1. A sum
-    whose terms overflow with opposite signs has no value and is
-    refused."""
+    """Deformed sum x + y + (1-q) x y; ordinary addition at q = 1, and
+    q_add(x, 0, q) = x for every finite q. A sum whose terms overflow with
+    opposite signs has no value and is refused."""
     q = _check_q(q)
     if not (math.isfinite(x) and math.isfinite(y)):
         raise DomainError("q_add requires finite summands")
     s = _deformed_sum(x, y, q)
     if math.isnan(s):
+        if y == 0:  # (1-q) x overflowed before it met the zero summand
+            return x
         raise DomainError(f"q_add({x}, {y}, q={q}): its terms overflow "
                           f"with opposite signs")
     return s
 
 
 def _deformed_sum(x, y, q):
-    # the deformed sum of checked summands, elementwise on arrays; x y is
-    # formed first, so that a zero summand leaves the other one as it is
-    return x + y + (1.0 - q) * (x * y)
+    # the deformed sum of checked summands, elementwise on arrays
+    return x + y + (1.0 - q) * x * y
 
 
 def q_add_inverse(x, q) -> float:

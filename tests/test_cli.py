@@ -682,11 +682,13 @@ def test_main_qadd_overflow_is_inf(tmp_path, capsys):
 
 @pytest.mark.parametrize("x, y, q, result", [
     ("1e300", "0", "-1e20", 1e300), ("-1e308", "0", "1e8", -1e308),
-    ("-1e20", "0", "1e308", -1e20), ("1e308", "1e308", "1e308", None)])
+    ("-1e20", "0", "1e308", -1e20), ("1e308", "1e308", "1e308", None),
+    ("1e200", "1e200", "1", 2e200)])
 def test_main_qadd_ends_in_a_number_or_a_json_error(tmp_path, capsys, x, y,
                                                     q, result):
-    # (1-q) x overflows in each; a zero summand still gives the other one
-    # back, and terms overflowing with opposite signs are refused
+    # a term of each overflows on its own; a zero summand still gives the
+    # other one back, ordinary addition stays finite, and terms
+    # overflowing with opposite signs are refused
     code = cli.main(["--output-dir", str(tmp_path), "qadd", f"--x={x}",
                      f"--y={y}", f"--q={q}"])
     captured = capsys.readouterr()

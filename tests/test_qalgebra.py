@@ -174,6 +174,14 @@ def test_q_add_refuses_overflow_with_opposite_signs():
     assert qa.q_add(1e308, 1e308, -1e308) == math.inf
 
 
+def test_q_add_keeps_a_finite_sum_of_large_summands():
+    # x y alone overflows in both, the deformed sum does not
+    assert qa.q_add(1e200, 1e200, 1.0) == 2e200
+    s = qa.q_add(1.5e154, 1.5e154, 0.5)
+    assert s == pytest.approx(1.125e308 + 3e154, rel=1e-15)
+    assert qa.q_add(1.5e154, 1.5e154, 1.5) == -s
+
+
 def test_q_add_inverse_refuses_non_finite():
     for x in (math.inf, -math.inf, math.nan):
         with pytest.raises(DomainError):
