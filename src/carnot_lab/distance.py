@@ -11,8 +11,8 @@ from above by direct transcription: N piecewise constant controls on a
 unit time grid, whose shortest path is known exactly, an equilateral
 polygon of constant turning whose total turning solves one scalar
 equation; a Gauss-Newton projection onto the endpoint constraint finishes
-it. Rigorous elementary bounds (planar projection from below, explicit
-segment+loop paths from above) bracket the reported value.
+it. Every value is bracketed from above by itself, the length of a feasible
+witness path, and from below by an independent bound capped at the value.
 
 Two exact symmetries are used to precondition every solve: the problem is
 left-translated so the start is the origin, and rescaled by the
@@ -285,13 +285,14 @@ def cc_distance(A, B, *, segments=DEFAULT_SEGMENTS, norm="l2",
     exact shortest path on ``segments`` equal time slots and the explicit
     segment+loop connection, so it is an upper bound on the true
     distance; ``degraded`` is set when no slot path reaches the endpoint.
-    Its ``lower`` is the exact continuous distance ``l2_distance`` and its
-    ``upper`` the length of an explicit path on ``segments`` slots (or the
-    value, where that is shorter); where the witness is the segment+loop
-    connection, ``upper`` is that path's length. So the value lies between
-    them.
 
-    For l1 and linf the value is bracketed by the ``distance_bounds``.
+    The bracket follows one rule for every norm. ``upper`` is the
+    witness's own length, the value: the witness is a feasible path.
+    ``lower`` is an independent bound, the exact continuous distance
+    ``l2_distance`` for l2 and the lower end of ``distance_bounds`` for
+    l1 and linf, capped at the value, since rounding can put the value a
+    few ulps below it. So ``lower <= value <= upper`` holds exactly.
+
     ``norm`` must be one of ``HORIZONTAL_NORMS``, ``segments`` a positive
     integer, ``endpoint_tol`` positive and finite.
     """
@@ -322,47 +323,36 @@ def cc_distance(A, B, *, segments=DEFAULT_SEGMENTS, norm="l2",
                      delta.z / (scale * scale)
                      if scale * scale >= sys.float_info.min
                      else delta.z / scale / scale])
+    # takes a normalized endpoint error back: x and y by scale, z by scale^2
+    err_scale = max(scale, scale * scale)
+    degraded = False
     if norm == "l2":
-        # lower: the exact continuous distance; upper: an explicit path on
-        # the slots, a straight slot to the planar target and a regular
-        # polygon loop on the others (all of them on the axis), which
-        # needs three sides
-        rho, abs_z = math.hypot(delta.x, delta.y), abs(delta.z)
-        lower = float(l2_distance(rho, abs_z))
-        sides = segments - (rho > 0.0)
-        if abs_z == 0.0:
-            upper = rho
-        elif sides >= 3:
-            upper = rho + 2.0 * math.sqrt(
-                sides * math.tan(math.pi / sides) * abs_z)
-        else:
-            upper = math.inf
-        restore_tol = max(5e-16, min(1e-13, endpoint_tol
-                                     / (10.0 * max(scale, scale * scale))))
+        lower = l2_distance(math.hypot(delta.x, delta.y), abs(delta.z))
+        restore_tol = max(5e-16, min(1e-13, endpoint_tol / (10.0 * err_scale)))
         sol = _solve_normalized(that, segments, restore_tol)
-        fallback = chow_connect(A, B)
-        fallback_length = cc_length(fallback)
-        if sol is None or fallback_length < scale * sol[0]:
-            return DistanceResult(fallback_length, fallback, lower,
-                                  fallback_length, 0.0,
-                                  degraded=sol is None, norm=norm,
-                                  segments=segments)
-        length_hat, U, err_hat = sol
-        n = segments
-        controls = np.column_stack([scale * U[:n], scale * U[n:],
-                                    np.full(n, 1.0 / n)])
+        degraded = sol is None
+        # the segment+loop connection, unless the slot path is no longer
+        witness = chow_connect(A, B)
+        value, err = cc_length(witness), 0.0
+        if not degraded and scale * sol[0] <= value:
+            length_hat, U, err_hat = sol
+            n = segments
+            witness = HorizontalPath(A, np.column_stack(
+                [scale * U[:n], scale * U[n:], np.full(n, 1.0 / n)]))
+            value, err = scale * length_hat, err_hat * err_scale
     else:
-        lower, upper = distance_bounds(delta, norm)
+        lower, _ = distance_bounds(delta, norm)
         length_hat, controls = _l1_geodesic(that, norm)
         end = integrate_path(HorizontalPath(ORIGIN, controls))
         err_hat = float(np.max(np.abs(np.subtract(end, that))))
         controls[:, 2] *= scale
         controls = controls[controls[:, 2] > 0.0]  # lost to underflow
-    witness = HorizontalPath(A, controls)
-    value = scale * length_hat
-    err = err_hat * max(scale, scale * scale)
-    return DistanceResult(value, witness, lower, min(upper, value), err,
-                          norm=norm, segments=segments)
+        witness = HorizontalPath(A, controls)
+        value, err = scale * length_hat, err_hat * err_scale
+    # the witness is a feasible path, so its length bounds from above
+    return DistanceResult(value, witness, min(float(lower), value), value,
+                          err, degraded=degraded, norm=norm,
+                          segments=segments)
 
 
 # ---------------------------------------------------------------------------

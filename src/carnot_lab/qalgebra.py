@@ -222,9 +222,12 @@ def q_add(x, y, q) -> float:
     if not (math.isfinite(x) and math.isfinite(y)):
         raise DomainError("q_add requires finite summands")
     s = _deformed_sum(x, y, q)
+    if not math.isfinite(s):
+        # (1-q) x can overflow where the sum itself is finite: take (1-q)
+        # times the summand of smaller magnitude first
+        small, big = sorted((x, y), key=abs)
+        s = x + y + ((1.0 - q) * small) * big
     if math.isnan(s):
-        if y == 0:  # (1-q) x overflowed before it met the zero summand
-            return x
         raise DomainError(f"q_add({x}, {y}, q={q}): its terms overflow "
                           f"with opposite signs")
     return s
@@ -243,6 +246,8 @@ def q_add_inverse(x, q) -> float:
     d = 1.0 + (1.0 - q) * x
     if d == 0:
         raise DomainError(f"{x} has no q_add inverse at q={q}")
+    if not math.isfinite(d):  # divided through by x, nothing overflows
+        return -1.0 / (1.0 / x + (1.0 - q))
     return -x / d
 
 

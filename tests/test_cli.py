@@ -1009,6 +1009,8 @@ _ARGV = st.one_of(
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(argv=_ARGV)
 @example(argv=["qadd", "--x=1e300", "--y=0", "--q=-1e20"])
+@example(argv=["ccdist", "--a", '{"x":0,"y":0,"z":0}',
+               "--b", '{"x":0,"y":0,"z":1}'])
 def test_main_fuzz_ends_in_result_or_json_error(tmp_path, argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -1021,6 +1023,11 @@ def test_main_fuzz_ends_in_result_or_json_error(tmp_path, argv):
     # a NaN result is written as null; exit 0 must carry real values
     if code == 0:
         assert None not in record["summary"].values(), (argv, record)
+    # and a distance lies inside its own bracket
+    if code == 0 and argv[0] == "ccdist":
+        for rec in read_bundle(str(tmp_path / "ccdist.bundle.json")) \
+                .payload["pairs"]:
+            assert rec["lower"] <= rec["dist"] <= rec["upper"], (argv, rec)
 
 
 # ---------------------------------------------------------------------------

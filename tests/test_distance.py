@@ -79,31 +79,38 @@ def test_value_within_rigorous_sandwich():
                                                abs(delta.z)))
                 assert res.lower == exact and res.lower >= lo - 1e-12
             else:
-                assert res.lower == lo
+                assert res.lower == min(lo, res.value)
 
 
 def test_l2_value_within_its_bracket():
-    # the bracket bounds the reported quantity: the exact continuous
-    # distance from below, an explicit path on the same slots from above
+    # the bracket holds the reported value exactly, for every norm: from
+    # below the independent bound (for l2 the exact continuous distance),
+    # capped at the value; from above the witness's own length
     rng = np.random.default_rng(53)
-    pairs = [(hg.HeisPoint(*rng.uniform(-1.5, 1.5, 3)),
-              hg.HeisPoint(*rng.uniform(-1.5, 1.5, 3))) for _ in range(10)]
+    starts = [hg.HeisPoint(*rng.uniform(-1.5, 1.5, 3)) for _ in range(10)]
+    pairs = [(a, hg.HeisPoint(*rng.uniform(-1.5, 1.5, 3))) for a in starts]
+    # horizontal (dz = 0) and vertical differences from non-origin starts
+    pairs += [(a, hg.exp_mul(a, hg.HeisPoint(*rng.uniform(-1.5, 1.5, 2),
+                                             0.0))) for a in starts[:5]]
+    pairs += [(a, hg.exp_mul(a, hg.HeisPoint(0.0, 0.0, z)))
+              for a, z in zip(starts[5:], (0.25, 1.0, -3.0, 0.7, -1.3))]
     pairs += [(O, hg.HeisPoint(0.0, 0.0, z)) for z in (0.25, 1.0, -3.0)]
     pairs += [(O, hg.HeisPoint(*rng.uniform(-1e-3, 1e-3, 2), z))
               for z in (0.5, -2.0)]
     pairs.append((hg.HeisPoint(0.3, -0.2, 0.1),
                   hg.HeisPoint(0.31, -0.19, 1.4)))
-    cases = [(n, a, b) for n in (2, 3, 4, 16, 64) for a, b in pairs]
+    cases = [(norm, 64, a, b) for norm in ("l1", "linf") for a, b in pairs]
+    cases += [("l2", n, a, b) for n in (2, 3, 4, 5, 16, 64, 1000)
+              for a, b in pairs]
     # the slot projection misses its tolerance at this gauge, so the
     # result falls back to the segment+loop path, longer than the slot
     # polygon
-    cases.append((1000, O, hg.HeisPoint(-119354.33185670934,
-                                        183352.27505853245,
-                                        3.0360396502926784e-12)))
-    for n, a, b in cases:
-        res = dist.cc_distance(a, b, segments=n)
-        assert res.lower * (1.0 - 1e-12) <= res.value
-        assert res.value <= res.upper * (1.0 + 1e-12)
+    cases.append(("l2", 1000, O, hg.HeisPoint(-119354.33185670934,
+                                              183352.27505853245,
+                                              3.0360396502926784e-12)))
+    for norm, n, a, b in cases:
+        res = dist.cc_distance(a, b, norm=norm, segments=n)
+        assert res.lower <= res.value <= res.upper, (norm, n, a, b)
 
 
 def test_vertical_sandwich_bounds():

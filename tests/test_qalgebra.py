@@ -1,4 +1,6 @@
 import math
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -180,6 +182,41 @@ def test_q_add_keeps_a_finite_sum_of_large_summands():
     s = qa.q_add(1.5e154, 1.5e154, 0.5)
     assert s == pytest.approx(1.125e308 + 3e154, rel=1e-15)
     assert qa.q_add(1.5e154, 1.5e154, 1.5) == -s
+
+
+def _exact_terms(x, y, q):
+    # x, y and (1-q) x y as exact rationals
+    x, y, q = Fraction(x), Fraction(y), Fraction(q)
+    return x, y, (1 - q) * x * y
+
+
+def test_q_add_keeps_a_finite_sum_where_one_term_overflows():
+    # (1-q) x overflows in each, the deformed sum does not; against exact
+    # rational arithmetic, within the rounding of the sum's three terms
+    eps = Fraction(sys.float_info.epsilon)
+    for x, y, q in ((1e300, 1e-300, -1e20), (-1e300, 1e-300, -1e20),
+                    (1e300, -1e-300, -1e20), (1e250, -1e-100, 1e100),
+                    (1.7e308, 0.5, 3.0), (-1e308, 1e-12, -1e8)):
+        assert not math.isfinite(qa._deformed_sum(x, y, q))
+        s = qa.q_add(x, y, q)
+        assert math.isfinite(s), (x, y, q)
+        terms = _exact_terms(x, y, q)
+        assert abs(Fraction(s) - sum(terms)) \
+            <= 4 * eps * sum(map(abs, terms)), (x, y, q, s)
+    assert qa.q_add(1e300, 1e-300, -1e20) == 1e300
+
+
+def test_q_add_inverse_where_the_denominator_overflows():
+    # 1 + (1-q) x overflows; the true inverse, about -1/(1-q), does not
+    eps = Fraction(sys.float_info.epsilon)
+    for x, q in ((1e200, -1e200), (1e308, -1e308), (-1e300, 1e10)):
+        xin = qa.q_add_inverse(x, q)
+        exact = -Fraction(x) / (1 + (1 - Fraction(q)) * Fraction(x))
+        assert abs(Fraction(xin) - exact) <= 2 * eps * abs(exact), (x, q)
+        # and it is an inverse: the sum vanishes to within its terms
+        s = qa.q_add(x, xin, q)
+        assert abs(s) <= 4 * eps * sum(map(abs, _exact_terms(x, xin, q))), \
+            (x, q, s)
 
 
 def test_q_add_inverse_refuses_non_finite():
