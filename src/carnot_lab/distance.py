@@ -12,7 +12,7 @@ unit time grid, whose shortest path is known exactly, an equilateral
 polygon of constant turning whose total turning solves one scalar
 equation; a Gauss-Newton projection onto the endpoint constraint finishes
 it. Every value is bracketed from above by itself, the length of a feasible
-witness path, and from below by an independent bound capped at the value.
+witness path, and from below by an independent bound, capped within rounding.
 
 Two exact symmetries are used to precondition every solve: the problem is
 left-translated so the start is the origin, and rescaled by the
@@ -287,11 +287,10 @@ def cc_distance(A, B, *, segments=DEFAULT_SEGMENTS, norm="l2",
     distance; ``degraded`` is set when no slot path reaches the endpoint.
 
     The bracket follows one rule for every norm. ``upper`` is the
-    witness's own length, the value: the witness is a feasible path.
-    ``lower`` is an independent bound, the exact continuous distance
+    witness's own length, the value. ``lower`` is an independent bound,
     ``l2_distance`` for l2 and the lower end of ``distance_bounds`` for
-    l1 and linf, capped at the value, since rounding can put the value a
-    few ulps below it. So ``lower <= value <= upper`` holds exactly.
+    l1 and linf, capped at the value where rounding and the endpoint error
+    put it above by a relative 1e-12 at most; a larger excess is a fault.
 
     ``norm`` must be one of ``HORIZONTAL_NORMS``, ``segments`` a positive
     integer, ``endpoint_tol`` positive and finite.
@@ -349,10 +348,12 @@ def cc_distance(A, B, *, segments=DEFAULT_SEGMENTS, norm="l2",
         controls = controls[controls[:, 2] > 0.0]  # lost to underflow
         witness = HorizontalPath(A, controls)
         value, err = scale * length_hat, err_hat * err_scale
-    # the witness is a feasible path, so its length bounds from above
-    return DistanceResult(value, witness, min(float(lower), value), value,
-                          err, degraded=degraded, norm=norm,
-                          segments=segments)
+    # the witness is a feasible path, so its length bounds from above; a
+    # lower bound above it by rounding only (straight solves) is capped
+    lower = float(lower)
+    lower = value if value < lower <= value + 1e-12 * value else lower
+    return DistanceResult(value, witness, lower, value, err,
+                          degraded=degraded, norm=norm, segments=segments)
 
 
 # ---------------------------------------------------------------------------

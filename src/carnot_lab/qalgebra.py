@@ -8,10 +8,12 @@ of the moment function g(x) = sum_i p_i^x at x = 1.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import math
 import os
+from fractions import Fraction
 
 import numpy as np
 
@@ -216,17 +218,18 @@ def abe_bgs_entropy(p):
 
 def q_add(x, y, q) -> float:
     """Deformed sum x + y + (1-q) x y; ordinary addition at q = 1, and
-    q_add(x, 0, q) = x for every finite q. A sum whose terms overflow with
-    opposite signs has no value and is refused."""
+    q_add(x, 0, q) = x for every finite q. Where a term overflows the sum
+    is taken exactly, so a finite sum stays finite and correct; one whose
+    terms overflow with opposite signs has no value and is refused."""
     q = _check_q(q)
     if not (math.isfinite(x) and math.isfinite(y)):
         raise DomainError("q_add requires finite summands")
     s = _deformed_sum(x, y, q)
     if not math.isfinite(s):
-        # (1-q) x can overflow where the sum itself is finite: take (1-q)
-        # times the summand of smaller magnitude first
-        small, big = sorted((x, y), key=abs)
-        s = x + y + ((1.0 - q) * small) * big
+        # sum the terms exactly, round once; an overflowing sum keeps s
+        fx, fy = Fraction(x), Fraction(y)
+        with contextlib.suppress(OverflowError):
+            s = float(fx + fy + (1 - Fraction(q)) * fx * fy)
     if math.isnan(s):
         raise DomainError(f"q_add({x}, {y}, q={q}): its terms overflow "
                           f"with opposite signs")

@@ -85,7 +85,8 @@ def test_value_within_rigorous_sandwich():
 def test_l2_value_within_its_bracket():
     # the bracket holds the reported value exactly, for every norm: from
     # below the independent bound (for l2 the exact continuous distance),
-    # capped at the value; from above the witness's own length
+    # capped at the value only within rounding; from above the witness's
+    # own length
     rng = np.random.default_rng(53)
     starts = [hg.HeisPoint(*rng.uniform(-1.5, 1.5, 3)) for _ in range(10)]
     pairs = [(a, hg.HeisPoint(*rng.uniform(-1.5, 1.5, 3))) for a in starts]
@@ -111,6 +112,35 @@ def test_l2_value_within_its_bracket():
     for norm, n, a, b in cases:
         res = dist.cc_distance(a, b, norm=norm, segments=n)
         assert res.lower <= res.value <= res.upper, (norm, n, a, b)
+        assert res.upper == res.value
+        # and the value against the uncapped bound, at rounding slack
+        delta = hg.exp_mul(hg.exp_inv(a), b)
+        bound = float(dist.l2_distance(math.hypot(delta.x, delta.y),
+                                       abs(delta.z))) if norm == "l2" \
+            else dist.distance_bounds(delta, norm)[0]
+        assert bound * (1.0 - 1e-12) <= res.value, (norm, n, a, b)
+
+
+@pytest.mark.parametrize("norm", geo.HORIZONTAL_NORMS)
+def test_bracket_shows_a_value_below_the_distance(monkeypatch, norm):
+    # the cap absorbs rounding only: a solver that reports a path 1e-9
+    # shorter than it is leaves its lower bound above the value, here
+    solve, geodesic = dist._solve_normalized, dist._l1_geodesic
+
+    def short_solve(*args):
+        length, U, err = solve(*args)
+        return length * (1.0 - 1e-9), U, err
+
+    def short_geodesic(*args):
+        length, controls = geodesic(*args)
+        return length * (1.0 - 1e-9), controls
+
+    monkeypatch.setattr(dist, "_solve_normalized", short_solve)
+    monkeypatch.setattr(dist, "_l1_geodesic", short_geodesic)
+    # on straight solves, where the lower bound is the distance itself
+    for b in (hg.HeisPoint(0.7, -0.4, 0.0), hg.HeisPoint(-2.0, 0.1, 0.0)):
+        res = dist.cc_distance(O, b, norm=norm)
+        assert res.lower > res.value, (norm, b, res)
 
 
 def test_vertical_sandwich_bounds():

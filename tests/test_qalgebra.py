@@ -192,7 +192,7 @@ def _exact_terms(x, y, q):
 
 def test_q_add_keeps_a_finite_sum_where_one_term_overflows():
     # (1-q) x overflows in each, the deformed sum does not; against exact
-    # rational arithmetic, within the rounding of the sum's three terms
+    # rational arithmetic, within half an ulp of the exact sum
     eps = Fraction(sys.float_info.epsilon)
     for x, y, q in ((1e300, 1e-300, -1e20), (-1e300, 1e-300, -1e20),
                     (1e300, -1e-300, -1e20), (1e250, -1e-100, 1e100),
@@ -200,10 +200,12 @@ def test_q_add_keeps_a_finite_sum_where_one_term_overflows():
         assert not math.isfinite(qa._deformed_sum(x, y, q))
         s = qa.q_add(x, y, q)
         assert math.isfinite(s), (x, y, q)
-        terms = _exact_terms(x, y, q)
-        assert abs(Fraction(s) - sum(terms)) \
-            <= 4 * eps * sum(map(abs, terms)), (x, y, q, s)
+        exact = sum(_exact_terms(x, y, q))
+        assert abs(Fraction(s) - exact) <= eps / 2 * abs(exact), \
+            (x, y, q, s)
     assert qa.q_add(1e300, 1e-300, -1e20) == 1e300
+    # the terms 1.7e308, 0.5 and -1.7e308 cancel to the middle one
+    assert qa.q_add(1.7e308, 0.5, 3.0) == 0.5
 
 
 def test_q_add_inverse_where_the_denominator_overflows():
