@@ -8,7 +8,6 @@ of the moment function g(x) = sum_i p_i^x at x = 1.
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import json
 import math
@@ -216,46 +215,45 @@ def abe_bgs_entropy(p):
 # ---------------------------------------------------------------------------
 # deformed additions
 
+def _round(r):
+    # the float nearest the exact rational r; past the float range, the
+    # infinity of r's sign
+    try:
+        return float(r)
+    except OverflowError:
+        return math.inf if r > 0 else -math.inf
+
+
 def q_add(x, y, q) -> float:
     """Deformed sum x + y + (1-q) x y; ordinary addition at q = 1, and
-    q_add(x, 0, q) = x for every finite q. Where a term overflows the sum
-    is taken exactly, so a finite sum stays finite and correct; one whose
-    terms overflow with opposite signs has no value and is refused."""
+    q_add(x, 0, q) = x for every finite q. The sum is taken exactly and
+    rounded once, so cancelling terms lose no digits (q_add(1e20, -1, 0)
+    = -1); past the float range it is the infinity of its sign. Only
+    non-finite summands are refused."""
     q = _check_q(q)
     if not (math.isfinite(x) and math.isfinite(y)):
         raise DomainError("q_add requires finite summands")
-    s = _deformed_sum(x, y, q)
-    if not math.isfinite(s):
-        # sum the terms exactly, round once; an overflowing sum keeps s
-        fx, fy = Fraction(x), Fraction(y)
-        with contextlib.suppress(OverflowError):
-            s = float(fx + fy + (1 - Fraction(q)) * fx * fy)
-    if math.isnan(s):
-        raise DomainError(f"q_add({x}, {y}, q={q}): its terms overflow "
-                          f"with opposite signs")
-    return s
-
-
-def _deformed_sum(x, y, q):
-    # the deformed sum of checked summands, elementwise on arrays
-    return x + y + (1.0 - q) * x * y
+    x, y = Fraction(float(x)), Fraction(float(y))
+    return _round(x + y + (1 - Fraction(q)) * x * y)
 
 
 def q_add_inverse(x, q) -> float:
-    """The additive inverse of x under q_add: -x / (1 + (1-q) x)."""
+    """The additive inverse of x under q_add: -x / (1 + (1-q) x), taken
+    exactly and rounded once like ``q_add``. Refused where that exact
+    denominator is 0."""
     q = _check_q(q)
     if not math.isfinite(x):
         raise DomainError("q_add_inverse requires a finite x")
-    d = 1.0 + (1.0 - q) * x
+    fx = Fraction(float(x))
+    d = 1 + (1 - Fraction(q)) * fx
     if d == 0:
         raise DomainError(f"{x} has no q_add inverse at q={q}")
-    if not math.isfinite(d):  # divided through by x, nothing overflows
-        return -1.0 / (1.0 / x + (1.0 - q))
-    return -x / d
+    return _round(-fx / d)
 
 
 def product_add(x, y) -> float:
-    """x + y + x y, the q = 0 case of ``q_add``.
+    """x + y + x y, the q = 0 case of ``q_add``, exact and rounded once
+    like it (product_add(1e20, -1) = -1).
 
     This is multiplication transported through w -> 1 + w, and it is the
     composition rule obeyed by ``rescaled_entropy`` over products.
@@ -304,7 +302,7 @@ def composition_defect(p, r, q):
     if not (np.isfinite(sp).all() and np.isfinite(sr).all()):
         raise DomainError("q_add requires finite summands")
     spr = _tsallis(_product(wp, wr), q)
-    return _value(spr - _deformed_sum(sp, sr, q))
+    return _value(spr - (sp + sr + (1.0 - q) * sp * sr))
 
 
 # ---------------------------------------------------------------------------

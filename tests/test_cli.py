@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -682,13 +683,15 @@ def test_main_qadd_overflow_is_inf(tmp_path, capsys):
 
 @pytest.mark.parametrize("x, y, q, result", [
     ("1e300", "0", "-1e20", 1e300), ("-1e308", "0", "1e8", -1e308),
-    ("-1e20", "0", "1e308", -1e20), ("1e308", "1e308", "1e308", None),
-    ("1e200", "1e200", "1", 2e200)])
+    ("-1e20", "0", "1e308", -1e20), ("1e308", "1e308", "1e308", "-inf"),
+    ("1e200", "1e200", "1", 2e200), ("1e20", "-1", "0", -1.0),
+    ("inf", "0", "1", None)])
 def test_main_qadd_ends_in_a_number_or_a_json_error(tmp_path, capsys, x, y,
                                                     q, result):
     # a term of each overflows on its own; a zero summand still gives the
-    # other one back, ordinary addition stays finite, and terms
-    # overflowing with opposite signs are refused
+    # other one back, ordinary addition stays finite, a sum past the float
+    # range is the infinity of its sign, terms that cancel in floats keep
+    # their exact sum, and a non-finite summand is refused
     code = cli.main(["--output-dir", str(tmp_path), "qadd", f"--x={x}",
                      f"--y={y}", f"--q={q}"])
     captured = capsys.readouterr()
@@ -776,6 +779,11 @@ def test_main_holonomy_circle_memory_stays_flat(tmp_path):
     payload = read_bundle(tmp_path / "holonomy.bundle.json").payload
     assert payload["samples"] == 10_000_001
     assert payload["area"] == pytest.approx(math.pi, rel=1e-13)
+    # the defect keeps its sign: the n-gon's is about pi^3 / (3 n^2)
+    n = 10_000_000
+    assert payload["isoperimetric_defect"] > 0
+    assert payload["isoperimetric_defect"] == \
+        pytest.approx(math.pi ** 3 / (3 * n * n), rel=0.5)
 
 
 def test_main_usage_error_is_one_json_line(tmp_path, capsys):
@@ -1004,11 +1012,27 @@ _ARGV = st.one_of(
           _opt("--mem-budget", st.sampled_from(["0", "1", "-1", "64", "x"]))))
 
 
+def _exact_qadd(tokens):
+    # the qadd result the flags ask for: x + y + (1-q) x y over the exact
+    # rationals, rounded once; "inf"/"-inf" past the float range
+    flags = {"x": 0.0, "y": 0.0, "q": 1.0}
+    tokens = iter(tokens)
+    for tok in tokens:
+        name, eq, value = tok.partition("=")
+        flags[name.lstrip("-")] = float(value if eq else next(tokens))
+    x, y, q = (Fraction(flags[k]) for k in "xyq")
+    exact = x + y + (1 - q) * x * y
+    if abs(exact) >= Fraction(sys.float_info.max) + Fraction(2) ** 970:
+        return "inf" if exact > 0 else "-inf"
+    return float(exact)
+
+
 # about 40 examples for each of the eight commands
 @settings(max_examples=320, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(argv=_ARGV)
 @example(argv=["qadd", "--x=1e300", "--y=0", "--q=-1e20"])
+@example(argv=["qadd", "--x=1e20", "--y=-1", "--q=0"])
 @example(argv=["ccdist", "--a", '{"x":0,"y":0,"z":0}',
                "--b", '{"x":0,"y":0,"z":1}'])
 def test_main_fuzz_ends_in_result_or_json_error(tmp_path, argv):
@@ -1023,6 +1047,10 @@ def test_main_fuzz_ends_in_result_or_json_error(tmp_path, argv):
     # a NaN result is written as null; exit 0 must carry real values
     if code == 0:
         assert None not in record["summary"].values(), (argv, record)
+    # a deformed sum is the exact one, rounded once
+    if code == 0 and argv[0] == "qadd":
+        assert record["summary"]["result"] == _exact_qadd(argv[1:]), \
+            (argv, record)
     # and a distance lies inside its own bracket
     if code == 0 and argv[0] == "ccdist":
         for rec in read_bundle(str(tmp_path / "ccdist.bundle.json")) \

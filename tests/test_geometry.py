@@ -155,13 +155,29 @@ def test_circle_check_streams_the_whole_loop(radius, samples):
     loop[-1] = loop[0]
     whole = geo.isoperimetric_check(loop)
     area, length, defect = geo.circle_isoperimetric_check(radius, samples)
-    assert area == whole[0]
+    # summed per block and the blocks added exactly: within rounding of
+    # the exact sum of the whole loop's shoelace terms, which the whole
+    # loop's running area misses by 1.4e-13 relative at 10^4 samples
+    terms = 0.5 * (loop[:-1, 0] * loop[1:, 1] - loop[1:, 0] * loop[:-1, 1])
+    exact_area = math.fsum(terms)
+    assert area == pytest.approx(exact_area, rel=1e-14)
+    assert area == pytest.approx(whole[0], rel=1e-12)
     if samples <= geo._LOOP_BLOCK:
-        assert (length, defect) == whole[1:]
+        assert length == whole[1]
     else:
-        # summed per block, not pairwise over the whole loop
-        assert length == pytest.approx(whole[1], rel=1e-15)
-        assert defect == pytest.approx(whole[2], abs=1e-13)
+        assert length == pytest.approx(whole[1], rel=1e-14)
+    assert defect == pytest.approx(
+        whole[1] ** 2 / (4.0 * np.pi) - abs(exact_area), abs=1e-13)
+
+
+def test_circle_defect_keeps_its_sign():
+    # the inscribed n-gon falls short of the circle by about
+    # r^2 pi^3 / (3 n^2); at 10^6 samples that is 1e-11 against an area
+    # of 20, which a running sum of the area used to swamp
+    radius, n = 2.5, 1_000_000
+    defect = geo.circle_isoperimetric_check(radius, n)[2]
+    assert defect == pytest.approx(radius ** 2 * math.pi ** 3 / (3 * n * n),
+                                   rel=0.01)
 
 
 def test_holonomy_requires_closure():

@@ -168,9 +168,9 @@ def test_q_add_zero_is_neutral():
 
 
 def test_q_add_refuses_overflow_with_opposite_signs():
-    # x + y overflows to +inf and (1-q) x y to -inf: no value is right
-    with pytest.raises(DomainError):
-        qa.q_add(1e308, 1e308, 1e308)
+    # x + y overflows to +inf and (1-q) x y to -inf in floats; the exact
+    # sum is about -1e924, past the float range, so it is -inf
+    assert qa.q_add(1e308, 1e308, 1e308) == -math.inf
     # overflow of one sign is the infinite value it tends to
     assert qa.q_add(1e308, 1e308, 0.0) == math.inf
     assert qa.q_add(1e308, 1e308, -1e308) == math.inf
@@ -197,7 +197,7 @@ def test_q_add_keeps_a_finite_sum_where_one_term_overflows():
     for x, y, q in ((1e300, 1e-300, -1e20), (-1e300, 1e-300, -1e20),
                     (1e300, -1e-300, -1e20), (1e250, -1e-100, 1e100),
                     (1.7e308, 0.5, 3.0), (-1e308, 1e-12, -1e8)):
-        assert not math.isfinite(qa._deformed_sum(x, y, q))
+        assert not math.isfinite(x + y + (1.0 - q) * x * y)
         s = qa.q_add(x, y, q)
         assert math.isfinite(s), (x, y, q)
         exact = sum(_exact_terms(x, y, q))
@@ -219,6 +219,67 @@ def test_q_add_inverse_where_the_denominator_overflows():
         s = qa.q_add(x, xin, q)
         assert abs(s) <= 4 * eps * sum(map(abs, _exact_terms(x, xin, q))), \
             (x, q, s)
+
+
+_MAX = Fraction(sys.float_info.max)
+# half the spacing of the floats at the top of their range: a rational
+# this far past the largest float rounds (ties to even) to infinity
+_HALF_TOP_ULP = Fraction(2) ** 970
+
+
+def _rounded(r):
+    # the float nearest the rational r, or the infinity of r's sign past
+    # the float range
+    if abs(r) >= _MAX + _HALF_TOP_ULP:
+        return math.inf if r > 0 else -math.inf
+    return float(r)
+
+
+def _check_exact(x, y, q):
+    # q_add, product_add and q_add_inverse against the exact rationals,
+    # rounded once; the inverse is refused only where its exact
+    # denominator is 0
+    fx, fy, fq = Fraction(x), Fraction(y), Fraction(q)
+    assert qa.q_add(x, y, q) == _rounded(fx + fy + (1 - fq) * fx * fy), \
+        (x, y, q)
+    assert qa.product_add(x, y) == _rounded(fx + fy + fx * fy), (x, y)
+    d = 1 + (1 - fq) * fx
+    if d == 0:
+        with pytest.raises(DomainError):
+            qa.q_add_inverse(x, q)
+    else:
+        assert qa.q_add_inverse(x, q) == _rounded(-fx / d), (x, q)
+
+
+def test_deformed_sums_are_the_exact_sums_rounded_once():
+    magnitudes = [0.0, 5e-324, 1e-300, 1.0, 1.5, 1e20, 1e154, 1.5e154,
+                  1e200, 1e300, 1e308, sys.float_info.max]
+    grid = [s * m for m in magnitudes for s in (1.0, -1.0)]
+    for x in grid:
+        for y in grid:
+            for q in grid:
+                _check_exact(x, y, q)
+    rng = np.random.default_rng(22)
+    signs = rng.choice([-1.0, 1.0], (1000, 3))
+    wide = signs * 10.0 ** rng.uniform(-300, 308, (1000, 3))
+    for x, y, q in [*rng.uniform(-10, 10, (1000, 3)), *wide]:
+        _check_exact(float(x), float(y), float(q))
+
+
+def test_deformed_sums_keep_digits_where_terms_cancel():
+    # the float terms cancel to 0.0 in each; 1 + y = 0 makes the first
+    # two exactly -1
+    assert qa.q_add(1e20, -1.0, 0.0) == -1.0
+    assert qa.product_add(1e20, -1.0) == -1.0
+    # M - 1 - (1 - 1e-300) M = 1e-300 M - 1
+    assert qa.q_add(sys.float_info.max, -1.0, 1e-300) == 179769312.48623157
+    # the exact denominator is 1e-300, not 0
+    assert qa.q_add_inverse(-1.0, 1e-300) == 9.999999999999999e+299
+    # a numpy float32 summand is taken at its float value
+    x32 = np.float32(0.1)
+    assert qa.q_add(x32, 0.2, 0.5) == qa.q_add(float(x32), 0.2, 0.5)
+    assert qa.q_add(0.2, x32, 0.5) == qa.q_add(0.2, float(x32), 0.5)
+    assert qa.q_add_inverse(x32, 0.5) == qa.q_add_inverse(float(x32), 0.5)
 
 
 def test_q_add_inverse_refuses_non_finite():
