@@ -17,8 +17,10 @@ sorting run ends: the union of the neighbour runs, and from it the two
 spheres before, taken away, each by sorting starts and stops on their
 own. On sets whose spheres have no runs the ends are single keys and
 the search costs about 1.2-1.6 times a search over keys.
-``word_norm`` meets a search from the identity with one from the
-element halfway, testing whether two families of runs overlap. Ball
+``word_norm`` answers the standard generating sets in closed form (the
+l1 norm on Z^3, Blachere's formula on heis_Z) and meets, for any other
+set, a search from the identity with one from the element halfway,
+testing whether two families of runs overlap. Ball
 cardinalities grow polynomially, with degree 4 for the Heisenberg
 lattice and 3 for Z^3; the degree is a generating-set-independent
 invariant, which ``generator_robustness`` checks empirically.
@@ -26,6 +28,7 @@ invariant, which ``generator_robustness`` checks empirically.
 
 from __future__ import annotations
 
+import math
 import numbers
 import warnings
 from dataclasses import dataclass, field
@@ -354,29 +357,39 @@ def word_ball(group, generators, radius, mem_budget_mb=None) -> GrowthTable:
                   reach, mem_budget_mb)
 
 
-def word_norm(element, group="heis_Z", generators=None, radius_cap=20):
-    """Minimal word length of ``element``, or None when the cap is hit.
+def _standard_norm(group, g):
+    """Word norm of ``g`` under the group's standard generating set, in
+    closed form and exact on Python ints.
 
-    Meet in the middle: a search from the identity and one from the
-    element g, in one radix, grow in turn, and the norm is the first k
+    On Z^3 it is |a| + |c| + |b|. On heis_Z (Blachere 2003), with
+    h = max(|a|, |c|), l = min(|a|, |c|) and the integer
+    Z = (|2b - ac| + hl) / 2, it is h + l for Z <= hl,
+    h - l + 2 ceil(Z/h) for Z <= h^2 and 2 ceil(2 sqrt Z) - h - l
+    beyond. Z is zeta + hl/2 for the height zeta = |b - ac/2| in
+    exponential coordinates, so the cases are those of the l1 distance
+    (``distance._l1_geodesic``) with Z/h and 2 sqrt Z rounded up, and the
+    norm exceeds that distance by less than 2.
+    """
+    a, c, b = g
+    if group == "z3":
+        return abs(a) + abs(c) + abs(b)
+    h, l = max(abs(a), abs(c)), min(abs(a), abs(c))
+    z = (abs(2 * b - a * c) + h * l) // 2
+    if z <= h * l:
+        return h + l
+    if z <= h * h:
+        return h - l + 2 * -(-z // h)
+    return 2 * (math.isqrt(4 * z - 1) + 1) - h - l
+
+
+def _search_norm(law, gens, target, radius_cap):
+    """Word norm of ``target`` under ``gens`` by meeting in the middle,
+    or None past ``radius_cap``: a search from the identity and one from
+    the target g, in one radix, grow in turn, and the norm is the first k
     at which S_i meets g S_j, with i = ceil(k/2) and j = floor(k/2). A
     geodesic word for g splits after its i-th letter, and a common
     element x = g w with |x| = i, |w| = j gives |g| <= i + j, so the
-    spheres first meet at k = |g|, when some of their runs overlap.
-    Refused, with DomainError, wherever ``word_ball`` to the cap is.
-    """
-    _check_radius("radius cap", radius_cap)
-    target = _lattice_triple(element, "element")
-    gens = symmetrize_generators(
-        group, generators if generators is not None
-        else STANDARD_GENERATORS.get(group, ()))
-    law, _ = GROUP_LAWS[group]
-    # refused like word_ball to the cap; an element beyond the bound of
-    # that ball is not in it
-    ball = _reach(law, gens, radius_cap)
-    _radix(ball)
-    if any(abs(c) > m for c, m in zip(target, ball)):
-        return None
+    spheres first meet at k = |g|, when some of their runs overlap."""
     inner, outer = radius_cap - radius_cap // 2, radius_cap // 2
     reach = tuple(map(max, _reach(law, gens, inner),
                       _reach(law, gens, outer, target)))
@@ -392,6 +405,33 @@ def word_norm(element, group="heis_Z", generators=None, radius_cap=20):
         if _runs_meet(s, t):
             return k
     return None
+
+
+def word_norm(element, group="heis_Z", generators=None, radius_cap=20):
+    """Minimal word length of ``element``, or None when the cap is hit.
+
+    Refused, with DomainError, wherever ``word_ball`` to the cap is. The
+    standard generating set, given in any order, with or without its
+    inverses, is answered in closed form (``_standard_norm``); every
+    other set by a meet-in-the-middle search (``_search_norm``).
+    """
+    _check_radius("radius cap", radius_cap)
+    target = _lattice_triple(element, "element")
+    gens = symmetrize_generators(
+        group, generators if generators is not None
+        else STANDARD_GENERATORS.get(group, ()))
+    law, _ = GROUP_LAWS[group]
+    # refused like word_ball to the cap; an element beyond the bound of
+    # that ball is not in it
+    ball = _reach(law, gens, radius_cap)
+    _radix(ball)
+    if any(abs(c) > m for c, m in zip(target, ball)):
+        return None
+    if set(gens) == set(symmetrize_generators(
+            group, STANDARD_GENERATORS[group])):
+        norm = _standard_norm(group, target)
+        return norm if norm <= radius_cap else None
+    return _search_norm(law, gens, target, radius_cap)
 
 
 def growth_fit(table: GrowthTable, r_min, r_max):

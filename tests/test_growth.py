@@ -1,10 +1,13 @@
+import collections
 import itertools
 import math
 
 import numpy as np
 import pytest
 
+from carnot_lab import distance as dist
 from carnot_lab import growth
+from carnot_lab import heisenberg as hg
 from carnot_lab.errors import BudgetError, DomainError
 from carnot_lab.reports import ReportBundle, emit_plot_table
 
@@ -439,6 +442,129 @@ def test_word_norm_consistent_with_word_enumeration():
         else:
             assert g not in balls[5]
 
+
+@pytest.fixture(scope="module")
+def heis_levels():
+    """The reference frontiers of B_30 under the standard heis_Z set, by
+    the product (a1+a2, c1+c2, b1+b2+a1*c2) on plain tuples."""
+    def law(g, s):
+        return g[0] + s[0], g[1] + s[1], g[2] + s[2] + g[0] * s[1]
+    return reference_bfs(law, HEIS_GENS, 30)
+
+
+def test_standard_norm_is_the_reference_level_and_nothing_else(heis_levels):
+    # each element of B_30 gets its level, and the values <= 30 over a
+    # box about B_30 number exactly its spheres; the box holds
+    # |a| + |c| <= 30, as every case gives at least |a| + |c|, and
+    # |b| <= 450, twice B_30's vertical reach of 225
+    norm = growth._standard_norm
+    for r, frontier in enumerate(heis_levels):
+        assert all(norm("heis_Z", g) == r for g in frontier)
+    R = len(heis_levels) - 1
+    box = collections.Counter()
+    for a in range(-R, R + 1):
+        for c in range(abs(a) - R, R - abs(a) + 1):
+            box.update(norm("heis_Z", (a, c, b))
+                       for b in range(-R * R // 2, R * R // 2 + 1))
+    assert [box[r] for r in range(R + 1)] == list(map(len, heis_levels))
+    # beyond the search: the value reads (a, c, b) through h, l and
+    # d = |2b - ac| alone, so each (h, l, d) stands for its 1, 4 or 8
+    # columns (a, c) and its one (d = 0) or two values of b
+    R = 60
+    spheres = [0] * (R + 1)
+    for h in range(R + 1):
+        for l in range(min(h, R - h) + 1):
+            columns = 1 if h == 0 else 4 if l in (0, h) else 8
+            for d in itertools.count(h * l % 2, 2):
+                r = norm("heis_Z", (h, l, (d + h * l) // 2))
+                if r > R:
+                    break
+                spheres[r] += columns * (1 if d == 0 else 2)
+    assert spheres == heis_sphere_series(R)
+    # Z^3: the l1 norm, whose balls are the octahedra
+    R = 12
+    z3 = collections.Counter(norm("z3", g) for g in itertools.product(
+        range(-R, R + 1), repeat=3))
+    assert list(itertools.accumulate(z3[r] for r in range(R + 1))) == \
+        [octahedral_count(r) for r in range(R + 1)]
+
+
+def test_standard_norm_is_within_two_of_the_l1_distance(heis_levels):
+    # Pansu's limit at finite scale: a word is a unit-speed l1 path to
+    # phi(g) = (a, c, b - ac/2), so d_l1(phi(g)) <= |g|, and the
+    # standard norm exceeds that distance by less than 2. Both sides
+    # keep the symmetries of the square, which permute the standard
+    # generators, and inversion, so on B_26 the elements with
+    # a >= c >= 0 and 2b >= ac stand for all of it.
+    origin = hg.HeisPoint(0.0, 0.0, 0.0)
+
+    def gap(g):
+        norm = growth._standard_norm("heis_Z", g)
+        a, c, b = g
+        d = dist.cc_distance(origin, hg.HeisPoint(a, c, b - a * c / 2),
+                             norm="l1").value
+        assert d - 1e-12 * norm <= norm < d + 2
+        return norm - d
+
+    gaps = [gap(g) for frontier in heis_levels[:27] for g in frontier
+            if g[0] >= g[1] >= 0 and 2 * g[2] >= g[0] * g[1]]
+    assert len(gaps) > sum(map(len, heis_levels[:27])) // 16
+    assert max(gaps) > 1.9
+    # far past any search, through all three cases of the distance
+    rng = np.random.default_rng(2303)
+    cases = collections.Counter()
+    for _ in range(2000):
+        a, c = (int(x) for x in rng.integers(-10 ** 6, 10 ** 6 + 1, 2))
+        b = int(rng.integers(-10 ** 12, 10 ** 12 + 1))
+        gap((a, c, b))
+        h, l = max(abs(a), abs(c)), min(abs(a), abs(c))
+        z = (abs(2 * b - a * c) + h * l) / 2
+        cases[(z > h * l) + (z > h * h)] += 1
+    assert min(cases[i] for i in range(3)) > 100
+
+
+def test_word_norm_dispatches_the_standard_sets_to_the_closed_form(
+        monkeypatch):
+    search = growth._search_norm
+    law = growth.GROUP_LAWS["heis_Z"][0]
+
+    def no_search(*args):
+        raise AssertionError("searched a standard set")
+
+    monkeypatch.setattr(growth, "_search_norm", no_search)
+    listed = [growth.T1, growth.T2]
+    for gens in (listed[::-1], listed + [(-1, 0, 0), (0, -1, 0)],
+                 listed * 3 + [(0, -1, 0)], HEIS_GENS[::-1]):
+        for g in ((3, -2, 5), (0, 0, -7), (-4, 1, 0)):
+            assert growth.word_norm(g, "heis_Z", gens, 12) == \
+                search(law, HEIS_GENS, g, 12)
+    z3 = growth.STANDARD_GENERATORS["z3"]
+    assert growth.word_norm((2, -3, 4), "z3", z3[::-1] + z3, 9) == 9
+    assert growth.word_norm((2, -3, 4), "z3", z3, 8) is None
+    monkeypatch.undo()
+
+    # every other set is searched, never answered by the formula
+    def no_formula(*args):
+        raise AssertionError("a closed form for a non-standard set")
+
+    monkeypatch.setattr(growth, "_standard_norm", no_formula)
+    for gens in (listed + [(1, 1, 1)], [(2, 0, 0), (0, 1, 0)]):
+        sym = growth.symmetrize_generators("heis_Z", gens)
+        for r, frontier in enumerate(reference_bfs(law, sym, 4)):
+            for g in frontier:
+                assert growth.word_norm(g, "heis_Z", gens, 4) == r
+
+
+def test_search_norm_on_the_standard_set_is_the_closed_form(heis_levels):
+    # the meet-in-the-middle search, run on the standard set, agrees
+    # with the formula on all of B_10 and stops at the cap below it
+    law = growth.GROUP_LAWS["heis_Z"][0]
+    for r, frontier in enumerate(heis_levels[:11]):
+        for g in frontier:
+            assert growth._search_norm(law, HEIS_GENS, g, r) == \
+                growth._standard_norm("heis_Z", g) == r
+            if r:
+                assert growth._search_norm(law, HEIS_GENS, g, r - 1) is None
 
 # ---------------------------------------------------------------------------
 # growth fitting
