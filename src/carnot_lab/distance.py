@@ -361,9 +361,11 @@ def cc_distance(A, B, *, segments=DEFAULT_SEGMENTS, norm="l2",
 
 _NEWTON_STEPS = 5  # reaches 1e-15 relative error for w in [1e-8, 1e8]
 # Monte Carlo membership: samples per block, whose temporaries stay in
-# cache, and cells of the meridian table over u = rho / r in [0, 1); both
-# tables together take 32 KB
+# cache, as do those of a block of distance-ball candidates, all below the
+# ball's height; and cells of the meridian table over u = rho / r in
+# [0, 1), both tables together taking 32 KB
 _MEMBERSHIP_BLOCK = 1 << 15
+_CANDIDATE_BLOCK = 1 << 12
 _MERIDIAN_CELLS = 1 << 11
 
 
@@ -471,6 +473,13 @@ def _meridian_table():
     return lo, hi
 
 
+def _ball_height(r):
+    """The l2 ball's height r^2 / (2 pi) at radius r(1 + 1e-12): no point
+    above it lies in the ball of radius r(1 + 1e-12)."""
+    r_out = r * (1.0 + 1e-12)
+    return r_out * r_out / (2.0 * np.pi)
+
+
 def _cc_membership(x, y, z, r):
     """Membership of one block of samples in the l2 distance ball of
     radius r, as far as the tiers before the exact distance decide it.
@@ -482,9 +491,10 @@ def _cc_membership(x, y, z, r):
     element, to ``l2_distance(np.hypot(x, y), |z|) <= r``. The tiers,
     each deciding what it can and passing on the rest:
 
-    0. the height of the ball, |z| <= r^2 / (2 pi), the peak of the
-       meridian of ``_meridian_table``. This one comparison leaves
-       1 / (2 pi), about a sixth, of the sampling box to the table;
+    0. the height of the ball, ``_ball_height``: |z| <= r^2 / (2 pi),
+       the peak of the meridian of ``_meridian_table``. It keeps 1 / (2
+       pi) of the box [-r, r]^2 x [-r^2, r^2]; ``ball_volume_fit`` draws
+       only samples below it;
     1. the meridian table: in the cell k = floor(rho K / r), a sample
        with |z| <= r^2 lo[k] is inside, one with |z| > r^2 hi[k]
        outside. About one sample in 7,000 is left open.
@@ -498,9 +508,8 @@ def _cc_membership(x, y, z, r):
     hit = np.zeros(len(z), dtype=bool)
     # tier 0; the table sees only the candidates it gathers, and indexes
     # into them
-    r_out = r * (1.0 + 1e-12)
     az = np.abs(z)
-    low = np.flatnonzero(az <= r_out * r_out / (2.0 * np.pi))
+    low = np.flatnonzero(az <= _ball_height(r))
     x, y, az = x[low], y[low], az[low]
     # tier 1; sqrt(x^2 + y^2) is within the table's widening of np.hypot
     # and several times faster
@@ -539,17 +548,17 @@ def ball_volume_fit(metric, radii, samples, seed) -> VolumeFit:
     horizontal one. Expected exponents: 3 for the Euclidean metric, 4 for
     the horizontal one.
 
-    Per radius the samples are x, then y, then z: three consecutive runs
-    of ``samples`` uniform draws from the generator seeded by ``seed``.
-    They are drawn and decided in cache-sized blocks of
-    ``_MEMBERSHIP_BLOCK``, from three copies of the generator jumped to
-    the start of each run, so memory does not grow with ``samples``.
-    Distance-ball membership is ``_cc_membership`` (the ball's height,
-    which rules out about five samples in six, then the certified table of
-    the ball's meridian on the rest) per block, then ``l2_distance`` on
-    the pairs both leave open, about one sample in 7,000 at every radius,
-    gathered into one call per radius (~1.4e3 pairs at 1e7 samples);
-    Euclidean membership is the squared norm.
+    Per radius x, y and z come from three runs of ``samples`` outputs of
+    the generator seeded by ``seed``, drawn in cache-sized blocks by three
+    copies of it jumped to the start of each run, so memory does not grow
+    with ``samples``; the next radius starts after all three runs.
+    Euclidean membership is the squared norm. No point of the distance
+    ball lies above its height h = r^2 / (2 pi), so the z run opens with
+    the binomial count of samples below h, about one in six, and only
+    those are drawn, in [-r, r]^2 x [-h, h]: the hit count keeps its law.
+    They go through ``_cc_membership`` (the certified table of the ball's
+    meridian) per block, then ``l2_distance`` decides the pairs it leaves
+    open, about one sample in 7,000, in one call per radius.
 
     Every radius must have a box volume (8 r^3 Euclidean, 8 r^4 cc) that
     is a finite, normal, positive float, so that the volumes, their logs
@@ -599,12 +608,18 @@ def ball_volume_fit(metric, radii, samples, seed) -> VolumeFit:
         gy.bit_generator.advance(samples)
         gz.bit_generator.advance(2 * samples)
         rng.bit_generator.advance(3 * samples)
+        n, block, h = samples, _MEMBERSHIP_BLOCK, zr
+        if metric == "cc":
+            # no sample above the ball's height is inside: only the count
+            # of those below it is drawn, then just those samples
+            h = _ball_height(r)
+            n, block = int(gz.binomial(samples, h / zr)), _CANDIDATE_BLOCK
         hits, open_rho, open_z = 0, [], []
-        for start in range(0, samples, _MEMBERSHIP_BLOCK):
-            m = min(_MEMBERSHIP_BLOCK, samples - start)
+        for start in range(0, n, block):
+            m = min(block, n - start)
             x = gx.uniform(-r, r, m)
             y = gy.uniform(-r, r, m)
-            z = gz.uniform(-zr, zr, m)
+            z = gz.uniform(-h, h, m)
             if metric == "euclidean":
                 hits += int(np.count_nonzero(x * x + y * y + z * z <= r * r))
                 continue

@@ -86,6 +86,11 @@ def horizontal_lift(planar, z0=0.0):
     return np.column_stack([x, y, z])
 
 
+def _shoelace(x, y):
+    """Signed area of the closed polygon (x, y), summed pairwise."""
+    return 0.5 * np.sum(x[:-1] * y[1:] - x[1:] * y[:-1])
+
+
 def holonomy(planar_loop) -> float:
     """Vertical displacement of the horizontal lift of a closed planar
     loop; equals the enclosed signed area (shoelace value for polygons)."""
@@ -94,7 +99,7 @@ def holonomy(planar_loop) -> float:
         raise DomainError("loop needs at least 2 (x, y) samples")
     if not np.allclose(pts[0], pts[-1], rtol=0.0, atol=CLOSURE_TOL):
         raise DomainError("loop is not closed (first sample != last)")
-    return float(horizontal_lift(pts, 0.0)[-1, 2])
+    return float(_shoelace(pts[:, 0], pts[:, 1]))
 
 
 def isoperimetric_check(planar_loop):
@@ -114,10 +119,10 @@ def circle_isoperimetric_check(radius, samples):
     segments so that memory does not grow with ``samples``.
 
     Each block's points are the whole loop's, bit for bit. Each block's
-    shoelace terms and segment lengths are summed pairwise and the block
-    sums added exactly, so area and length are the whole loop's to within
-    rounding (not bit for bit), and the defect keeps its sign at 10^7
-    samples, where a running sum's error outweighs it.
+    shoelace terms and segment lengths are summed pairwise, as
+    ``isoperimetric_check`` sums the whole loop's, and the block sums
+    added exactly: up to one block the results are the whole loop's bit
+    for bit, beyond within rounding, and the defect keeps its sign.
     """
     step = 2.0 * np.pi / samples
     areas, lengths = [], []
@@ -129,7 +134,7 @@ def circle_isoperimetric_check(radius, samples):
             first = x[0], y[0]
         if stop == samples:
             x[-1], y[-1] = first
-        areas.append(0.5 * np.sum(x[:-1] * y[1:] - x[1:] * y[:-1]))
+        areas.append(_shoelace(x, y))
         lengths.append(np.sum(np.hypot(np.diff(x), np.diff(y))))
     area, length = math.fsum(areas), math.fsum(lengths)
     defect = length * length / (4.0 * np.pi) - abs(area)

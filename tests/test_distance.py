@@ -1,3 +1,4 @@
+import copy
 import math
 import tracemalloc
 
@@ -569,21 +570,53 @@ def test_volume_fit_euclidean():
         assert v == pytest.approx(exact, rel=0.05)
 
 
-def test_volume_fit_cc():
-    fit = dist.ball_volume_fit("cc", [0.5, 1.0, 2.0], 20_000, seed=6)
-    assert fit.exponent == pytest.approx(4.0, abs=0.3)
-    # against the exact volume V1 r^4; the unit ball is the solid of
-    # revolution under rho = sin(t)/t, |z| = (2t - sin 2t) / (8 t^2)
+def _unit_l2_ball_volume():
+    # V1 = int_0^pi 4 pi rho z |d rho / dt| dt: the unit ball is the solid
+    # of revolution under rho = sin(t)/t, |z| = (2t - sin 2t) / (8 t^2)
     def shell(t):
         rho = math.sin(t) / t
         drho = (t * math.cos(t) - math.sin(t)) / (t * t)
         z = (2.0 * t - math.sin(2.0 * t)) / (8.0 * t * t)
         return -4.0 * math.pi * rho * z * drho
 
-    v1 = quad(shell, 0.0, math.pi)[0]
+    return quad(shell, 0.0, math.pi)[0]
+
+
+def test_volume_fit_cc():
+    fit = dist.ball_volume_fit("cc", [0.5, 1.0, 2.0], 20_000, seed=6)
+    assert fit.exponent == pytest.approx(4.0, abs=0.3)
+    # against the exact volume V1 r^4
+    v1 = _unit_l2_ball_volume()
     assert v1 == pytest.approx(0.8258758, abs=1e-6)
     for r, v, se in zip(fit.radii, fit.volumes, fit.std_errors):
         assert abs(v - v1 * r ** 4) <= 4.0 * se
+
+
+@pytest.mark.parametrize("metric", ["cc", "euclidean"])
+def test_volume_fit_agrees_with_the_exact_volume(metric):
+    # an oracle independent of the sampler: over 20 seeds every volume
+    # lies within 5 standard errors of V1 r^4 (the l2 ball, by quadrature)
+    # or 4 pi r^3 / 3
+    if metric == "cc":
+        v1, power = _unit_l2_ball_volume(), 4
+    else:
+        v1, power = 4.0 * math.pi / 3.0, 3
+    radii = (0.5, 1.0, 1.5, 2.0)
+    for seed in range(20):
+        fit = dist.ball_volume_fit(metric, radii, 10 ** 5, seed=seed)
+        for r, v, se in zip(radii, fit.volumes, fit.std_errors):
+            assert abs(v - v1 * r ** power) < 5.0 * se
+
+
+@pytest.mark.parametrize("metric", ["cc", "euclidean"])
+def test_volume_fit_radii_keep_their_runs(metric):
+    # a radius's hits depend only on the seed and its place in the list:
+    # each radius draws its own runs of the stream, so changing the first
+    # radius leaves the others' counts as they were
+    n = 20_000
+    one = dist.ball_volume_fit(metric, (0.5, 1.0, 2.0), n, seed=9)
+    other = dist.ball_volume_fit(metric, (0.7, 1.0, 2.0), n, seed=9)
+    assert one.hits[1:] == other.hits[1:]
 
 
 def test_volume_fit_std_error_scaling():
@@ -826,9 +859,9 @@ def test_volume_fit_open_share_pinned(monkeypatch):
 
 def test_volume_fit_hits_pinned():
     # the tiers only decide sooner: each count stays the one the exact
-    # distance gives at this seed
+    # distance gives, at this seed, to the samples below the ball's height
     fit = dist.ball_volume_fit("cc", (0.5, 1, 1.5, 2), 10 ** 6, seed=7)
-    assert fit.hits == (102961, 103786, 103753, 103121)
+    assert fit.hits == (103040, 103518, 103245, 103565)
 
 
 def test_volume_fit_euclidean_hits_pinned():
@@ -839,18 +872,27 @@ def test_volume_fit_euclidean_hits_pinned():
 
 
 def _whole_array_hits(metric, radii, n, seed):
-    # whole-array draws in x, y, z order per radius, tested directly
+    # whole-array draws in x, y, z order per radius, tested directly. The
+    # distance ball's z run opens with the binomial count of samples below
+    # the ball's height, then draws the heights of just those samples,
+    # whose x and y are the first of their runs
     rng = np.random.default_rng(seed)
     expected = []
     for r in radii:
-        zr = r if metric == "euclidean" else r * r
         x = rng.uniform(-r, r, n)
         y = rng.uniform(-r, r, n)
-        z = rng.uniform(-zr, zr, n)
         if metric == "euclidean":
+            z = rng.uniform(-r, r, n)
             inside = x * x + y * y + z * z <= r * r
         else:
-            inside = dist.l2_distance(np.hypot(x, y), np.abs(z)) <= r
+            gz = copy.deepcopy(rng)
+            rng.bit_generator.advance(n)
+            r_out = r * (1.0 + 1e-12)
+            cap = r_out * r_out / (2.0 * math.pi)
+            kept = int(gz.binomial(n, cap / (r * r)))
+            z = gz.uniform(-cap, cap, kept)
+            inside = dist.l2_distance(np.hypot(x[:kept], y[:kept]),
+                                      np.abs(z)) <= r
         expected.append(int(np.count_nonzero(inside)))
     return tuple(expected)
 

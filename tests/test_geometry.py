@@ -156,15 +156,17 @@ def test_circle_check_streams_the_whole_loop(radius, samples):
     whole = geo.isoperimetric_check(loop)
     area, length, defect = geo.circle_isoperimetric_check(radius, samples)
     # summed per block and the blocks added exactly: within rounding of
-    # the exact sum of the whole loop's shoelace terms, which the whole
-    # loop's running area misses by 1.4e-13 relative at 10^4 samples
+    # the exact sum of the whole loop's shoelace terms, as is the whole
+    # loop's pairwise sum, which one block reproduces bit for bit
     terms = 0.5 * (loop[:-1, 0] * loop[1:, 1] - loop[1:, 0] * loop[:-1, 1])
     exact_area = math.fsum(terms)
     assert area == pytest.approx(exact_area, rel=1e-14)
-    assert area == pytest.approx(whole[0], rel=1e-12)
+    assert whole[0] == pytest.approx(exact_area, rel=1e-14)
     if samples <= geo._LOOP_BLOCK:
+        assert area == whole[0]
         assert length == whole[1]
     else:
+        assert area == pytest.approx(whole[0], rel=1e-12)
         assert length == pytest.approx(whole[1], rel=1e-14)
     assert defect == pytest.approx(
         whole[1] ** 2 / (4.0 * np.pi) - abs(exact_area), abs=1e-13)
