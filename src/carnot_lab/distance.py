@@ -4,15 +4,16 @@ The distance between A and B is the infimum of horizontal path length.
 For the l1 norm it has a closed form: the isoperimetrix of l1 is the
 axis-parallel square (Busemann 1947), so geodesics are arcs of that
 square, at most four pieces of constant axis control, and the distance is
-a three-case formula in max(|x|, |y|), min(|x|, |y|) and |z| (Duchin and
-Mooney 2014). linf reduces to l1 through the automorphism
-(x, y, z) -> (x + y, x - y, -2z). For l2 the distance is approximated
-from above by direct transcription: N piecewise constant controls on a
-unit time grid, whose shortest path is known exactly, an equilateral
-polygon of constant turning whose total turning solves one scalar
-equation; a Gauss-Newton projection onto the endpoint constraint finishes
-it. Every value is bracketed from above by itself, the length of a feasible
-witness path, and from below by an independent bound, capped within rounding.
+a three-case formula, ``l1_distance``, in max(|x|, |y|), min(|x|, |y|)
+and |z| (Duchin and Mooney 2014). linf reduces to l1 through the
+automorphism (x, y, z) -> (x + y, x - y, -2z). For l2 the distance is
+approximated from above by direct transcription: N piecewise constant
+controls on a unit time grid, whose shortest path is known exactly, an
+equilateral polygon of constant turning whose total turning solves one
+scalar equation; a Gauss-Newton projection onto the endpoint constraint
+finishes it. Every value is bracketed from above by itself, the length
+of a feasible witness path, and from below by the exact distance in
+closed form, ``l1_distance`` or ``l2_distance``, capped within rounding.
 
 Two exact symmetries are used to precondition every solve: the problem is
 left-translated so the start is the origin, and rescaled by the
@@ -63,39 +64,6 @@ class DistanceResult:
     degraded: bool = False
     norm: str = "l2"
     segments: int = DEFAULT_SEGMENTS
-
-
-# ---------------------------------------------------------------------------
-# rigorous elementary bounds
-
-def distance_bounds(delta, norm="l2"):
-    """(lower, upper) bounds on d(0, delta) from elementary paths.
-
-    Lower: the planar projection of a horizontal path moves no faster
-    than the path, and a path closing a vertical gap dz sweeps planar
-    area dz against its chord, so the planar isoperimetric inequality
-    gives length >= sqrt(4 pi |dz|) - planar_chord. Upper: a straight
-    segment to the planar target plus an area-closing loop (circle for
-    the l2 norm, square otherwise). For l1 and linf this is the length
-    of ``chow_connect``'s path, so the exact distance never exceeds it.
-    """
-    dx, dy, dz = delta
-    planar2 = math.hypot(dx, dy)
-    iso = math.sqrt(4.0 * math.pi * abs(dz))
-    lower_l2 = max(planar2, iso - planar2)
-    if norm == "l2":
-        lower = lower_l2
-        upper = planar2 + 2.0 * math.sqrt(math.pi * abs(dz))
-    elif norm == "l1":
-        # l1 speed dominates l2 speed, so the l2 lower bound transfers
-        lower = max(abs(dx) + abs(dy), lower_l2)
-        upper = abs(dx) + abs(dy) + 4.0 * math.sqrt(abs(dz))
-    elif norm == "linf":
-        lower = max(abs(dx), abs(dy), lower_l2 / math.sqrt(2.0))
-        upper = max(abs(dx), abs(dy)) + 4.0 * math.sqrt(abs(dz))
-    else:
-        raise DomainError(f"unknown horizontal norm {norm!r}")
-    return lower, upper
 
 
 # ---------------------------------------------------------------------------
@@ -224,39 +192,49 @@ def _solve_normalized(target, segments, restore_tol):
     return dt * float(np.sum(np.hypot(*np.split(U, 2)))), U, err
 
 
-def _l1_geodesic(target, norm="l1"):
-    """Exact length and witness controls (u, v, dt) of a geodesic from the
-    origin to ``target`` for the l1 norm, or for linf.
+def l1_distance(x, y, z):
+    """Exact l1 distance from the origin to (x, y, z), in closed form.
 
     In the reduced frame h = max(|x|, |y|), l = min(|x|, |y|), zeta = |z|
-    the distance is h + l for zeta <= hl/2 (a staircase), h + 2 zeta / h
-    for zeta <= h^2 - hl/2 (a detour below the chord) and
+    it is h + l for zeta <= hl/2 (a staircase), h + 2 zeta / h for
+    zeta <= h^2 - hl/2 (a detour below the chord) and
     4 sqrt(zeta + hl/2) - h - l beyond (an arc of the square of side
-    sqrt(zeta + hl/2)). The witness is at most four unit axis controls of
-    free duration, mapped to the target by the signed permutation of
-    (x, y) that reduced it; reversing the pieces flips the sign of z.
+    sqrt(zeta + hl/2)); half the l1 distance to (x + y, x - y, -2z) is the
+    linf distance. h l and zeta lose digits where they are subnormal, so
+    evaluate it at a normalized target and scale the result.
     """
+    h, l = max(abs(x), abs(y)), min(abs(x), abs(y))
+    zeta, m = abs(z), 0.5 * h * l
+    if zeta <= m:
+        return h + l
+    if zeta <= h * h - m:
+        return h + 2.0 * zeta / h
+    return 4.0 * math.sqrt(zeta + m) - h - l
+
+
+def _l1_geodesic(target, norm="l1"):
+    """Witness controls (u, v, dt) of an l1, or linf, geodesic from the
+    origin to ``target``: per case of ``l1_distance``, at most four unit
+    axis controls of free duration in the reduced frame, mapped to the
+    target by the signed permutation of (x, y) that reduced it; reversing
+    the pieces flips the sign of z."""
     x, y, z = (float(c) for c in target)
     if norm == "linf":
         # Phi(x, y, z) = (x + y, x - y, -2z) is an automorphism whose
         # differential doubles linf speeds into l1 speeds, so an l1
         # geodesic to Phi(target), mapped back, is a linf geodesic
-        length, ctl = _l1_geodesic((x + y, x - y, -2.0 * z))
-        u, v, dt = ctl.T
-        return 0.5 * length, np.column_stack((0.5 * (u + v),
-                                              0.5 * (u - v), dt))
+        u, v, dt = _l1_geodesic((x + y, x - y, -2.0 * z)).T
+        return np.column_stack((0.5 * (u + v), 0.5 * (u - v), dt))
     h, l = max(abs(x), abs(y)), min(abs(x), abs(y))
     zeta, m = abs(z), 0.5 * h * l
     if zeta <= m:
         s = (zeta + m) / l if l > 0.0 else h
-        length, pieces = h + l, [(1, 0, s), (0, 1, l), (1, 0, h - s)]
+        pieces = [(1, 0, s), (0, 1, l), (1, 0, h - s)]
     elif zeta <= h * h - m:
         a = (zeta - m) / h
-        length = h + 2.0 * zeta / h
         pieces = [(0, -1, a), (1, 0, h), (0, 1, l + a)]
     else:
         s = math.sqrt(zeta + m)
-        length = 4.0 * s - h - l
         pieces = [(0, -1, s - l), (1, 0, s), (0, 1, s), (-1, 0, s - h)]
     ctl = np.array(pieces, dtype=float)
     ctl = ctl[ctl[:, 2] > 0.0]
@@ -265,19 +243,16 @@ def _l1_geodesic(target, norm="l1"):
     ctl[:, :2] = ctl[:, [1, 0] if swap else [0, 1]] * (sx, sy)
     if (-sx if swap else sx) * sy * z < 0.0:  # the map reverses orientation
         ctl = ctl[::-1]
-    return length, ctl
+    return ctl
 
 
 def cc_distance(A, B, *, segments=DEFAULT_SEGMENTS, norm="l2",
                 endpoint_tol=DEFAULT_ENDPOINT_TOL) -> DistanceResult:
     """Distance between the points A and B with a feasible witness path.
 
-    For l1 and linf the value is exact. It is the length of the witness,
-    a feasible path, so it is never below the true distance. It is never
-    above it: a horizontal path to (x, y, z) is a planar curve to (x, y)
-    enclosing signed area z against its chord, and by Busemann's
-    isoperimetric inequality the shortest such l1 curves are arcs of the
-    square, which the witness traces. As a numerical check, the tests
+    For l1 and linf the value is exact. It is the measured length of the
+    witness, an arc of the square (through Phi for linf), whose length
+    ``l1_distance`` gives in closed form. As a numerical check, the tests
     find no word of the discrete Heisenberg group, a unit-speed l1 path,
     shorter than the value. ``segments`` is unused for these norms.
 
@@ -287,10 +262,11 @@ def cc_distance(A, B, *, segments=DEFAULT_SEGMENTS, norm="l2",
     distance; ``degraded`` is set when no slot path reaches the endpoint.
 
     The bracket follows one rule for every norm. ``upper`` is the
-    witness's own length, the value. ``lower`` is an independent bound,
-    ``l2_distance`` for l2 and the lower end of ``distance_bounds`` for
-    l1 and linf, capped at the value where rounding and the endpoint error
-    put it above by a relative 1e-12 at most; a larger excess is a fault.
+    witness's own length, the value. ``lower`` is the exact distance in
+    closed form apart from the witness, ``l2_distance`` or ``l1_distance``,
+    capped at the value where rounding and the endpoint error put it above
+    by a relative 1e-12 at most; a larger excess is a fault. For l1 and
+    linf the two agree, so a wrong witness or formula opens the bracket.
 
     ``norm`` must be one of ``HORIZONTAL_NORMS``, ``segments`` a positive
     integer, ``endpoint_tol`` positive and finite.
@@ -340,16 +316,21 @@ def cc_distance(A, B, *, segments=DEFAULT_SEGMENTS, norm="l2",
                 [scale * U[:n], scale * U[n:], np.full(n, 1.0 / n)]))
             value, err = scale * length_hat, err_hat * err_scale
     else:
-        lower, _ = distance_bounds(delta, norm)
-        length_hat, controls = _l1_geodesic(that, norm)
-        end = integrate_path(HorizontalPath(ORIGIN, controls))
-        err_hat = float(np.max(np.abs(np.subtract(end, that))))
+        # both at the normalized target: at the raw difference of a tiny
+        # gauge the durations, h l and zeta go subnormal and lose digits
+        x, y, z = that
+        lower = scale * (l1_distance(x, y, z) if norm == "l1"
+                         else 0.5 * l1_distance(x + y, x - y, -2.0 * z))
+        controls = _l1_geodesic(that, norm)
+        path = HorizontalPath(ORIGIN, controls)
+        err_hat = float(np.max(np.abs(np.subtract(integrate_path(path),
+                                                  that))))
+        value, err = scale * cc_length(path, norm), err_hat * err_scale
         controls[:, 2] *= scale
         controls = controls[controls[:, 2] > 0.0]  # lost to underflow
         witness = HorizontalPath(A, controls)
-        value, err = scale * length_hat, err_hat * err_scale
     # the witness is a feasible path, so its length bounds from above; a
-    # lower bound above it by rounding only (straight solves) is capped
+    # lower bound above it by rounding only is capped
     lower = float(lower)
     lower = value if value < lower <= value + 1e-12 * value else lower
     return DistanceResult(value, witness, lower, value, err,
@@ -382,12 +363,16 @@ def l2_distance(rho, abs_z):
     """
     rho, az = np.broadcast_arrays(np.asarray(rho, dtype=float),
                                   np.asarray(abs_z, dtype=float))
-    # q = sqrt(w) stays accurate where rho^2 underflows; w = 0 and q = inf
-    # keep the values set here. Newton runs on the equation times 8 sin^2,
-    # finite at both ends; fmin/fmax send a NaN step back to its start
+    # q = sqrt(w) stays accurate where rho^2 underflows, and the axis value
+    # where pi |z| would under- or overflow (it is taken 2^600 toward 1);
+    # w = 0 and q = inf keep the values set here. Newton runs on the
+    # equation times 8 sin^2, finite at both ends; fmin/fmax send a NaN
+    # step back to its start
     with np.errstate(all="ignore"):
         q = np.sqrt(az) / rho
-        d = np.where(np.isinf(q), 2.0 * np.sqrt(np.pi * az), rho)
+        up = np.where(az < 1.0, 300, -300)
+        axis = np.ldexp(2.0 * np.sqrt(np.pi * np.ldexp(az, 2 * up)), -up)
+        d = np.where(np.isinf(q), axis, rho)
         w = q * q
         arc = (w > 0) & (w <= np.pi / 8)
         loop = (w > np.pi / 8) & np.isfinite(q)

@@ -367,7 +367,7 @@ def _standard_norm(group, g):
     h - l + 2 ceil(Z/h) for Z <= h^2 and 2 ceil(2 sqrt Z) - h - l
     beyond. Z is zeta + hl/2 for the height zeta = |b - ac/2| in
     exponential coordinates, so the cases are those of the l1 distance
-    (``distance._l1_geodesic``) with Z/h and 2 sqrt Z rounded up, and the
+    (``distance.l1_distance``) with Z/h and 2 sqrt Z rounded up, and the
     norm exceeds that distance by less than 2.
     """
     a, c, b = g

@@ -1,9 +1,12 @@
 import collections
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.integrate import dblquad
+from scipy.optimize import brentq
 
 from carnot_lab import distance as dist
 from carnot_lab import growth
@@ -521,6 +524,30 @@ def test_standard_norm_is_within_two_of_the_l1_distance(heis_levels):
         z = (abs(2 * b - a * c) + h * l) / 2
         cases[(z > h * l) + (z > h * h)] += 1
     assert min(cases[i] for i in range(3)) > 100
+
+
+def test_pansu_limit_is_the_volume_of_the_l1_ball():
+    # Pansu's theorem: |B_r| / r^4 of heis_Z under the standard generators
+    # tends to the volume of the unit ball of the l1 CC metric, 31/72.
+    # The ball series S(x) / (1 - x) has a pole of order 5 at x = 1, and
+    # simple ones at the 4th and 3rd roots of unity, so |B_r| is c r^4 +
+    # (a cubic) + (a part of period 12) for every r, and the fourth
+    # difference with step 12 is exactly 4! 12^4 c. With the numerator's
+    # sum N(1) = 62 and (1 + x^2)(1 + x + x^2) = 6 at x = 1, c = 62 / (6 4!)
+    balls = list(itertools.accumulate(heis_sphere_series(59)))
+    for r in range(12):
+        diff = sum((-1) ** k * math.comb(4, k) * balls[r + 12 * (4 - k)]
+                   for k in range(5))
+        assert Fraction(diff, 24 * 12 ** 4) == Fraction(62, 6 * 24) \
+            == Fraction(31, 72)
+    # the ball {l1_distance <= 1}: eight times the integral, over the
+    # quadrant x, y >= 0, x + y <= 1, of the height where it reaches 1
+    def height(y, x):
+        return brentq(lambda z: dist.l1_distance(x, y, z) - 1.0, 0.0, 1.0)
+
+    quadrant, _ = dblquad(height, 0.0, 1.0, 0.0, lambda x: 1.0 - x,
+                          epsabs=1e-8)
+    assert 8.0 * quadrant == pytest.approx(31 / 72, rel=0.0, abs=1e-9)
 
 
 def test_word_norm_dispatches_the_standard_sets_to_the_closed_form(
