@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 # nothing here calls minimize; the benchmark's tracer wraps distance.minimize
-from scipy.optimize import brentq, minimize  # noqa: F401
+from scipy.optimize import minimize  # noqa: F401
 
 from .errors import DomainError
 from .geometry import (HORIZONTAL_NORMS, HorizontalPath, cc_length,
@@ -122,41 +122,22 @@ def _l2_polygon(target, n):
     discrete isoperimetric inequality). Its total turning Phi = n phi in
     [0, 2 pi) solves (n sin(Phi/n) - sin Phi) / (8 sin^2(Phi/2)) = w with
     w = |z| / rho^2; the left side is monotone in Phi and tends to the arc
-    equation of ``l2_distance`` as n grows. Brent's method solves it in
+    equation of ``l2_distance`` as n grows. Newton solves it in
     t = log(Phi / (2 pi - Phi)), against whose ends the log of the left
-    side is nearly linear.
+    side is nearly linear, from the arc's turning 2 theta: since
+    n sin(Phi/n) < Phi the root lies above it. A step that would leave the
+    proven bracket of the root bisects it instead.
     """
     x, y, z = (float(c) for c in target)
     rho = math.hypot(x, y)
     w = abs(z) / rho / rho if rho > 0.0 else math.inf
     if z != 0.0 and (n == 1 or (n == 2 and w == math.inf)):
         return None
-
-    def sines(t):
-        # the turning Phi at t = log(Phi / (2 pi - Phi)) and the sines
-        # s_j = sin(j Phi / 2n), j = 0 .. n, scaled to peak 1 so that no
-        # product of them under- or overflows; s_n comes from the smaller
-        # of Phi and 2 pi - Phi, so it keeps its digits as the loop closes
-        e = math.exp(-abs(t))
-        small, big = 2.0 * math.pi * e / (1.0 + e), 2.0 * math.pi / (1.0 + e)
-        turn = big if t >= 0.0 else small
-        s = np.sin(np.arange(n + 1) * (turn / (2 * n)))
-        s[n] = math.sin(0.5 * small)
-        peak = float(s.max())
-        s = s / peak
-        # n sin(Phi/n) - sin Phi = 4 peak^3 s_1 sum_k s_k s_{k+1}, a sum
-        # of nonnegative terms, so nothing cancels at small turning
-        return turn, peak, s, float(s[:-1] @ s[1:])
-
-    def excess(t):
-        _, peak, s, pairs = sines(t)
-        return (math.log(0.5 * peak * s[1] * pairs) - 2.0 * math.log(s[n])
-                - log_w)
-
     if w < sys.float_info.min:
         # w = 0, or subnormal: the straight slot path to every digit
         turn, length = 0.0, rho
     else:
+        k = np.arange(n + 1)
         if w == math.inf:
             t = math.inf
         else:
@@ -164,12 +145,59 @@ def _l2_polygon(target, n):
             # arc does, and 2 pi - Phi >= min(pi/2, 1/(2 pi w)), since the
             # left side is at least 1/(pi (2 pi - Phi)) in that range
             log_w = math.log(w)
-            t = brentq(excess, min(0.0, math.log(4.0 / math.pi) + log_w),
-                       max(math.log(4.0), 2.0 * math.log(2.0 * math.pi)
-                           + log_w), xtol=1e-15)
-        turn, peak, s, pairs = sines(t)
+            a = min(0.0, math.log(4.0 / math.pi) + log_w)
+            b = max(math.log(4.0), 2.0 * math.log(2.0 * math.pi) + log_w)
+            _, theta, psi = _l2_float(rho, abs(z))
+            t = min(max(math.log(theta / psi), a), b)
+        # Newton ends after two to six evaluations of the sines, the last
+        # only for them; bisections alone would narrow the bracket to a
+        # rounding in fewer than 64
+        last = t == math.inf
+        for _ in range(100):
+            # the turning Phi at t and the sines s_j = sin(j Phi / 2n),
+            # j = 0 .. n, scaled to peak 1 so that no product of them
+            # under- or overflows; s_n comes from the smaller of Phi and
+            # 2 pi - Phi, so it keeps its digits as the loop closes
+            e = math.exp(-abs(t))
+            small = 2.0 * math.pi * e / (1.0 + e)
+            big = 2.0 * math.pi / (1.0 + e)
+            turn = big if t >= 0.0 else small
+            s = np.sin(k * (turn / (2 * n)))
+            s[n] = half = math.sin(0.5 * small)
+            peak = float(s.max())
+            s = s / peak
+            # n sin(Phi/n) - sin Phi = 4 peak^3 s_1 sum_k s_k s_{k+1}, a
+            # sum of nonnegative terms, so nothing cancels at small turning
+            s1, pairs = float(s[1]), float(s[:-1] @ s[1:])
+            if last:
+                break
+            excess = (math.log(0.5 * peak * s1 * pairs)
+                      - 2.0 * math.log(half / peak) - log_w)
+            if excess == 0.0:
+                break
+            if excess < 0.0:
+                a = t
+            else:
+                b = t
+            # d excess / dPhi = (cos(Phi/n) - cos Phi) / (n sin(Phi/n) -
+            # sin Phi) - cot(Phi/2), whose first numerator is
+            # 2 sin(Phi (n+1) / 2n) sin(Phi (n-1) / 2n), times dPhi/dt =
+            # Phi (2 pi - Phi) / (2 pi); taken over peak and sin(small/2)
+            # so that no factor over- or underflows
+            slope = big * (
+                math.sin(turn * (n + 1) / (2 * n)) / peak
+                * (math.sin(turn * (n - 1) / (2 * n)) / peak)
+                * (small / peak) / (4.0 * math.pi * s1 * pairs)
+                - math.cos(0.5 * turn) * (small / half) / (2.0 * math.pi))
+            step = _quotient(excess, slope)
+            # a step within rounding is the last one
+            near = 4.0 * sys.float_info.epsilon * max(1.0, abs(t))
+            last = abs(step) <= near or b - a <= near
+            t -= step
+            if not a <= t <= b:  # also a NaN step
+                t = 0.5 * (a + b)
         # in Python floats, which overflow to inf without a warning
-        length = n * math.sqrt(2.0 * abs(z) * float(s[1]) / (peak * pairs))
+        length = n * math.sqrt(2.0 * abs(z) * s1 / (peak * pairs))
         if not math.isfinite(length):
             return None
     sign = math.copysign(1.0, z)
@@ -189,7 +217,16 @@ def _solve_normalized(target, segments, restore_tol):
     U, err = _project_endpoint(U, target, dt, restore_tol)
     if not err <= restore_tol:  # also refuses a NaN error
         return None
-    return dt * float(np.sum(np.hypot(*np.split(U, 2)))), U, err
+    n = segments
+    return dt * float(np.sum(np.hypot(U[:n], U[n:]))), U, err
+
+
+def _chow_length(d):
+    """Length of ``chow_connect``'s path across the difference d = A^-1 B,
+    hypot(dx, dy) + 4 sqrt|dz| summed left to right as ``cc_length`` sums
+    its pieces: its value bit for bit, without building the path."""
+    side = math.sqrt(abs(d.z))
+    return float(np.hypot(d.x, d.y)) + side + side + side + side
 
 
 def l1_distance(x, y, z):
@@ -201,8 +238,11 @@ def l1_distance(x, y, z):
     4 sqrt(zeta + hl/2) - h - l beyond (an arc of the square of side
     sqrt(zeta + hl/2)); half the l1 distance to (x + y, x - y, -2z) is the
     linf distance. h l and zeta lose digits where they are subnormal, so
-    evaluate it at a normalized target and scale the result.
+    evaluate it at a normalized target and scale the result. NaN where a
+    coordinate is NaN.
     """
+    if math.isnan(x) or math.isnan(y):  # max and min would drop it
+        return math.nan
     h, l = max(abs(x), abs(y)), min(abs(x), abs(y))
     zeta, m = abs(z), 0.5 * h * l
     if zeta <= m:
@@ -306,15 +346,17 @@ def cc_distance(A, B, *, segments=DEFAULT_SEGMENTS, norm="l2",
         restore_tol = max(5e-16, min(1e-13, endpoint_tol / (10.0 * err_scale)))
         sol = _solve_normalized(that, segments, restore_tol)
         degraded = sol is None
-        # the segment+loop connection, unless the slot path is no longer
-        witness = chow_connect(A, B)
-        value, err = cc_length(witness), 0.0
+        # the segment+loop connection, unless the slot path is no longer;
+        # its path is built only where it wins
+        value = _chow_length(delta)
         if not degraded and scale * sol[0] <= value:
             length_hat, U, err_hat = sol
             n = segments
             witness = HorizontalPath(A, np.column_stack(
                 [scale * U[:n], scale * U[n:], np.full(n, 1.0 / n)]))
             value, err = scale * length_hat, err_hat * err_scale
+        else:
+            witness, err = chow_connect(A, B), 0.0
     else:
         # both at the normalized target: at the raw difference of a tiny
         # gauge the durations, h l and zeta go subnormal and lose digits
@@ -350,29 +392,87 @@ _CANDIDATE_BLOCK = 1 << 12
 _MERIDIAN_CELLS = 1 << 11
 
 
+def _quotient(num, den):
+    """num / den as numpy divides floats: x / 0 is +-inf and 0 / 0 NaN."""
+    try:
+        return num / den
+    except ZeroDivisionError:
+        return num * math.copysign(math.inf, den) if num else math.nan
+
+
+def _l2_float(rho, az):
+    """``l2_distance`` at one pair of floats rho, az >= 0, in Python floats
+    step for step, so bit for bit, as the array path, with the arc's
+    half-angle theta and pi - theta: (distance, theta, pi - theta). Newton
+    runs in the unknown of its branch, so the second of the two angles
+    keeps its digits as the arc closes."""
+    if rho == 0.0 and az == 0.0:
+        return rho, 0.0, math.pi
+    q = math.sqrt(az) / rho if rho != 0.0 else math.inf
+    if math.isinf(q):
+        up = 300 if az < 1.0 else -300
+        return (math.ldexp(2.0 * math.sqrt(math.pi * math.ldexp(az, 2 * up)),
+                           -up), math.pi, 0.0)
+    w = q * q
+    if 0.0 < w <= math.pi / 8:
+        lo, hi = 4.0 * w, min(6.0 * w, 0.5 * math.pi)
+        t = hi
+        for _ in range(_NEWTON_STEPS):
+            s = math.sin(t)
+            n = 2.0 * t - math.sin(2.0 * t)
+            qs = q * s
+            t -= _quotient(n - 8.0 * (qs * qs),
+                           4.0 * s * s - 2.0 * n * math.cos(t) / s)
+            # fmin(hi, .) then fmax(lo, .): a NaN goes to hi
+            t = t if t < hi else hi
+            t = t if t > lo else lo
+        return rho * t / math.sin(t), t, math.pi - t
+    if w > math.pi / 8:
+        p_lo = 0.5 * math.sqrt(math.pi) / q
+        p = p_lo
+        for _ in range(_NEWTON_STEPS):
+            s = math.sin(p)
+            n = 2.0 * math.pi - 2.0 * p + math.sin(2.0 * p)
+            qs = q * s
+            p += _quotient(n - 8.0 * (qs * qs),
+                           4.0 * s * s + 2.0 * n * math.cos(p) / s)
+            # fmax(p_lo, .) then fmin(pi/2, .): a NaN goes to p_lo
+            p = p if p > p_lo else p_lo
+            p = p if p < 0.5 * math.pi else 0.5 * math.pi
+        return rho * (math.pi - p) / math.sin(p), math.pi - p, p
+    return rho, 0.0, math.pi  # w = 0, or rho = az = inf
+
+
 def l2_distance(rho, abs_z):
     """Exact l2 distance from the origin to points with planar radius
-    ``rho`` and vertical gap ``abs_z`` (arrays, broadcast together).
+    ``rho`` and vertical gap ``abs_z`` (arrays, broadcast together); NaN
+    where either is NaN.
 
     Geodesics project to circular arcs (Gaveau 1977; Montgomery 2002).
     With w = abs_z / rho^2 the arc's half-angle theta in [0, pi) solves
     (2 theta - sin 2 theta) / (8 sin^2 theta) = w, and the distance is
     rho theta / sin theta (2 sqrt(pi abs_z) on the vertical axis). Newton
     runs in theta for w <= pi/8, in psi = pi - theta as the arc closes,
-    clipped to a proven bracket of the unknown.
+    clipped to a proven bracket of the unknown. Two nonnegative scalars
+    are answered in Python floats, with the same steps and the same
+    value, without numpy's cost per call.
     """
+    if isinstance(rho, (int, float)) and isinstance(abs_z, (int, float)) \
+            and rho >= 0 and abs_z >= 0:
+        return _l2_float(float(rho), float(abs_z))[0]
     rho, az = np.broadcast_arrays(np.asarray(rho, dtype=float),
                                   np.asarray(abs_z, dtype=float))
     # q = sqrt(w) stays accurate where rho^2 underflows, and the axis value
     # where pi |z| would under- or overflow (it is taken 2^600 toward 1);
-    # w = 0 and q = inf keep the values set here. Newton runs on the
+    # w = 0 and q = inf keep the values set here, as does a NaN q: the
+    # origin (0 / 0), rho = abs_z = inf and NaN inputs. Newton runs on the
     # equation times 8 sin^2, finite at both ends; fmin/fmax send a NaN
     # step back to its start
     with np.errstate(all="ignore"):
         q = np.sqrt(az) / rho
         up = np.where(az < 1.0, 300, -300)
         axis = np.ldexp(2.0 * np.sqrt(np.pi * np.ldexp(az, 2 * up)), -up)
-        d = np.where(np.isinf(q), axis, rho)
+        d = np.where(np.isinf(q), axis, np.where(np.isnan(az), az, rho))
         w = q * q
         arc = (w > 0) & (w <= np.pi / 8)
         loop = (w > np.pi / 8) & np.isfinite(q)
@@ -465,21 +565,29 @@ def _ball_height(r):
     return r_out * r_out / (2.0 * np.pi)
 
 
-def _cc_membership(x, y, z, r):
-    """Membership of one block of samples in the l2 distance ball of
-    radius r, as far as the tiers before the exact distance decide it.
+def _meridian_bounds(r):
+    """The meridian table's bounds on |z| at radius r, (r^2 lo, r^2 hi)."""
+    lo, hi = _meridian_table()
+    return r * r * lo, r * r * hi
 
-    Returns (hit, rest, rho, abs_z): ``hit`` marks the samples decided
-    inside; the samples at indices ``rest`` are left open, with planar
-    radius rho = np.hypot(x, y) and abs_z = |z|. Setting ``hit[rest] =
-    l2_distance(rho, abs_z) <= r`` makes ``hit`` equal, element for
-    element, to ``l2_distance(np.hypot(x, y), |z|) <= r``. The tiers,
-    each deciding what it can and passing on the rest:
+
+def _cc_membership(x, y, z, r, bounds):
+    """Membership of one block of samples in the l2 distance ball of
+    radius r, as far as the meridian table decides it; ``bounds`` is
+    ``_meridian_bounds(r)``.
+
+    Returns (inside, rest, rho, abs_z): ``inside`` marks the samples
+    decided inside; the samples at indices ``rest`` are left open, with
+    planar radius rho = np.hypot(x, y) and abs_z = |z|. Setting
+    ``inside[rest] = l2_distance(rho, abs_z) <= r`` makes ``inside``
+    equal, element for element, to ``l2_distance(np.hypot(x, y), |z|) <=
+    r``. The tiers, each deciding what it can and passing on the rest:
 
     0. the height of the ball, ``_ball_height``: |z| <= r^2 / (2 pi),
        the peak of the meridian of ``_meridian_table``. It keeps 1 / (2
-       pi) of the box [-r, r]^2 x [-r^2, r^2]; ``ball_volume_fit`` draws
-       only samples below it;
+       pi) of the box [-r, r]^2 x [-r^2, r^2]. ``ball_volume_fit`` draws
+       only samples below it, which makes the draw the screen; the table
+       decides the samples above it as well, outside or open;
     1. the meridian table: in the cell k = floor(rho K / r), a sample
        with |z| <= r^2 lo[k] is inside, one with |z| > r^2 hi[k]
        outside. About one sample in 7,000 is left open.
@@ -490,22 +598,16 @@ def _cc_membership(x, y, z, r):
     value. x * x + y * y must not overflow; ``ball_volume_fit``'s radius
     domain sees to that.
     """
-    hit = np.zeros(len(z), dtype=bool)
-    # tier 0; the table sees only the candidates it gathers, and indexes
-    # into them
+    # sqrt(x^2 + y^2) is within the table's widening of np.hypot and
+    # several times faster
     az = np.abs(z)
-    low = np.flatnonzero(az <= _ball_height(r))
-    x, y, az = x[low], y[low], az[low]
-    # tier 1; sqrt(x^2 + y^2) is within the table's widening of np.hypot
-    # and several times faster
     rho = np.sqrt(x * x + y * y)
-    lo, hi = _meridian_table()
+    lo, hi = bounds
     K = _MERIDIAN_CELLS
     cell = np.minimum(rho * (K / r), K + 1.0).astype(np.intp)
-    inside = az <= (r * r * lo)[cell]
-    hit[low[inside]] = True
-    rest = np.flatnonzero(~inside & (az <= (r * r * hi)[cell]))
-    return hit, low[rest], np.hypot(x[rest], y[rest]), az[rest]
+    inside = az <= lo[cell]
+    rest = np.flatnonzero(~inside & (az <= hi[cell]))
+    return inside, rest, np.hypot(x[rest], y[rest]), az[rest]
 
 
 # ---------------------------------------------------------------------------
@@ -596,9 +698,11 @@ def ball_volume_fit(metric, radii, samples, seed) -> VolumeFit:
         n, block, h = samples, _MEMBERSHIP_BLOCK, zr
         if metric == "cc":
             # no sample above the ball's height is inside: only the count
-            # of those below it is drawn, then just those samples
+            # of those below it is drawn, then just those samples, so
+            # the draw is _cc_membership's height screen
             h = _ball_height(r)
             n, block = int(gz.binomial(samples, h / zr)), _CANDIDATE_BLOCK
+            bounds = _meridian_bounds(r)
         hits, open_rho, open_z = 0, [], []
         for start in range(0, n, block):
             m = min(block, n - start)
@@ -608,8 +712,8 @@ def ball_volume_fit(metric, radii, samples, seed) -> VolumeFit:
             if metric == "euclidean":
                 hits += int(np.count_nonzero(x * x + y * y + z * z <= r * r))
                 continue
-            hit, _, rho, az = _cc_membership(x, y, z, r)
-            hits += int(np.count_nonzero(hit))
+            inside, _, rho, az = _cc_membership(x, y, z, r, bounds)
+            hits += int(np.count_nonzero(inside))
             open_rho.append(rho)
             open_z.append(az)
         if metric == "cc":

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
-from scipy.optimize import minimize, minimize_scalar
+from scipy.optimize import brentq, minimize, minimize_scalar
 
 from carnot_lab import distance as dist
 from carnot_lab import geometry as geo
@@ -421,6 +421,28 @@ def test_degraded_fallback_uses_explicit_connection(monkeypatch):
     assert np.allclose(geo.integrate_path(res.witness), b, atol=1e-12)
 
 
+def test_chow_length_is_cc_length_of_chow_connect():
+    # cc_distance weighs the segment+loop connection by its length in
+    # closed form; it is cc_length of the built path bit for bit, for
+    # generic, planar and vertical differences at gauges 1e-150 .. 1e150
+    rng = np.random.default_rng(71)
+    for k in range(3000):
+        g = 10.0 ** rng.uniform(-150.0, 150.0)
+        a = hg.HeisPoint(*(rng.uniform(-2.0, 2.0, 3) * (g, g, g * g)))
+        dx, dy, dz = rng.uniform(-2.0, 2.0, 3) * (g, g, g * g)
+        if k % 3 == 0:
+            a, b = O, hg.HeisPoint(dx, dy, 0.0)  # planar
+        elif k % 3 == 1:
+            b = hg.HeisPoint(a.x, a.y, a.z + dz)  # vertical
+        else:
+            b = hg.exp_mul(a, hg.HeisPoint(dx, dy, dz))
+        delta = hg.exp_mul(hg.exp_inv(a), b)
+        assert k % 3 != 0 or delta.z == 0.0
+        assert k % 3 != 1 or delta.x == delta.y == 0.0
+        assert dist._chow_length(delta) == geo.cc_length(
+            geo.chow_connect(a, b))
+
+
 def test_cc_distance_validation():
     b = hg.HeisPoint(0.3, 0.2, 0.1)
     for bad in (0, -3, True, 2.5, "8", None):
@@ -510,6 +532,45 @@ def test_l2_distance_matches_optimizer():
                                        abs(delta.z)))
         value = dist.cc_distance(a, b, segments=64).value
         assert exact * (1.0 - 1e-9) <= value <= exact * (1.0 + 1e-3)
+
+
+def test_l2_distance_scalars_equal_the_array_path():
+    # two nonnegative scalars are answered in Python floats; over a seeded
+    # sweep of every branch (the plane, the arc, the closing loop, the
+    # axis and both ends of the float range) and the grid of extremes,
+    # each value is the array path's bit for bit
+    rng = np.random.default_rng(61)
+    n = 24_000
+    rho = rng.uniform(0.0, 3.0, n)
+    abs_z = rho * rho * 10.0 ** rng.uniform(-20.0, 20.0, n)
+    wide = rng.uniform(0.0, 1.0, (2, n // 4)) * 10.0 ** rng.uniform(
+        -320.0, 308.0, (2, n // 4))
+    rho[:n // 4], abs_z[:n // 4] = wide
+    rho[n // 4:n // 4 + 500] = 0.0  # the axis
+    abs_z[n // 4 + 500:n // 4 + 1000] = 0.0  # the plane
+    grid = (0.0, 5e-324, 1e-300, 1e-160, 1.0, 1e150, 1e300)
+    rho = np.concatenate((rho, np.repeat(grid, len(grid))))
+    abs_z = np.concatenate((abs_z, np.tile(grid, len(grid))))
+    expected = dist.l2_distance(rho, abs_z)
+    got = [dist.l2_distance(r, z) for r, z in zip(rho.tolist(),
+                                                  abs_z.tolist())]
+    assert all(type(d) is float for d in got)
+    assert np.array_equal(np.array(got), expected)
+
+
+def test_nan_coordinates_give_nan():
+    # one rule for both closed forms: a NaN coordinate makes the distance
+    # NaN, on the scalar and on the array path of l2_distance
+    nan = math.nan
+    for rho, abs_z in ((1.0, nan), (0.0, nan), (nan, 0.0), (nan, 1.0),
+                       (nan, nan)):
+        assert math.isnan(dist.l2_distance(rho, abs_z))
+        d = dist.l2_distance(np.array([rho, 1.0]), np.array([abs_z, 1.0]))
+        assert math.isnan(d[0]) and d[1] == dist.l2_distance(1.0, 1.0)
+    for point in ((nan, 0.0, 0.0), (0.0, nan, 0.0), (0.0, 0.0, nan),
+                  (1.0, nan, 0.0), (nan, 1.0, 0.0), (1.0, 1.0, nan),
+                  (nan, nan, nan)):
+        assert math.isnan(dist.l1_distance(*point))
 
 
 # ---------------------------------------------------------------------------
@@ -618,6 +679,53 @@ def test_l2_polygon_between_arc_and_regular_polygon(n, log_w, angle, sign):
                                    abs(target[2])))
     ratio = math.sqrt(n * math.tan(math.pi / n) / math.pi)
     assert exact * (1.0 - 1e-12) <= length <= exact * ratio * (1.0 + 1e-12)
+
+
+def _turning_reference(w, n):
+    """The slot polygon's turning equation solved by brentq, as (Phi,
+    2 pi - Phi): in Phi where the root is at most pi, else in 2 pi - Phi,
+    so that the unknown is relatively as accurate as brentq makes it.
+    The left side is 4 s_1 sum_k s_k s_{k+1} / (8 s_n^2), s_j =
+    sin(j Phi / 2n), s_n = sin(Phi / 2) from the smaller of Phi and
+    2 pi - Phi."""
+    def log_lhs(phi, comp):
+        s = np.sin(np.arange(n + 1) * phi / (2 * n))
+        s[n] = math.sin(0.5 * min(phi, comp))
+        return math.log(0.5 * s[1] * float(s[:-1] @ s[1:]) / s[n] ** 2)
+
+    if log_lhs(math.pi, math.pi) >= math.log(w):
+        # the left side is at most Phi / 8 up to pi, so below w at w
+        phi = brentq(lambda p: log_lhs(p, 2.0 * math.pi - p) - math.log(w),
+                     w, math.pi, xtol=1e-300)
+        return phi, 2.0 * math.pi - phi
+    # beyond pi the left side is at least 1 / (pi (2 pi - Phi))
+    comp = brentq(lambda c: log_lhs(2.0 * math.pi - c, c) - math.log(w),
+                  0.5 / (math.pi * w), math.pi, xtol=1e-300)
+    return 2.0 * math.pi - comp, comp
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 8, 64, 1000])
+def test_l2_polygon_turning_matches_brentq(n):
+    # Newton's turning against brentq on the same equation, for w = |z| /
+    # rho^2 in [1e-30, 1e30]: the polygons' lengths agree within 1e-14
+    rng = np.random.default_rng([n, 67])
+    for log_w in np.concatenate(([-30.0, 0.0, 30.0],
+                                 rng.uniform(-30.0, 30.0, 60))):
+        w = 10.0 ** log_w
+        rho = min(1.0, 1.0 / math.sqrt(w))
+        angle = rng.uniform(0.0, 2.0 * math.pi)
+        z = rng.choice([-1.0, 1.0]) * min(w, 1.0)
+        U = dist._l2_polygon(
+            np.array([rho * math.cos(angle), rho * math.sin(angle), z]), n)
+        if U is None:  # two slots too near the axis for a float length
+            assert n == 2 and w > 1e15
+            continue
+        w_hat = abs(z) / rho / rho
+        phi, comp = _turning_reference(w_hat, n)
+        s = np.sin(np.arange(n + 1) * phi / (2 * n))
+        s[n] = math.sin(0.5 * min(phi, comp))
+        length = n * math.sqrt(2.0 * abs(z) * s[1] / float(s[:-1] @ s[1:]))
+        assert math.hypot(U[0], U[n]) == pytest.approx(length, rel=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -763,7 +871,8 @@ def test_cc_membership_equals_exact_distance(n, r):
     exact = dist.l2_distance(np.hypot(x, y), np.abs(z)) <= r
     # the planted points sit on their side of the sphere
     assert exact[80:80 + m].all() and not exact[80 + m:80 + 2 * m].any()
-    got, rest, rho, abs_z = dist._cc_membership(x, y, z, r)
+    got, rest, rho, abs_z = dist._cc_membership(
+        x, y, z, r, dist._meridian_bounds(r))
     assert got.dtype == bool and got.shape == (n,)
     # the open samples come with their exact pairs, undecided
     assert np.array_equal(rho, np.hypot(x[rest], y[rest]))
@@ -800,8 +909,9 @@ def test_cc_membership_height_screen_on_the_top_rim(r):
     # points planted on the top rim of spheres just outside and just
     # inside radius r, the second pair within the tiers' 1e-12 margin,
     # then a run within a few dozen roundings of r, among uniform samples
-    # of the box: the screen plus the exact tier decide each as the exact
-    # distance does
+    # of the box: the height screen, which ball_volume_fit applies by
+    # drawing only below the height, plus the tiers decide each as the
+    # exact distance does
     rng = np.random.default_rng([17, int(math.log10(r)) + 100])
     n, m, ties = 8000, 250, 3000
     x = rng.uniform(-r, r, n)
@@ -819,11 +929,23 @@ def test_cc_membership_height_screen_on_the_top_rim(r):
     exact = dist.l2_distance(np.hypot(x, y), np.abs(z)) <= r
     for k, rel in enumerate(rels):
         assert (exact[k * m:(k + 1) * m] == (rel < 0)).all()
-    got, rest, rho, abs_z = dist._cc_membership(x, y, z, r)
-    # beyond the margin the rim is decided outside before the exact tier
+    # beyond the margin the rim lies above the height, and nothing above
+    # it is inside; every other planted point lies below it
+    below = np.abs(z) <= dist._ball_height(r)
+    assert not below[:m].any() and below[m:planted].all()
+    assert not exact[~below].any()
+    got, rest, rho, abs_z = dist._cc_membership(
+        x, y, z, r, dist._meridian_bounds(r))
+    # the table alone decides the outer rim outside before the exact tier
     assert not got[:m].any() and not np.isin(np.arange(m), rest).any()
     got[rest] = dist.l2_distance(rho, abs_z) <= r
     assert np.array_equal(got, exact)
+    # and the samples below the height, as ball_volume_fit passes them
+    kept = np.flatnonzero(below)
+    got, rest, rho, abs_z = dist._cc_membership(
+        x[kept], y[kept], z[kept], r, dist._meridian_bounds(r))
+    got[rest] = dist.l2_distance(rho, abs_z) <= r
+    assert np.array_equal(got, exact[kept])
 
 
 def _unit_meridian_angle(u):
@@ -897,7 +1019,8 @@ def test_cc_membership_decides_ties_as_the_exact_distance(r):
     # the plane and the axis straddle the sphere
     for part in (slice(0, len(ties)), slice(len(ties), 2 * len(ties))):
         assert exact[part].any() and not exact[part].all()
-    got, rest, rho, abs_z = dist._cc_membership(x, y, z, r)
+    got, rest, rho, abs_z = dist._cc_membership(
+        x, y, z, r, dist._meridian_bounds(r))
     assert not got[rest].any()
     got[rest] = dist.l2_distance(rho, abs_z) <= r
     assert np.array_equal(got, exact)
