@@ -24,14 +24,15 @@ construction.
 
 The l2 distance from the origin also has a closed form, ``l2_distance``,
 and so does the l2 sphere, a meridian curve turned about the z axis.
-Monte Carlo ball membership screens samples by the sphere's height,
-r^2 / (2 pi), then by a certified table of its meridian, and uses the
-exact distance only where neither decides a sample.
+A Monte Carlo volume fit cuts its box into slabs over annuli by a
+certified table of that meridian (of the circle, for Euclidean balls),
+deals the samples among them with one multinomial draw per radius, and
+draws and decides exactly only the samples of the slabs the table
+leaves open, about one in 7,700 for the l2 ball.
 """
 
 from __future__ import annotations
 
-import copy
 import functools
 import math
 import numbers
@@ -49,8 +50,8 @@ from .heisenberg import ORIGIN, HeisPoint, exp_inv, exp_mul
 
 DEFAULT_SEGMENTS = 64
 DEFAULT_ENDPOINT_TOL = 1e-6
-# Monte Carlo samples per radius, a bound on the fit's time (it draws in
-# blocks); more is refused
+# Monte Carlo samples per radius that the fit and the CLI accept (the
+# fit's work grows only with the few samples the table leaves open)
 MAX_SAMPLES = 10 ** 7
 
 
@@ -383,12 +384,8 @@ def cc_distance(A, B, *, segments=DEFAULT_SEGMENTS, norm="l2",
 # exact l2 distance (circular-arc geodesics)
 
 _NEWTON_STEPS = 5  # reaches 1e-15 relative error for w in [1e-8, 1e8]
-# Monte Carlo membership: samples per block, whose temporaries stay in
-# cache, as do those of a block of distance-ball candidates, all below the
-# ball's height; and cells of the meridian table over u = rho / r in
-# [0, 1), both tables together taking 32 KB
-_MEMBERSHIP_BLOCK = 1 << 15
-_CANDIDATE_BLOCK = 1 << 12
+# cells of the ball tables over u = rho / r in [0, 1), the annuli of the
+# Monte Carlo partition
 _MERIDIAN_CELLS = 1 << 11
 
 
@@ -446,19 +443,20 @@ def _l2_float(rho, az):
 def l2_distance(rho, abs_z):
     """Exact l2 distance from the origin to points with planar radius
     ``rho`` and vertical gap ``abs_z`` (arrays, broadcast together); NaN
-    where either is NaN.
+    where either is NaN or negative.
 
     Geodesics project to circular arcs (Gaveau 1977; Montgomery 2002).
     With w = abs_z / rho^2 the arc's half-angle theta in [0, pi) solves
     (2 theta - sin 2 theta) / (8 sin^2 theta) = w, and the distance is
     rho theta / sin theta (2 sqrt(pi abs_z) on the vertical axis). Newton
     runs in theta for w <= pi/8, in psi = pi - theta as the arc closes,
-    clipped to a proven bracket of the unknown. Two nonnegative scalars
-    are answered in Python floats, with the same steps and the same
-    value, without numpy's cost per call.
+    clipped to a proven bracket of the unknown. Two scalars are answered
+    in Python floats, with the same steps and the same value, without
+    numpy's cost per call.
     """
-    if isinstance(rho, (int, float)) and isinstance(abs_z, (int, float)) \
-            and rho >= 0 and abs_z >= 0:
+    if isinstance(rho, (int, float)) and isinstance(abs_z, (int, float)):
+        if not (rho >= 0 and abs_z >= 0):  # also NaN
+            return math.nan
         return _l2_float(float(rho), float(abs_z))[0]
     rho, az = np.broadcast_arrays(np.asarray(rho, dtype=float),
                                   np.asarray(abs_z, dtype=float))
@@ -505,6 +503,7 @@ def l2_distance(rho, abs_z):
                     4.0 * s * s + 2.0 * n * np.cos(p) / s)
                 p = np.fmin(0.5 * np.pi, np.fmax(p_lo, p + step))
             d[loop] = rho[loop] * (np.pi - p) / np.sin(p)
+    d[(rho < 0.0) | (az < 0.0)] = np.nan
     return d
 
 
@@ -524,17 +523,18 @@ def _meridian_table():
     at most 1/(2 pi) in the cell of 2/pi. The knots' t come from Newton
     on sin t = u t from t = sqrt(6 (1 - u)), to a rounding in five steps.
 
-    ``_cc_membership`` reads cell k = floor(rho K / r). For r' = r(1 -+
-    1e-12), rho / r' lies in the cell widened to [k/K (1 - d), (k+1)/K
-    (1 + d)], d = 2e-12, which covers the 1e-12 and the roundings of rho
-    and of the index. Below u_{K-1} (1 + d) the slope |dH/du| is less
-    than 1 / t_{K-1}, so on the widened cells 0 .. K - 2 H passes its
-    knot values by less than d / t_{K-1}. The dilation, Z_r'(rho) =
-    (r'/r)^2 r^2 H(rho / r'), and the roundings of the knots and of
-    r^2 lo and r^2 hi add less than d r^2 / 4, as H <= 1 / (2 pi). So
+    For a point of cell k = floor(rho K / r) and r' = r(1 -+ 1e-12),
+    rho / r' lies in the cell widened to [k/K (1 - d), (k+1)/K (1 + d)],
+    d = 2e-12, which covers the 1e-12 and the roundings of rho and of the
+    index where the cell is read in floats. Below u_{K-1} (1 + d) the
+    slope |dH/du| is less than 1 / t_{K-1}, so on the widened cells
+    0 .. K - 2 H passes its knot values by less than d / t_{K-1}. The
+    dilation, Z_r'(rho) = (r'/r)^2 r^2 H(rho / r'), and the roundings of
+    the knots and of r^2 lo and r^2 hi add less than d r^2 / 4, as
+    H <= 1 / (2 pi). So
     with pad = d (1 + 1 / t_{K-1}) taken off lo and added to hi,
     r^2 lo[k] <= Z_{r(1-1e-12)}(rho) and r^2 hi[k] >= Z_{r(1+1e-12)}(rho):
-    a sample with |z| <= r^2 lo[k] is inside the ball of radius
+    a point with |z| <= r^2 lo[k] is inside the ball of radius
     r(1 - 1e-12), one with |z| > r^2 hi[k] outside that of radius
     r(1 + 1e-12). The widened cells K - 1 and K reach past u = 1, where
     the ball ends: lo = -1, none is inside, and hi is that of cell K - 1,
@@ -558,56 +558,55 @@ def _meridian_table():
     return lo, hi
 
 
-def _ball_height(r):
-    """The l2 ball's height r^2 / (2 pi) at radius r(1 + 1e-12): no point
-    above it lies in the ball of radius r(1 + 1e-12)."""
-    r_out = r * (1.0 + 1e-12)
-    return r_out * r_out / (2.0 * np.pi)
+@functools.cache
+def _sphere_table():
+    """Certified bounds (lo, hi) of the Euclidean ball's height
+    sqrt(1 - u^2) per cell of u = rho / r, in units of r, laid out and
+    padded as the bounds of ``_meridian_table``: K + 2 entries each.
 
-
-def _meridian_bounds(r):
-    """The meridian table's bounds on |z| at radius r, (r^2 lo, r^2 hi)."""
-    lo, hi = _meridian_table()
-    return r * r * lo, r * r * hi
-
-
-def _cc_membership(x, y, z, r, bounds):
-    """Membership of one block of samples in the l2 distance ball of
-    radius r, as far as the meridian table decides it; ``bounds`` is
-    ``_meridian_bounds(r)``.
-
-    Returns (inside, rest, rho, abs_z): ``inside`` marks the samples
-    decided inside; the samples at indices ``rest`` are left open, with
-    planar radius rho = np.hypot(x, y) and abs_z = |z|. Setting
-    ``inside[rest] = l2_distance(rho, abs_z) <= r`` makes ``inside``
-    equal, element for element, to ``l2_distance(np.hypot(x, y), |z|) <=
-    r``. The tiers, each deciding what it can and passing on the rest:
-
-    0. the height of the ball, ``_ball_height``: |z| <= r^2 / (2 pi),
-       the peak of the meridian of ``_meridian_table``. It keeps 1 / (2
-       pi) of the box [-r, r]^2 x [-r^2, r^2]. ``ball_volume_fit`` draws
-       only samples below it, which makes the draw the screen; the table
-       decides the samples above it as well, outside or open;
-    1. the meridian table: in the cell k = floor(rho K / r), a sample
-       with |z| <= r^2 lo[k] is inside, one with |z| > r^2 hi[k]
-       outside. About one sample in 7,000 is left open.
-
-    A tier decides only what is inside the ball of radius r(1 - 1e-12)
-    or outside that of radius r(1 + 1e-12), far more than the rounding of
-    ``l2_distance`` (below 4e-16 relative), so near-ties reach the exact
-    value. x * x + y * y must not overflow; ``ball_volume_fit``'s radius
-    domain sees to that.
+    The height decreases in u, so on cell k it lies between its values
+    at the knots (k+1)/K and k/K. On the cells widened by d = 2e-12 it
+    passes them by less than d s, s the slope u / sqrt(1 - u^2) at
+    u_{K-1} (1 + d) (about 32), and the dilation and the roundings add
+    less than d, as the height is at most 1: pad = d (1 + s). The cells
+    past u_{K-1} are set as in ``_meridian_table``.
     """
-    # sqrt(x^2 + y^2) is within the table's widening of np.hypot and
-    # several times faster
-    az = np.abs(z)
-    rho = np.sqrt(x * x + y * y)
-    lo, hi = bounds
     K = _MERIDIAN_CELLS
-    cell = np.minimum(rho * (K / r), K + 1.0).astype(np.intp)
-    inside = az <= lo[cell]
-    rest = np.flatnonzero(~inside & (az <= hi[cell]))
-    return inside, rest, np.hypot(x[rest], y[rest]), az[rest]
+    u = np.arange(K + 1) / K
+    knots = np.sqrt(1.0 - u * u)
+    edge = (K - 1) / K * (1.0 + 2e-12)
+    pad = 2e-12 * (1.0 + edge / math.sqrt(1.0 - edge * edge))
+    lo, hi = knots[1:] - pad, knots[:-1] + pad
+    lo[-1] = -1.0
+    lo, hi = np.append(lo, (-1.0, -1.0)), np.append(hi, (hi[-1], -1.0))
+    lo.flags.writeable = hi.flags.writeable = False
+    return lo, hi
+
+
+@functools.cache
+def _partition(metric):
+    """The partition of the Monte Carlo box of ``metric``'s balls, the
+    same at every radius, as (lo, hi, pvals).
+
+    Both balls are solids of revolution whose height scales as the box's
+    z half-height Z (r^2 for cc, r for Euclidean), so in units of r and
+    Z every box is [-1, 1]^2 x [-1, 1] and every ball the same. Its
+    table, ``_meridian_table`` or ``_sphere_table``, cuts the disk
+    rho < 1 into K annuli k/K <= rho < (k+1)/K, and each annulus into a
+    slab certainly inside the ball, |z| <= lo[k] (lo clipped at 0), an
+    open slab, lo[k] < |z| <= hi[k], and the rest, outside; so are the
+    box's corners rho >= 1. A slab a < |z| <= b over annulus k takes the
+    share pi (2k + 1) (b - a) / (4 K^2) of the box. ``pvals`` lists the
+    share of all inside slabs, then those of the K open slabs, then a 0
+    that ``multinomial`` reads as the rest.
+    """
+    lo, hi = _meridian_table() if metric == "cc" else _sphere_table()
+    K = _MERIDIAN_CELLS
+    lo, hi = np.maximum(lo[:K], 0.0), hi[:K]
+    share = np.pi * (2 * np.arange(K) + 1) / (4 * K * K)
+    pvals = np.concatenate(([share @ lo], share * (hi - lo), [0.0]))
+    lo.flags.writeable = hi.flags.writeable = pvals.flags.writeable = False
+    return lo, hi, pvals
 
 
 # ---------------------------------------------------------------------------
@@ -635,17 +634,17 @@ def ball_volume_fit(metric, radii, samples, seed) -> VolumeFit:
     horizontal one. Expected exponents: 3 for the Euclidean metric, 4 for
     the horizontal one.
 
-    Per radius x, y and z come from three runs of ``samples`` outputs of
-    the generator seeded by ``seed``, drawn in cache-sized blocks by three
-    copies of it jumped to the start of each run, so memory does not grow
-    with ``samples``; the next radius starts after all three runs.
-    Euclidean membership is the squared norm. No point of the distance
-    ball lies above its height h = r^2 / (2 pi), so the z run opens with
-    the binomial count of samples below h, about one in six, and only
-    those are drawn, in [-r, r]^2 x [-h, h]: the hit count keeps its law.
-    They go through ``_cc_membership`` (the certified table of the ball's
-    meridian) per block, then ``l2_distance`` decides the pairs it leaves
-    open, about one sample in 7,000, in one call per radius.
+    ``_partition`` cuts each box into slabs over annuli certainly inside
+    the ball, open and outside. Per radius one multinomial draw deals the
+    ``samples`` points among them; only the points of the open slabs
+    (about one in 7,700 for cc, one in 1,700 Euclidean) are drawn, rho^2
+    uniform on their annulus and |z| on their slab, and decided exactly,
+    by ``l2_distance`` or the squared norm. The hit count is that of
+    ``samples`` uniform points of the box in law, Binomial(samples,
+    volume / box), and the work per radius grows only with the open
+    points. Each radius draws from its own generator, spawned from the
+    one seeded by ``seed``, so its hits depend only on the seed and its
+    place in the list.
 
     Every radius must have a box volume (8 r^3 Euclidean, 8 r^4 cc) that
     is a finite, normal, positive float, so that the volumes, their logs
@@ -685,41 +684,21 @@ def ball_volume_fit(metric, radii, samples, seed) -> VolumeFit:
         boxes.append(box)
 
     rng = np.random.default_rng(seed)
-
+    lo, hi, pvals = _partition(metric)
+    K = _MERIDIAN_CELLS
     vols, hit_list, ses = [], [], []
-    for r, box in zip(radii, boxes):
+    for r, box, gen in zip(radii, boxes, rng.spawn(len(radii))):
         zr = r if metric == "euclidean" else r * r
-        # each uniform double takes one output of the PCG64 stream, so the
-        # x, y and z runs start 0, samples and 2 samples outputs ahead
-        gx, gy, gz = (copy.deepcopy(rng) for _ in range(3))
-        gy.bit_generator.advance(samples)
-        gz.bit_generator.advance(2 * samples)
-        rng.bit_generator.advance(3 * samples)
-        n, block, h = samples, _MEMBERSHIP_BLOCK, zr
-        if metric == "cc":
-            # no sample above the ball's height is inside: only the count
-            # of those below it is drawn, then just those samples, so
-            # the draw is _cc_membership's height screen
-            h = _ball_height(r)
-            n, block = int(gz.binomial(samples, h / zr)), _CANDIDATE_BLOCK
-            bounds = _meridian_bounds(r)
-        hits, open_rho, open_z = 0, [], []
-        for start in range(0, n, block):
-            m = min(block, n - start)
-            x = gx.uniform(-r, r, m)
-            y = gy.uniform(-r, r, m)
-            z = gz.uniform(-h, h, m)
-            if metric == "euclidean":
-                hits += int(np.count_nonzero(x * x + y * y + z * z <= r * r))
-                continue
-            inside, _, rho, az = _cc_membership(x, y, z, r, bounds)
-            hits += int(np.count_nonzero(inside))
-            open_rho.append(rho)
-            open_z.append(az)
-        if metric == "cc":
-            # the open pairs of all blocks share one exact call
-            hits += int(np.count_nonzero(l2_distance(
-                np.concatenate(open_rho), np.concatenate(open_z)) <= r))
+        counts = gen.multinomial(samples, pvals)
+        cell = np.repeat(np.arange(K), counts[1:-1])
+        rho = r / K * np.sqrt(cell * cell
+                              + gen.random(len(cell)) * (2 * cell + 1))
+        az = zr * (lo[cell] + gen.random(len(cell)) * (hi[cell] - lo[cell]))
+        if metric == "euclidean":
+            inside = rho * rho + az * az <= r * r
+        else:
+            inside = l2_distance(rho, az) <= r
+        hits = int(counts[0]) + int(np.count_nonzero(inside))
         frac = hits / samples
         vols.append(box * frac)
         hit_list.append(hits)

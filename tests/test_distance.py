@@ -1,4 +1,3 @@
-import copy
 import math
 import tracemalloc
 
@@ -560,11 +559,14 @@ def test_l2_distance_scalars_equal_the_array_path():
 
 def test_nan_coordinates_give_nan():
     # one rule for both closed forms: a NaN coordinate makes the distance
-    # NaN, on the scalar and on the array path of l2_distance
+    # NaN, on the scalar and on the array path of l2_distance, as does a
+    # negative radius or gap; scalars come back as Python floats
     nan = math.nan
     for rho, abs_z in ((1.0, nan), (0.0, nan), (nan, 0.0), (nan, 1.0),
-                       (nan, nan)):
-        assert math.isnan(dist.l2_distance(rho, abs_z))
+                       (nan, nan), (1.0, -1.0), (-1.0, 1.0), (-1.0, 0.0),
+                       (0.0, -1.0), (-1, -1), (-math.inf, 1.0), (nan, -1.0)):
+        d = dist.l2_distance(rho, abs_z)
+        assert type(d) is float and math.isnan(d)
         d = dist.l2_distance(np.array([rho, 1.0]), np.array([abs_z, 1.0]))
         assert math.isnan(d[0]) and d[1] == dist.l2_distance(1.0, 1.0)
     for point in ((nan, 0.0, 0.0), (0.0, nan, 0.0), (0.0, 0.0, nan),
@@ -781,8 +783,8 @@ def test_volume_fit_agrees_with_the_exact_volume(metric):
 @pytest.mark.parametrize("metric", ["cc", "euclidean"])
 def test_volume_fit_radii_keep_their_runs(metric):
     # a radius's hits depend only on the seed and its place in the list:
-    # each radius draws its own runs of the stream, so changing the first
-    # radius leaves the others' counts as they were
+    # each radius draws from its own spawned generator, so changing the
+    # first radius leaves the others' counts as they were
     n = 20_000
     one = dist.ball_volume_fit(metric, (0.5, 1.0, 2.0), n, seed=9)
     other = dist.ball_volume_fit(metric, (0.7, 1.0, 2.0), n, seed=9)
@@ -853,11 +855,34 @@ def _boundary_points(rng, m, r, rel):
             z * rng.choice([-1.0, 1.0], m))
 
 
-@pytest.mark.parametrize("n, r", [(2 * dist._MEMBERSHIP_BLOCK + 1234, 1.0),
-                                  (dist._MEMBERSHIP_BLOCK, 0.37),
-                                  (777, 3.0), (5000, 1e-70), (5000, 1e70)])
+def _partition_region(x, y, z, r, metric="cc"):
+    # the region of ball_volume_fit's partition that holds each point: 0
+    # certainly inside, 1 open, 2 outside. Its cell is read in floats, as
+    # the tables' 1e-12 margin allows; on the rim of the disk their extra
+    # cells leave a point open or outside, and the last annulus's inside
+    # slab, |z| <= 0, is left open
+    lo, hi = (dist._meridian_table() if metric == "cc"
+              else dist._sphere_table())
+    K = dist._MERIDIAN_CELLS
+    zr = r * r if metric == "cc" else r
+    cell = np.minimum(np.hypot(x, y) * (K / r), K + 1.0).astype(np.intp)
+    az = np.abs(z)
+    return np.where(az <= zr * lo[cell], 0,
+                    np.where(az <= zr * hi[cell], 1, 2))
+
+
+def _decided_as(region, exact):
+    # every point of the partition's certain regions is decided as the
+    # exact distance decides it
+    return exact[region == 0].all() and not exact[region == 2].any()
+
+
+@pytest.mark.parametrize("n, r", [(66770, 1.0), (32768, 0.37), (777, 3.0),
+                                  (5000, 1e-70), (5000, 1e70)])
 def test_cc_membership_equals_exact_distance(n, r):
-    # every tier decides as the exact distance does, element for element
+    # uniform points of the box, the plane, the axis and the spheres just
+    # inside and outside radius r: every point of the partition's inside
+    # slabs is inside the ball, every point of its outside region outside
     rng = np.random.default_rng([n, 13])
     x = rng.uniform(-r, r, n)
     y = rng.uniform(-r, r, n)
@@ -871,14 +896,10 @@ def test_cc_membership_equals_exact_distance(n, r):
     exact = dist.l2_distance(np.hypot(x, y), np.abs(z)) <= r
     # the planted points sit on their side of the sphere
     assert exact[80:80 + m].all() and not exact[80 + m:80 + 2 * m].any()
-    got, rest, rho, abs_z = dist._cc_membership(
-        x, y, z, r, dist._meridian_bounds(r))
-    assert got.dtype == bool and got.shape == (n,)
-    # the open samples come with their exact pairs, undecided
-    assert np.array_equal(rho, np.hypot(x[rest], y[rest]))
-    assert np.array_equal(abs_z, np.abs(z[rest])) and not got[rest].any()
-    got[rest] = dist.l2_distance(rho, abs_z) <= r
-    assert np.array_equal(got, exact)
+    region = _partition_region(x, y, z, r)
+    assert _decided_as(region, exact)
+    # the uniform points the partition leaves open are few
+    assert np.count_nonzero(region[80 + 2 * m:] == 1) <= max(3, 1e-3 * n)
 
 
 def _unit_meridian_height(t):
@@ -907,11 +928,11 @@ def test_l2_ball_height_closed_form():
 @pytest.mark.parametrize("r", [1.0, 1e-70, 1e70])
 def test_cc_membership_height_screen_on_the_top_rim(r):
     # points planted on the top rim of spheres just outside and just
-    # inside radius r, the second pair within the tiers' 1e-12 margin,
-    # then a run within a few dozen roundings of r, among uniform samples
-    # of the box: the height screen, which ball_volume_fit applies by
-    # drawing only below the height, plus the tiers decide each as the
-    # exact distance does
+    # inside radius r, the second pair within the tables' 1e-12 margin,
+    # then a run within a few dozen roundings of r, among uniform points
+    # of the box. The partition's highest slab, of the peak cell, ends at
+    # the ball's height r^2 / (2 pi) plus the table's pad: nothing above
+    # it is drawn, and nothing above it is inside
     rng = np.random.default_rng([17, int(math.log10(r)) + 100])
     n, m, ties = 8000, 250, 3000
     x = rng.uniform(-r, r, n)
@@ -929,23 +950,18 @@ def test_cc_membership_height_screen_on_the_top_rim(r):
     exact = dist.l2_distance(np.hypot(x, y), np.abs(z)) <= r
     for k, rel in enumerate(rels):
         assert (exact[k * m:(k + 1) * m] == (rel < 0)).all()
-    # beyond the margin the rim lies above the height, and nothing above
-    # it is inside; every other planted point lies below it
-    below = np.abs(z) <= dist._ball_height(r)
+    _, hi, _ = dist._partition("cc")
+    peak = int(2.0 * dist._MERIDIAN_CELLS / math.pi)
+    assert hi.max() == hi[peak] == pytest.approx(0.5 / math.pi, rel=1e-9)
+    # beyond the margin the rim lies above the top, and nothing above it
+    # is inside; every other planted point lies below it
+    below = np.abs(z) <= r * r * hi[peak]
     assert not below[:m].any() and below[m:planted].all()
     assert not exact[~below].any()
-    got, rest, rho, abs_z = dist._cc_membership(
-        x, y, z, r, dist._meridian_bounds(r))
-    # the table alone decides the outer rim outside before the exact tier
-    assert not got[:m].any() and not np.isin(np.arange(m), rest).any()
-    got[rest] = dist.l2_distance(rho, abs_z) <= r
-    assert np.array_equal(got, exact)
-    # and the samples below the height, as ball_volume_fit passes them
-    kept = np.flatnonzero(below)
-    got, rest, rho, abs_z = dist._cc_membership(
-        x[kept], y[kept], z[kept], r, dist._meridian_bounds(r))
-    got[rest] = dist.l2_distance(rho, abs_z) <= r
-    assert np.array_equal(got, exact[kept])
+    region = _partition_region(x, y, z, r)
+    # the partition puts the outer rim outside, before the exact tier
+    assert (region[:m] == 2).all()
+    assert _decided_as(region, exact)
 
 
 def _unit_meridian_angle(u):
@@ -1019,17 +1035,75 @@ def test_cc_membership_decides_ties_as_the_exact_distance(r):
     # the plane and the axis straddle the sphere
     for part in (slice(0, len(ties)), slice(len(ties), 2 * len(ties))):
         assert exact[part].any() and not exact[part].all()
-    got, rest, rho, abs_z = dist._cc_membership(
-        x, y, z, r, dist._meridian_bounds(r))
-    assert not got[rest].any()
-    got[rest] = dist.l2_distance(rho, abs_z) <= r
-    assert np.array_equal(got, exact)
+    assert _decided_as(_partition_region(x, y, z, r), exact)
+    # and every cell's corners, where the partition's slabs come nearest
+    # the sphere
+    rho, abs_z, inside = _cell_corners("cc", r)
+    assert np.array_equal(dist.l2_distance(rho, abs_z) <= r, inside)
+
+
+def _cell_corners(metric, r):
+    # both ends of every annulus at the top of its certainly-inside slab,
+    # which must be inside the ball, and one rounding above its open
+    # slab, which must be outside: (rho, |z|, inside)
+    lo, hi, _ = dist._partition(metric)
+    K = dist._MERIDIAN_CELLS
+    zr = r * r if metric == "cc" else r
+    k = np.arange(K)
+    rho = r / K * np.concatenate((k + 1, k, k, k + 1))
+    above = hi * (1.0 + np.finfo(float).eps)
+    abs_z = zr * np.concatenate((lo, lo, above, above))
+    return rho, abs_z, np.repeat([True, False], 2 * K)
+
+
+@pytest.mark.parametrize("r", [1.0, 1e-70, 1e70])
+def test_sphere_partition_corners_decide_as_the_squared_norm(r):
+    rho, abs_z, inside = _cell_corners("euclidean", r)
+    assert np.array_equal(rho * rho + abs_z * abs_z <= r * r, inside)
+
+
+def test_sphere_table_is_certified():
+    # the Euclidean ball's profile, the unit circle walked densely and
+    # through every knot and just beside it, lies within the bounds of
+    # each cell the 1e-12 margin can read it from, scaled by the margin's
+    # dilation 1 -+ 1e-12
+    lo, hi = dist._sphere_table()
+    K = dist._MERIDIAN_CELLS
+    assert lo.shape == hi.shape == (K + 2,)
+    assert np.isfinite(lo).all() and np.isfinite(hi).all()
+    assert (lo <= hi).all()
+    assert (lo[K - 1:] < 0.0).all() and hi[K + 1] < 0.0
+    phi = np.concatenate((np.linspace(0.0, 0.5 * math.pi, 200_001),
+                          np.arccos(np.outer(
+                              np.arange(1, K) / K,
+                              (1.0 - 9e-13, 1.0, 1.0 + 9e-13)).ravel())))
+    u, h = np.cos(phi), np.sin(phi)
+    for rel in (-1e-12, 0.0, 1e-12):
+        cell = np.floor(u * (1.0 + rel) * K).astype(int)
+        assert (lo[cell] <= h * (1.0 - 1e-12)).all()
+        assert (hi[cell] >= h * (1.0 + 1e-12)).all()
+
+
+@pytest.mark.parametrize("metric", ["cc", "euclidean"])
+def test_partition_brackets_the_exact_volume(metric):
+    # an oracle independent of the tables: the unit box has volume 8, so
+    # 8 times the share of the inside slabs, and of the inside and open
+    # slabs together, bracket the unit ball's volume, V1 by quadrature
+    # or 4 pi / 3
+    lo, hi, pvals = dist._partition(metric)
+    K = dist._MERIDIAN_CELLS
+    assert lo.shape == hi.shape == (K,) and pvals.shape == (K + 2,)
+    assert (lo >= 0.0).all() and (pvals >= 0.0).all() and pvals[-1] == 0.0
+    exact = _unit_l2_ball_volume() if metric == "cc" else 4.0 * math.pi / 3
+    inside, open_share = pvals[0], pvals[1:-1].sum()
+    assert 8.0 * inside <= exact <= 8.0 * (inside + open_share)
+    assert open_share < (2e-4 if metric == "cc" else 1e-3)
 
 
 def test_volume_fit_open_share_pinned(monkeypatch):
-    # the pairs left to the exact distance at this seed: 0.014% of the
-    # samples with the meridian table, 2.7% with the path bounds and the
-    # half-angle bracket it replaced
+    # the pairs left to the exact distance at this seed: about 0.013% of
+    # the samples with the meridian table, 2.7% with the path bounds and
+    # the half-angle bracket it replaced
     sent, exact = [], dist.l2_distance
 
     def counting(rho, abs_z):
@@ -1042,61 +1116,47 @@ def test_volume_fit_open_share_pinned(monkeypatch):
     assert sum(sent) <= 2e-4 * 4 * samples
 
 
+def test_volume_fit_draws_only_in_the_open_slabs(monkeypatch):
+    # every pair sent to the exact distance lies in an open slab of the
+    # partition, and the open slabs are drawn in proportion to their
+    # shares: those inside the peak cell's radius, about 12% of the open
+    # share, get their part of the pairs within 5 standard deviations
+    sent, exact = [], dist.l2_distance
+    r = 1.5
+
+    def keeping(rho, abs_z):
+        sent.append((rho, abs_z))
+        return exact(rho, abs_z)
+
+    monkeypatch.setattr(dist, "l2_distance", keeping)
+    dist.ball_volume_fit("cc", (0.5, 1.0, r), 10 ** 6, seed=8)
+    rho, abs_z = sent[-1]
+    assert len(rho) > 50
+    assert (_partition_region(rho, 0.0, abs_z, r) == 1).all()
+    _, _, pvals = dist._partition("cc")
+    peak = int(2.0 * dist._MERIDIAN_CELLS / math.pi)
+    share = pvals[1:peak + 1].sum() / pvals[1:-1].sum()
+    below = np.count_nonzero(rho < r * peak / dist._MERIDIAN_CELLS)
+    n = len(rho)
+    assert abs(below - share * n) < 5.0 * math.sqrt(n * share * (1 - share))
+
+
 def test_volume_fit_hits_pinned():
-    # the tiers only decide sooner: each count stays the one the exact
-    # distance gives, at this seed, to the samples below the ball's height
+    # the partition decides each sample of its certain slabs without
+    # drawing it: each count stays the one of its draws at this seed
     fit = dist.ball_volume_fit("cc", (0.5, 1, 1.5, 2), 10 ** 6, seed=7)
-    assert fit.hits == (103040, 103518, 103245, 103565)
+    assert fit.hits == (102850, 103612, 103474, 104285)
 
 
 def test_volume_fit_euclidean_hits_pinned():
-    # membership in blocks decides each sample as the whole-array test did
     fit = dist.ball_volume_fit("euclidean", (0.5, 1, 1.5, 2), 10 ** 6,
                                seed=7)
-    assert fit.hits == (523962, 523696, 523324, 522842)
-
-
-def _whole_array_hits(metric, radii, n, seed):
-    # whole-array draws in x, y, z order per radius, tested directly. The
-    # distance ball's z run opens with the binomial count of samples below
-    # the ball's height, then draws the heights of just those samples,
-    # whose x and y are the first of their runs
-    rng = np.random.default_rng(seed)
-    expected = []
-    for r in radii:
-        x = rng.uniform(-r, r, n)
-        y = rng.uniform(-r, r, n)
-        if metric == "euclidean":
-            z = rng.uniform(-r, r, n)
-            inside = x * x + y * y + z * z <= r * r
-        else:
-            gz = copy.deepcopy(rng)
-            rng.bit_generator.advance(n)
-            r_out = r * (1.0 + 1e-12)
-            cap = r_out * r_out / (2.0 * math.pi)
-            kept = int(gz.binomial(n, cap / (r * r)))
-            z = gz.uniform(-cap, cap, kept)
-            inside = dist.l2_distance(np.hypot(x[:kept], y[:kept]),
-                                      np.abs(z)) <= r
-        expected.append(int(np.count_nonzero(inside)))
-    return tuple(expected)
-
-
-@pytest.mark.parametrize("metric, seed", [
-    ("cc", 3), ("cc", 11), ("euclidean", 3), ("euclidean", 11)])
-def test_volume_fit_streams_the_whole_array_draws(metric, seed):
-    # the blocks are drawn from jumped copies of the generator; each count
-    # is the one of whole-array draws, and the next radius starts where
-    # the whole arrays left off
-    n = 2 * dist._MEMBERSHIP_BLOCK + 1234
-    radii = (0.5, 1.0, 2.0)
-    fit = dist.ball_volume_fit(metric, radii, n, seed=seed)
-    assert fit.hits == _whole_array_hits(metric, radii, n, seed)
+    assert fit.hits == (524238, 522965, 523220, 521872)
 
 
 def test_volume_fit_memory_stays_flat():
-    # the samples are drawn and decided block by block: the whole-array
-    # draws of 10^6 samples alone held 24 MB
+    # only the open samples are drawn: the whole-array draws of 10^6
+    # samples alone held 24 MB
     tracemalloc.start()
     try:
         dist.ball_volume_fit("cc", (0.5, 1, 1.5, 2), 10 ** 6, seed=7)
