@@ -26,20 +26,19 @@ def richardson_limit(values, ratio=2.0, tol=1e-9, what="sequence"):
     """Extrapolate ``values[k] = L + c1*h_k + c2*h_k^2 + ...`` to h -> 0.
 
     ``values`` must be evaluated on steps h_k shrinking by ``ratio`` per
-    index. Returns (limit, diagnostics): the diagonal of the tableau, one
-    entry per value read, and the estimated leading order. The tableau
-    stops once two successive diagonal entries agree within ``tol``
-    (absolute, or relative for large limits). A constant sequence (to an
-    absolute 1e-300) is exact: its first value, order inf, and a diagonal
-    as long as the sequence. Fewer than 3 values raise DomainError;
-    non-finite ones, or no agreement, ConvergenceError.
+    index. Returns (limit, diagonal): the diagonal of the tableau holds
+    one entry per value read. The tableau stops once two successive
+    diagonal entries agree within ``tol`` (absolute, or relative for
+    large limits). A constant sequence (to an absolute 1e-300) is exact:
+    its first value, and a diagonal as long as the sequence. Fewer than 3
+    values raise DomainError; non-finite ones, or no agreement,
+    ConvergenceError.
     """
     vals = np.asarray(values, dtype=float)
     if vals.ndim != 1 or len(vals) < 3:
         raise DomainError("need at least 3 sequence values to extrapolate")
     if np.allclose(vals, vals[0], rtol=0.0, atol=1e-300):
-        return vals[0], {"diagonal": [vals[0]] * len(vals),
-                         "order": float("inf")}
+        return vals[0], [vals[0]] * len(vals)
     if not np.all(np.isfinite(vals)):
         raise ConvergenceError(f"{what}: non-finite terms in schedule")
     row = vals.copy()
@@ -50,22 +49,8 @@ def richardson_limit(values, ratio=2.0, tol=1e-9, what="sequence"):
         diagonal.append(row[0])
         a, b = diagonal[-2], diagonal[-1]
         if j >= 2 and abs(a - b) <= tol * max(1.0, abs(b)):
-            return b, {"diagonal": diagonal,
-                       "order": _leading_order(vals, ratio)}
+            return b, diagonal
     raise ConvergenceError(
         f"{what}: extrapolants did not stabilize "
         f"(last gap {abs(a - b):.3e} > tol {tol:.1e})")
 
-
-def _leading_order(vals, ratio):
-    # slope of successive differences; order p gives diff ratio ~ ratio^p
-    d = np.abs(np.diff(vals))
-    good = d > 0
-    if good.sum() < 2:
-        return float("inf")  # already exact
-    d = d[good]
-    r = d[:-1] / d[1:]
-    r = r[(r > 0) & np.isfinite(r)]
-    if len(r) == 0:
-        return float("nan")
-    return float(np.median(np.log(r) / np.log(ratio)))

@@ -285,7 +285,7 @@ def criterion_pansu_diagonal(seed=DEFAULT_SEED):
             return y
 
         gmap = pansu.GroupMap("abelian_to_abelian", fn)
-        matrix, _ = pansu.pansu_derivative(gmap, base)
+        matrix = pansu.pansu_derivative(gmap, base)
         h = 1e-6
         fd = np.diag([(fn(b + h) - fn(b - h)) / (2 * h) for b in base])
         worst = max(worst, float(np.max(np.abs(matrix - fd))))

@@ -270,28 +270,25 @@ def _cmd_volume(cfg):
 
 
 def _parse_map(spec_str):
+    # every map is a polynomial, so its blow-up derivative is exact
     if spec_str == "identity":
-        return lambda x: x
+        return np.polynomial.Polynomial([0.0, 1.0])
     if spec_str == "square":
-        return lambda x: x * x
+        return np.polynomial.Polynomial([0.0, 0.0, 1.0])
     for prefix in ("custom-polynomial", "poly"):
         if spec_str.startswith(prefix):
             rest = spec_str[len(prefix):].lstrip(":=, ")
             coeffs = [float(tok) for tok in rest.split(",") if tok.strip()]
             if not coeffs:
                 raise DomainError("polynomial map needs coefficients c0,c1,..")
-            rev = coeffs[::-1]
-            return lambda x: float(np.polyval(rev, x))
+            if not all(map(math.isfinite, coeffs)):
+                raise _InputError(f"polynomial coefficients must be finite, "
+                                  f"got {spec_str!r}")
+            return np.polynomial.Polynomial(coeffs)
     raise DomainError(f"unknown map spec {spec_str!r}")
 
 
 def _cmd_pansu(cfg):
-    # refused before the schedule is built: 2^-n underflows to 0 for
-    # n > 1074, and a blow-up needs three levels
-    n = cfg["schedule"]
-    if isinstance(n, bool) or not isinstance(n, int) or not 3 <= n <= 1074:
-        raise _InputError(f"schedule must be an integer in [3, 1074], "
-                          f"got {n!r}")
     fn = _parse_map(cfg["map"])
     base = tuple(float(tok) for tok in cfg["base"].split(","))
     if len(base) != 3:
@@ -300,19 +297,10 @@ def _cmd_pansu(cfg):
         raise _InputError(f"base coordinates must be finite, got "
                           f"{cfg['base']!r}")
     gmap = pansu.GroupMap(cfg["kind"], fn)
-    sched = pansu.BlowupSchedule(
-        pansu.default_blowup_schedule(cfg["schedule"]), cfg["convention"])
-    # a huge base can overflow the quotients; the extrapolation then
-    # refuses their non-finite terms, without numpy's warnings
-    with np.errstate(over="ignore", invalid="ignore"):
-        matrix, diag = pansu.pansu_derivative(gmap, base, sched)
-    # an infinite order marks an entry whose quotient is already constant
-    order = {direction: {k: "exact" if v == math.inf else v
-                         for k, v in orders.items()}
-             for direction, orders in diag.items()}
-    return {"matrix": matrix.tolist(), "per_entry_order": order,
-            "kind": cfg["kind"], "convention": cfg["convention"],
-            "base": list(base)}
+    matrix = pansu.pansu_derivative(
+        gmap, base, pansu.BlowupSchedule(convention=cfg["convention"]))
+    return {"matrix": matrix.tolist(), "kind": cfg["kind"],
+            "convention": cfg["convention"], "base": list(base)}
 
 
 def _parse_generators(text):
@@ -535,8 +523,6 @@ def _build_parser():
     p.add_argument("--kind", default=None, choices=list(pansu.MAP_KINDS))
     p.add_argument("--convention", default=None,
                    choices=list(pansu.CONVENTIONS))
-    p.add_argument("--schedule", type=int, default=None,
-                   help="number of halving levels")
 
     p = sub.add_parser("growth", help="word-metric ball growth")
     p.add_argument("--group", default=None,
@@ -567,8 +553,7 @@ DEFAULTS = {
     "volume": {"metric": "cc", "radii": "0.5,1,2", "samples": 100_000,
                "seed": 12345},
     "pansu": {"map": "identity", "base": "0,0,0",
-              "kind": "heis_to_abelian", "convention": "source_graded",
-              "schedule": 20},
+              "kind": "heis_to_abelian", "convention": "source_graded"},
     "growth": {"group": "heis_Z", "radius": 12},
     "verify-all": {"seed": acceptance.DEFAULT_SEED},
 }

@@ -650,7 +650,8 @@ def ball_volume_fit(metric, radii, samples, seed) -> VolumeFit:
     is a finite, normal, positive float, so that the volumes, their logs
     and the squares of the samples are all finite, and the fit's design
     [log r, 1] must have rank 2; at most 1e7 samples per radius, at least
-    1e4. Anything else is refused before drawing.
+    1e4; the seed must be a non-negative integer. Anything else is
+    refused before drawing.
     """
     radii = [float(r) for r in radii]
     if len(radii) < 3:
@@ -671,6 +672,10 @@ def ball_volume_fit(metric, radii, samples, seed) -> VolumeFit:
         raise DomainError(f"at most 1e7 samples per radius, got {samples}")
     if metric not in ("cc", "euclidean"):
         raise DomainError(f"unknown metric {metric!r}")
+    # None would draw from OS entropy, so the fit could not be replayed
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) \
+            or seed < 0:
+        raise DomainError(f"seed must be a non-negative integer, got {seed!r}")
     power = 3 if metric == "euclidean" else 4
     boxes = []
     for r in radii:

@@ -7,11 +7,13 @@ source dilation and the inverse target dilation,
 
     q(t) = [ f(base . delta_t(dir)) - f(base) ] / t,
 
-and the derivative is the t -> 0+ limit, extrapolated entrywise over a
-geometric schedule. On the Abelian source this reproduces the classical
-diagonal Jacobian; on the group source with the graded dilation the
-vertical entry of the identity map collapses to zero, which is the
-degenerate-center behavior the construction is designed to exhibit.
+and the derivative is the t -> 0+ limit: in closed form for a numpy
+``Polynomial`` entry function, whose quotient is a polynomial in t, and
+extrapolated entrywise over a geometric schedule for any other callable.
+On the Abelian source this reproduces the classical diagonal Jacobian;
+on the group source with the graded dilation the vertical entry of the
+identity map collapses to zero, which is the degenerate-center behavior
+the construction is designed to exhibit.
 
 The fixed-t quotient of a scalar function at a point, tabulated as t -> 1
 (``jackson_profile``), is the bridge between these blow-up quotients and
@@ -55,16 +57,13 @@ class GroupMap:
                          self.fn(coords[2])], dtype=float)
 
 
-def default_blowup_schedule(levels=20):
-    return 2.0 ** -np.arange(1, levels + 1)
-
-
 @dataclass(frozen=True)
 class BlowupSchedule:
     """Strictly decreasing positive t values shrinking geometrically to 0,
     plus the source dilation convention (graded t^2 on the vertical
     coordinate, or linear t on all three)."""
-    t_values: np.ndarray = field(default_factory=default_blowup_schedule)
+    t_values: np.ndarray = field(
+        default_factory=lambda: 2.0 ** -np.arange(1, 21))
     convention: str = "source_graded"
 
     def __post_init__(self):
@@ -142,10 +141,10 @@ def blowup_limit(f: GroupMap, base, direction, schedule=None):
     """t -> 0+ limit of the blow-up quotient along one direction, taken
     when two successive extrapolants agree to 1e-8.
 
-    Returns (limit 3-vector, per-entry diagnostics). Entries whose
-    extrapolation fails raise ConvergenceError naming the entry; a base
-    that loses its displacement to rounding on a level an entry's
-    extrapolation reads raises DomainError.
+    Returns the limit 3-vector. Entries whose extrapolation fails raise
+    ConvergenceError naming the entry; a base that loses its displacement
+    to rounding on a level an entry's extrapolation reads raises
+    DomainError.
     """
     sched = schedule if schedule is not None else BlowupSchedule()
     ratio = sched.ratio()
@@ -163,7 +162,6 @@ def blowup_limit(f: GroupMap, base, direction, schedule=None):
             raise _unresolved(base, i, sched.t_values[k[0]])
 
     limits = np.empty(3)
-    orders = {}
     for i, name in enumerate(_ENTRY_NAMES):
         seq = quotients[:, i]
         try:
@@ -174,26 +172,41 @@ def blowup_limit(f: GroupMap, base, direction, schedule=None):
             raise ConvergenceError(
                 f"entry {name!r} of the blow-up quotient diverges: {exc}"
             ) from exc
-        check_resolved(i, len(diag["diagonal"]))
-        orders[name] = diag["order"]
-    return limits, orders
+        check_resolved(i, len(diag))
+    return limits
 
 
 def pansu_derivative(f: GroupMap, base, schedule=None):
     """Blow-up derivative matrix at ``base``: column j is the limit along
     the j-th coordinate unit displacement.
 
-    For ``abelian_to_abelian`` maps with a differentiable entry function
-    this is the diagonal Jacobian diag(fn'(base)).
+    A numpy ``Polynomial`` ``f.fn`` is answered exactly from d = fn' at
+    base (a, c, b): diag(d(a), d(c), d(b)) for ``abelian_to_abelian``;
+    rows [d(a), 0, 0], [0, d(c), 0], [0, a d(b), kappa d(b)] for
+    ``heis_to_abelian``, kappa = 1 under ``source_linear`` and 0 under
+    ``source_graded``. A non-finite entry raises DomainError. Any other
+    callable is extrapolated by ``blowup_limit``.
     """
     sched = schedule if schedule is not None else BlowupSchedule()
-    cols = []
-    diagnostics = {}
-    for j, direction in enumerate(_UNIT_DIRECTIONS):
-        vec, orders = blowup_limit(f, base, direction, sched)
-        cols.append(vec)
-        diagnostics[f"direction_{j}"] = orders
-    return np.column_stack(cols), diagnostics
+    if not isinstance(f.fn, np.polynomial.Polynomial):
+        return np.column_stack([blowup_limit(f, base, direction, sched)
+                                for direction in _UNIT_DIRECTIONS])
+    a, c, b = (float(v) for v in base)
+    # a derivative past the float range overflows to inf (or NaN) and is
+    # refused below, without numpy's warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        da, dc, db = (float(v) for v in f.fn.deriv()(np.array([a, c, b])))
+    if f.kind == "abelian_to_abelian":
+        matrix = np.diag([da, dc, db])
+    else:
+        # a literal 0, not 0 * d(b), which is NaN for an infinite d(b)
+        center = db if sched.convention == "source_linear" else 0.0
+        matrix = np.array([[da, 0.0, 0.0], [0.0, dc, 0.0],
+                           [0.0, a * db, center]])
+    if not np.all(np.isfinite(matrix)):
+        raise DomainError(f"blow-up derivative {matrix.tolist()} at base "
+                          f"{(a, c, b)!r} is not finite")
+    return matrix
 
 
 # ---------------------------------------------------------------------------

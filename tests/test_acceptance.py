@@ -9,7 +9,8 @@ import time
 
 import numpy as np
 
-from carnot_lab import acceptance, distance, geometry, heisenberg, qalgebra
+from carnot_lab import acceptance, distance, geometry, heisenberg, pansu, \
+    qalgebra
 from carnot_lab.cli import run
 
 SEED = acceptance.DEFAULT_SEED
@@ -75,6 +76,20 @@ def test_criterion_10_volume_scaling():
 
 def test_criterion_11_pansu_diagonal():
     _gate(acceptance.criterion_pansu_diagonal, 1.0)
+
+
+def test_criterion_11_sees_the_extrapolated_quotients(monkeypatch):
+    # its Horner callable takes the Richardson path, not the closed form
+    # of polynomial maps: quotients off by a relative 1e-5 must fail it
+    quotient = pansu._quotient
+
+    def planted(*args):
+        q, lost = quotient(*args)
+        return q * (1.0 + 1e-5), lost
+
+    monkeypatch.setattr(pansu, "_quotient", planted)
+    rec = acceptance.criterion_pansu_diagonal(SEED)
+    assert rec["passed"] is False, rec
 
 
 def test_criterion_12_discrete_growth():

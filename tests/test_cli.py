@@ -188,14 +188,12 @@ def test_volume_run(tmp_path):
 
 def test_pansu_run(tmp_path):
     cfg = base_cfg(tmp_path, map="square", base="1,1,1",
-                   kind="abelian_to_abelian", convention="source_graded",
-                   schedule=20)
+                   kind="abelian_to_abelian", convention="source_graded")
     bundle = run("pansu", cfg)
     matrix = np.array(bundle.payload["matrix"])
     assert np.allclose(matrix, 2.0 * np.eye(3), atol=1e-8)
     cfg = base_cfg(tmp_path, map="custom-polynomial:0,3", base="0,0,0",
-                   kind="heis_to_abelian", convention="source_graded",
-                   schedule=20)
+                   kind="heis_to_abelian", convention="source_graded")
     matrix = np.array(run("pansu", cfg).payload["matrix"])
     assert np.allclose(matrix, np.diag([3.0, 3.0, 0.0]), atol=1e-8)
 
@@ -673,12 +671,6 @@ def test_main_qadd_overflow_is_inf(tmp_path, capsys):
     assert code == 0
     out = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert out["summary"]["result"] == "inf"
-    # the label stays where it has its meaning: an infinite pansu order
-    # marks an entry whose blow-up quotient is already constant
-    assert cli.main(["--output-dir", str(tmp_path), "pansu"]) == 0
-    bundle = json.loads((tmp_path / "pansu.bundle.json").read_text())
-    orders = bundle["payload"]["per_entry_order"]["direction_0"]
-    assert set(orders.values()) == {"exact"}
 
 
 @pytest.mark.parametrize("x, y, q, result", [
@@ -812,20 +804,48 @@ def test_main_volume_refuses_radii_outside_the_float_range(tmp_path, capsys):
     assert not (tmp_path / "volume.bundle.json").exists()
 
 
-def test_main_pansu_refuses_schedules_outside_3_to_1074(tmp_path, capsys):
-    # refused before the schedule is built, so 3000000 allocates nothing
-    for n in ("2", "0", "-4", "1075", "3000000", str(10 ** 30)):
+def test_main_volume_refuses_a_negative_seed(tmp_path, capsys):
+    code = cli.main(["--output-dir", str(tmp_path), "volume", "--seed",
+                     "-1"])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"]["module"] == "subriemannian"
+    assert "seed" in err["error"]["message"]
+    assert not (tmp_path / "volume.bundle.json").exists()
+
+
+def test_main_pansu_takes_no_schedule(tmp_path, capsys):
+    # the derivative of a polynomial map is exact, with no levels to set
+    for n in ("3", "20", "1074", "3000000"):
         code = cli.main(["--output-dir", str(tmp_path), "pansu",
                          "--schedule", n])
         assert code == 2, n
         err = json.loads(capsys.readouterr().err.strip())
-        assert "[3, 1074]" in err["error"]["message"]
+        assert "--schedule" in err["error"]["message"]
+    conf = tmp_path / "pansu.conf"
+    conf.write_text("schedule = 20\n")
+    assert cli.main(["--output-dir", str(tmp_path), "--config", str(conf),
+                     "pansu"]) == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert "'schedule'" in err["error"]["message"]
     assert not (tmp_path / "pansu.bundle.json").exists()
-    # 2^-1074 is the last power of two above 0
-    for n in ("3", "1074"):
-        assert cli.main(["--output-dir", str(tmp_path), "pansu",
-                         "--schedule", n]) == 0, n
-        capsys.readouterr()
+
+
+def test_main_pansu_refuses_non_finite_coefficients(tmp_path, capsys):
+    # refused where the map is parsed, before any work
+    for spec in ("poly:nan", "poly:1,inf", "custom-polynomial:0,-inf,1",
+                 "poly:1e400,1"):
+        code = cli.main(["--output-dir", str(tmp_path), "pansu",
+                         "--map", spec])
+        assert code == 2, spec
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["error"]["module"] == "cli_reports"
+        assert "finite" in err["error"]["message"]
+    assert not (tmp_path / "pansu.bundle.json").exists()
 
 
 def test_main_pansu_refuses_non_finite_bases_and_stays_quiet(tmp_path,
@@ -850,30 +870,29 @@ def test_main_pansu_refuses_non_finite_bases_and_stays_quiet(tmp_path,
     assert not (tmp_path / "pansu.bundle.json").exists()
 
 
-def test_main_pansu_refuses_bases_beyond_the_schedules_resolution(tmp_path,
-                                                                 capsys):
-    # both used to exit 0 with a wrong matrix: entry (0, 0) = 0.0 for the
-    # identity at 1e16, a zero diagonal at 1e300
-    for base in ("1e16,0,0", "1e300,1e300,1e300"):
-        code = cli.main(["--output-dir", str(tmp_path), "pansu",
-                         "--base", base])
-        assert code == 3, base
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        err = json.loads(captured.err)
-        assert err["error"]["module"] == "pansu"
-        assert "resolution" in err["error"]["message"]
-    assert not (tmp_path / "pansu.bundle.json").exists()
-    # lost only on levels past where the extrapolation stops: kept
-    for base, entry in (("0,0,1e5", 0.0),
-                        ("1e-10,0,1", 1.000000082740371e-10)):
-        code = cli.main(["--output-dir", str(tmp_path), "pansu",
-                         "--base", base])
+def test_main_pansu_answers_polynomial_maps_exactly(tmp_path, capsys):
+    # the blow-up limit of a polynomial is taken from its derivative, so
+    # bases whose displacements rounding loses are answered exactly: the
+    # extrapolation refused the first three and read 1.000000082740371e-10
+    # at the last
+    for spec, base, matrix in (
+            ("identity", "1e16,0,0", [[1, 0, 0], [0, 1, 0], [0, 1e16, 0]]),
+            ("identity", "1e300,1e300,1e300",
+             [[1, 0, 0], [0, 1, 0], [0, 1e300, 0]]),
+            ("poly:1,-2,0.5,0.25", "1000,-2000,500000",
+             [[750998, 0, 0], [0, 2997998, 0], [0, 187500499998000, 0]]),
+            ("identity", "0,0,1e5", [[1, 0, 0], [0, 1, 0], [0, 0, 0]]),
+            ("identity", "1e-10,0,1", [[1, 0, 0], [0, 1, 0], [0, 1e-10, 0]])):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(["--output-dir", str(tmp_path), "pansu",
+                             "--map", spec, "--base", base])
         assert code == 0, base
-        capsys.readouterr()
+        captured = capsys.readouterr()
+        assert captured.err == ""
         bundle = json.loads((tmp_path / "pansu.bundle.json").read_text())
-        assert bundle["payload"]["matrix"] == [[1, 0, 0], [0, 1, 0],
-                                               [0, entry, 0]]
+        assert bundle["payload"]["matrix"] == matrix, base
+        assert "schedule" not in bundle["config"]
 
 
 def test_main_entropy_refuses_uniform_presets_above_the_cap(tmp_path,
@@ -950,6 +969,13 @@ _GROWTH_SIZE = st.one_of(
     lambda parts: parts[0] + parts[1])
 
 
+# poly: maps whose coefficients are non-finite or near the float range
+_POLY_MAPS = st.lists(
+    st.sampled_from(["nan", "inf", "-inf", "1e308", "-1e308", "1e200", "0",
+                     "1", "-2", "0.5"]),
+    min_size=1, max_size=4).map(lambda cs: "poly:" + ",".join(cs))
+
+
 def _argv(command, *parts):
     return st.tuples(*parts).map(
         lambda ps: [command, *(tok for part in ps for tok in part)])
@@ -992,13 +1018,12 @@ _ARGV = st.one_of(
               lambda n: ["--samples", n]),
           _opt("--seed", _SMALL_INTS)),
     _argv("pansu",
-          _opt("--schedule", st.one_of(
-              st.integers(-5, 1100).map(str), _SMALL_INTS,
-              st.integers(-10 ** 30, 10 ** 30).map(str))),
-          _opt("--map", st.sampled_from(
-              ["identity", "square", "cube", "", "poly:", "poly:x",
-               "poly:1,2,3", "custom-polynomial:0,0,1", "poly:nan",
-               "poly:1e308,1e308", "poly=1e200,0,1e200"])),
+          _opt("--map", st.one_of(
+              st.sampled_from(
+                  ["identity", "square", "cube", "", "poly:", "poly:x",
+                   "poly:1,2,3", "custom-polynomial:0,0,1", "poly:nan",
+                   "poly:1e308,1e308", "poly=1e200,0,1e200"]),
+              _POLY_MAPS)),
           _opt("--base", st.one_of(
               st.lists(_NUMBERS, min_size=3, max_size=3),
               st.lists(_NUMBERS, min_size=1, max_size=4)).map(",".join)),
@@ -1107,9 +1132,8 @@ _CONFIG_KEYS = {
     "volume": ([], {"samples": _size(10_000, "9999", 10 ** 30)},
                {"metric": _ANY_JSON, "radii": _ANY_JSON,
                 "seed": _ANY_JSON}),
-    "pansu": ([], {}, {"map": _ANY_JSON, "base": _ANY_JSON,
-                       "kind": _ANY_JSON, "convention": _ANY_JSON,
-                       "schedule": _ANY_JSON}),
+    "pansu": ([], {}, {"map": st.one_of(_ANY_JSON, _POLY_MAPS), "base": _ANY_JSON,
+                       "kind": _ANY_JSON, "convention": _ANY_JSON}),
     "growth": ([], {"radius": _size(0, 3, "8", -1, 10 ** 8, 10 ** 30)},
                {"group": _ANY_JSON, "gens": _ANY_JSON,
                 "fit_window": _ANY_JSON, "mem_budget": _ANY_JSON,

@@ -816,6 +816,18 @@ def test_volume_fit_validation():
             dist.ball_volume_fit("cc", [1.0, 2.0, 4.0], bad, seed=1)
 
 
+def test_volume_fit_refuses_seeds_that_are_not_non_negative_ints():
+    # None would draw from OS entropy; numpy raised ValueError for -1 and
+    # TypeError for 1.5
+    for bad in (-1, -2 ** 70, 1.5, 2.0, None, True, False, "7"):
+        with pytest.raises(DomainError, match="seed"):
+            dist.ball_volume_fit("cc", [1.0, 2.0, 4.0], 10_000, seed=bad)
+    one = dist.ball_volume_fit("cc", [1.0, 2.0, 4.0], 10_000, seed=0)
+    other = dist.ball_volume_fit("cc", [1.0, 2.0, 4.0], 10_000,
+                                 seed=np.int64(0))
+    assert one.hits == other.hits
+
+
 def test_volume_fit_radius_domain(monkeypatch):
     # accepted: radii whose box volume is a finite, normal float, however
     # small or large; the fit is finite, with no float warning (an error

@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from numpy.polynomial import Polynomial
 
 from carnot_lab import pansu
 from carnot_lab import qalgebra as qa
@@ -92,13 +93,13 @@ def test_blowup_dilation_equivariance():
 
 def test_pansu_derivative_identity_map():
     gmap = pansu.GroupMap("abelian_to_abelian", lambda x: x)
-    matrix, diag = pansu.pansu_derivative(gmap, (0.2, -0.4, 0.9))
+    matrix = pansu.pansu_derivative(gmap, (0.2, -0.4, 0.9))
     assert np.allclose(matrix, np.eye(3), atol=1e-12)
 
 
 def test_pansu_derivative_square_diagonal():
     gmap = pansu.GroupMap("abelian_to_abelian", lambda x: x * x)
-    matrix, diag = pansu.pansu_derivative(gmap, (1.0, 1.0, 1.0))
+    matrix = pansu.pansu_derivative(gmap, (1.0, 1.0, 1.0))
     assert np.allclose(matrix, 2.0 * np.eye(3), atol=1e-8)
 
 
@@ -108,7 +109,7 @@ def test_pansu_derivative_matches_finite_differences():
     gmap = pansu.GroupMap("abelian_to_abelian", fn)
     for _ in range(20):
         base = tuple(rng.uniform(-2, 2, 3))
-        matrix, _ = pansu.pansu_derivative(gmap, base)
+        matrix = pansu.pansu_derivative(gmap, base)
         fd = np.diag([central_diff(fn, b) for b in base])
         assert np.allclose(matrix, fd, atol=1e-6)
 
@@ -128,14 +129,14 @@ def test_pansu_derivative_evaluates_the_base_once_per_direction():
 
 def test_pansu_identity_graded_kills_center():
     gmap = pansu.GroupMap("heis_to_abelian", lambda x: x)
-    matrix, _ = pansu.pansu_derivative(gmap, (0.0, 0.0, 0.0))
+    matrix = pansu.pansu_derivative(gmap, (0.0, 0.0, 0.0))
     assert np.allclose(matrix, np.diag([1.0, 1.0, 0.0]), atol=1e-10)
 
 
 def test_pansu_identity_linear_keeps_center():
     sched = pansu.BlowupSchedule(convention="source_linear")
     gmap = pansu.GroupMap("heis_to_abelian", lambda x: x)
-    matrix, _ = pansu.pansu_derivative(gmap, (0.0, 0.0, 0.0), sched)
+    matrix = pansu.pansu_derivative(gmap, (0.0, 0.0, 0.0), sched)
     assert np.allclose(matrix, np.eye(3), atol=1e-10)
 
 
@@ -158,7 +159,7 @@ def test_base_beyond_the_schedules_resolution_is_refused():
                 pansu.pansu_derivative(gmap, base)
     # 2^-20 is still a multiple of one ulp of 1e9: the base is kept
     gmap = pansu.GroupMap("heis_to_abelian", lambda x: x)
-    matrix, _ = pansu.pansu_derivative(gmap, (1e9, 0.0, 0.0))
+    matrix = pansu.pansu_derivative(gmap, (1e9, 0.0, 0.0))
     assert np.allclose(matrix, [[1, 0, 0], [0, 1, 0], [0, 1e9, 0]],
                        rtol=1e-12, atol=0.0)
     with pytest.raises(DomainError, match="base x = 1e"):
@@ -174,15 +175,104 @@ def test_only_the_levels_the_extrapolation_reads_must_resolve():
     with pytest.raises(DomainError, match="base z"):
         pansu.blowup_quotient(gmap, (0.0, 0.0, 1e5), (0.0, 0.0, 1.0),
                               2.0 ** -20)
-    matrix, _ = pansu.pansu_derivative(gmap, (0.0, 0.0, 1e5))
+    matrix = pansu.pansu_derivative(gmap, (0.0, 0.0, 1e5))
     assert matrix.tolist() == [[1, 0, 0], [0, 1, 0], [0, 0, 0]]
-    matrix, _ = pansu.pansu_derivative(gmap, (1e-10, 0.0, 1.0))
+    matrix = pansu.pansu_derivative(gmap, (1e-10, 0.0, 1.0))
     assert matrix.tolist() == [[1, 0, 0], [0, 1, 0],
                                [0, 1.000000082740371e-10, 0]]
     # a level that is read and lost still refuses: z = 1e15 rounds away
     # t^2 = 1/16, the second level of the vertical entry
     with pytest.raises(DomainError, match="t = 0.25"):
         pansu.pansu_derivative(gmap, (0.0, 0.0, 1e15))
+
+
+_POLYNOMIALS = (Polynomial([0.0, 1.0]), Polynomial([0.0, 0.0, 1.0]),
+                Polynomial([1.0, -2.0, 0.5, 0.25]))
+
+
+def test_polynomial_closed_form_matches_richardson():
+    # the same polynomial as a plain callable takes the extrapolation
+    rng = np.random.default_rng(281)
+    cases = 0
+    for _ in range(67):
+        base = tuple(rng.uniform(-1.0, 1.0, 3)
+                     * 10.0 ** rng.integers(-2, 2, 3))
+        for kind in pansu.MAP_KINDS:
+            for conv in pansu.CONVENTIONS:
+                sched = pansu.BlowupSchedule(convention=conv)
+                for poly in _POLYNOMIALS:
+                    exact = pansu.pansu_derivative(
+                        pansu.GroupMap(kind, poly), base, sched)
+                    approx = pansu.pansu_derivative(
+                        pansu.GroupMap(kind, lambda x, p=poly: p(x)), base,
+                        sched)
+                    tol = 1e-8 * np.maximum(1.0, np.abs(exact))
+                    assert np.all(np.abs(exact - approx) <= tol), \
+                        (kind, conv, poly, base)
+                    cases += 1
+    assert cases == 804
+
+
+def test_polynomial_closed_form_is_exact_in_both_conventions():
+    # f' = -2 + x + 0.75 x^2; the vertical row is (0, a f'(b), kappa f'(b))
+    cubic = Polynomial([1.0, -2.0, 0.5, 0.25])
+    base = (1.3, -0.7, 2.1)
+    d = [-2.0 + x + 0.75 * x * x for x in base]
+    for conv, kappa in (("source_graded", 0.0), ("source_linear", 1.0)):
+        sched = pansu.BlowupSchedule(convention=conv)
+        matrix = pansu.pansu_derivative(
+            pansu.GroupMap("heis_to_abelian", cubic), base, sched)
+        expect = [[d[0], 0, 0], [0, d[1], 0], [0, base[0] * d[2], kappa * d[2]]]
+        assert np.allclose(matrix, expect, rtol=1e-15, atol=0.0)
+        matrix = pansu.pansu_derivative(
+            pansu.GroupMap("abelian_to_abelian", cubic), base, sched)
+        assert np.allclose(matrix, np.diag(d), rtol=1e-15, atol=0.0)
+
+
+def test_polynomial_closed_form_answers_where_richardson_refuses():
+    identity = Polynomial([0.0, 1.0])
+    cubic = Polynomial([1.0, -2.0, 0.5, 0.25])
+    for fn, base, expect in (
+            (identity, (1e16, 0.0, 0.0), [[1, 0, 0], [0, 1, 0], [0, 1e16, 0]]),
+            (identity, (1e300, 1e300, 1e300),
+             [[1, 0, 0], [0, 1, 0], [0, 1e300, 0]]),
+            (cubic, (1000.0, -2000.0, 5e5),
+             [[750998, 0, 0], [0, 2997998, 0], [0, 187500499998000, 0]])):
+        callable_map = pansu.GroupMap("heis_to_abelian", lambda x, p=fn: p(x))
+        with pytest.raises(DomainError, match="resolution"):
+            pansu.pansu_derivative(callable_map, base)
+        gmap = pansu.GroupMap("heis_to_abelian", fn)
+        assert pansu.pansu_derivative(gmap, base).tolist() == expect, base
+    # where the extrapolation stops early it is off by 8e-8 relative
+    gmap = pansu.GroupMap("heis_to_abelian", identity)
+    assert pansu.pansu_derivative(gmap, (1e-10, 0.0, 1.0)).tolist() == \
+        [[1, 0, 0], [0, 1, 0], [0, 1e-10, 0]]
+
+
+def test_polynomial_closed_form_refuses_non_finite_entries_quietly():
+    square = Polynomial([0.0, 0.0, 1.0])
+    heis, abelian = pansu.MAP_KINDS
+    cases = (
+        # 2a overflows
+        (square, (1e308, 0.0, 0.0), heis, "inf"),
+        (square, (1e308, 0.0, 0.0), abelian, "inf"),
+        # 0 * inf is NaN
+        (square, (0.0, 0.0, 1e308), heis, "nan"),
+        (square, (0.0, 0.0, 1e308), abelian, "inf"),
+        # a f'(b) = 1e300 * 2e300 overflows
+        (square, (1e300, 1.0, 1e300), heis, "inf"),
+        # the derivative's coefficient 2e308 overflows: inf * 0 is NaN
+        (Polynomial([0.0, 1e308, 1e308]), (0.0, 0.0, 0.0), heis, "nan"),
+        (Polynomial([0.0, 1e308, 1e308]), (0.0, 0.0, 0.0), abelian, "nan"))
+    for fn, base, kind, entry in cases:
+        for conv in pansu.CONVENTIONS:
+            sched = pansu.BlowupSchedule(convention=conv)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(DomainError, match="not finite") as exc:
+                    pansu.pansu_derivative(pansu.GroupMap(kind, fn), base,
+                                           sched)
+            assert entry in str(exc.value), (fn, base, kind, conv)
 
 
 def test_divergent_entry_is_named():
