@@ -498,7 +498,8 @@ def _build_parser():
                    help="JSON file [{A:..,B:..},..] for a survey")
     p.add_argument("--tol", type=float, default=None)
     p.add_argument("--segments", type=int, default=None,
-                   help="l2 time slots; l1 and linf are exact and ignore it")
+                   help="l2 time slots, at most 1e6; l1 and linf are exact "
+                        "and ignore it")
     p.add_argument("--norm", default=None, choices=list(geometry.HORIZONTAL_NORMS))
     p.add_argument("--emit-path", default=None,
                    help="write the witness trajectory CSV here")

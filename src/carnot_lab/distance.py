@@ -10,10 +10,12 @@ automorphism (x, y, z) -> (x + y, x - y, -2z). For l2 the distance is
 approximated from above by direct transcription: N piecewise constant
 controls on a unit time grid, whose shortest path is known exactly, an
 equilateral polygon of constant turning whose total turning solves one
-scalar equation; a Gauss-Newton projection onto the endpoint constraint
-finishes it. Every value is bracketed from above by itself, the length
-of a feasible witness path, and from below by the exact distance in
-closed form, ``l1_distance`` or ``l2_distance``, capped within rounding.
+scalar equation, solved in Python floats; its endpoint is checked from
+one prefix sum, and a Gauss-Newton projection onto the endpoint
+constraint runs where that check fails. Every value is bracketed from
+above by itself, the length of a feasible witness path, and from below
+by the exact distance in closed form, ``l1_distance`` or
+``l2_distance``, capped within rounding.
 
 Two exact symmetries are used to precondition every solve: the problem is
 left-translated so the start is the origin, and rescaled by the
@@ -53,6 +55,9 @@ DEFAULT_ENDPOINT_TOL = 1e-6
 # Monte Carlo samples per radius that the fit and the CLI accept (the
 # fit's work grows only with the few samples the table leaves open)
 MAX_SAMPLES = 10 ** 7
+# slots of an l2 transcription that ``cc_distance`` accepts: a solve at
+# the cap holds a few arrays of 2e6 floats, ~0.2 GB at its peak
+MAX_SEGMENTS = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -91,8 +96,29 @@ def _endpoint_jacobian(u, v, dt, X, Y):
     return J
 
 
+def _slot_endpoint(U, dt):
+    """Endpoint (x, y, z) of the slot controls U = (u, v) on slots of
+    duration dt from the origin, in Python floats, from one prefix sum."""
+    n = len(U) // 2
+    uv = U.reshape(2, n)
+    C = np.cumsum(uv, axis=1)
+    cx, cy = C[:, -1].tolist()
+    # z = (dt^2 / 2) sum_k (X_k v_k - Y_k u_k) over the prefix sums X, Y
+    # through slot k, which add the zero u_k v_k - v_k u_k to each term
+    cz = float(C[0] @ uv[1] - C[1] @ uv[0])
+    return dt * cx, dt * cy, 0.5 * dt * dt * cz
+
+
 def _project_endpoint(U, target, dt, tol):
-    """Gauss-Newton projection onto the endpoint constraint."""
+    """Gauss-Newton projection onto the endpoint constraint.
+
+    The slot polygon meets its target within rounding but near a few
+    degenerate ones, so ``_slot_endpoint`` checks it first; only where
+    that check fails does Gauss-Newton build its arrays and iterate."""
+    (x, y, z), (tx, ty, tz) = _slot_endpoint(U, dt), target.tolist()
+    err = max(abs(x - tx), abs(y - ty), abs(z - tz))
+    if err <= tol:
+        return U, err
     n = len(U) // 2
     for _ in range(30):
         u, v = U[:n], U[n:]
@@ -111,6 +137,45 @@ def _project_endpoint(U, target, dt, tol):
     return U, float(np.max(np.abs(P - target)))
 
 
+# the turning below which g(Phi) = n sin(Phi/n) - sin Phi is summed from
+# its series, and the series' terms: at Phi = 2 the next term is below
+# 1e-17 of the sum, and above it the difference cancels less than 2 bits
+_SERIES_TURN = 2.0
+_SERIES_TERMS = 11
+
+
+@functools.cache
+def _turning_series(n):
+    """Coefficients, highest first, of g(Phi) / Phi^3 = sum_{j >= 1}
+    (-1)^{j+1} (1 - n^{-2j}) Phi^{2j-2} / (2j+1)! as a polynomial in
+    Phi^2, for Horner's rule."""
+    return tuple((-1) ** (j + 1) * (1.0 - float(n) ** (-2 * j))
+                 / math.factorial(2 * j + 1)
+                 for j in range(_SERIES_TERMS, 0, -1))
+
+
+def _turning_quotient(turn, small, half, n):
+    """g(Phi) / (small Phi^2) for the n-slot turning equation, g(Phi) =
+    n sin(Phi/n) - sin Phi = 4 s_1 sum_k s_k s_{k+1}, s_j = sin(j Phi / 2n),
+    at Phi = ``turn`` with small = min(Phi, 2 pi - Phi) and half =
+    sin(small / 2), in Python floats.
+
+    Below ``_SERIES_TURN``, where small = Phi, it is g / Phi^3 by the
+    alternating series, so nothing cancels and no power of Phi underflows. Above it g is the
+    difference itself, with sin Phi = -sin(2 pi - Phi) past pi and, for
+    n = 2, sin(Phi / 2) = half, so that it keeps its digits as the loop
+    closes; over small, it stays a normal float where 2 pi - Phi is tiny.
+    """
+    if turn < _SERIES_TURN:
+        phi2, quotient = turn * turn, 0.0
+        for c in _turning_series(n):
+            quotient = quotient * phi2 + c
+        return quotient
+    g = ((2.0 * half if n == 2 else n * math.sin(turn / n))
+         + (-math.sin(small) if turn <= math.pi else math.sin(small)))
+    return g / small / (turn * turn)
+
+
 def _l2_polygon(target, n):
     """Controls of the shortest n-slot l2 path to ``target``, or None when
     no n-slot path reaches it (n = 1 off the plane z = 0, n = 2 on the
@@ -121,13 +186,15 @@ def _l2_polygon(target, n):
     c e^{i s k phi} with s = sign(z), k = 0 .. n-1: inscribed in a circle,
     it encloses the most area against its chord for its length (the
     discrete isoperimetric inequality). Its total turning Phi = n phi in
-    [0, 2 pi) solves (n sin(Phi/n) - sin Phi) / (8 sin^2(Phi/2)) = w with
-    w = |z| / rho^2; the left side is monotone in Phi and tends to the arc
-    equation of ``l2_distance`` as n grows. Newton solves it in
-    t = log(Phi / (2 pi - Phi)), against whose ends the log of the left
-    side is nearly linear, from the arc's turning 2 theta: since
-    n sin(Phi/n) < Phi the root lies above it. A step that would leave the
-    proven bracket of the root bisects it instead.
+    [0, 2 pi) solves g(Phi) / (8 sin^2(Phi/2)) = w, with g(Phi) =
+    n sin(Phi/n) - sin Phi and w = |z| / rho^2; the left side is monotone
+    in Phi and tends to the arc equation of ``l2_distance`` as n grows.
+    Newton solves it in t = log(Phi / (2 pi - Phi)), against whose ends
+    the log of the left side is nearly linear, from the arc's turning
+    2 theta: since n sin(Phi/n) < Phi the root lies above it. A step that
+    would leave the proven bracket of the root bisects it instead. Each
+    step costs a few scalar sines, ``_turning_quotient``; only the
+    controls of the root are arrays.
     """
     x, y, z = (float(c) for c in target)
     rho = math.hypot(x, y)
@@ -137,59 +204,56 @@ def _l2_polygon(target, n):
     if w < sys.float_info.min:
         # w = 0, or subnormal: the straight slot path to every digit
         turn, length = 0.0, rho
+    elif w == math.inf:
+        # on the vertical axis the polygon closes: Phi = 2 pi, and the
+        # length is n sin(pi/n) sqrt(8 |z| / (n sin(2 pi / n)))
+        turn = 2.0 * math.pi
+        length = n * math.sin(math.pi / n) * math.sqrt(
+            8.0 * abs(z) / (n * math.sin(turn / n)))
     else:
-        k = np.arange(n + 1)
-        if w == math.inf:
-            t = math.inf
-        else:
-            # bracket: the root has Phi >= min(8w, pi), as the continuous
-            # arc does, and 2 pi - Phi >= min(pi/2, 1/(2 pi w)), since the
-            # left side is at least 1/(pi (2 pi - Phi)) in that range
-            log_w = math.log(w)
-            a = min(0.0, math.log(4.0 / math.pi) + log_w)
-            b = max(math.log(4.0), 2.0 * math.log(2.0 * math.pi) + log_w)
-            _, theta, psi = _l2_float(rho, abs(z))
-            t = min(max(math.log(theta / psi), a), b)
-        # Newton ends after two to six evaluations of the sines, the last
-        # only for them; bisections alone would narrow the bracket to a
+        # bracket: the root has Phi >= min(8w, pi), as the continuous arc
+        # does, and 2 pi - Phi >= min(pi/2, 1/(2 pi w)), since the left
+        # side is at least 1/(pi (2 pi - Phi)) in that range
+        log_w = math.log(w)
+        a = min(0.0, math.log(4.0 / math.pi) + log_w)
+        b = max(math.log(4.0), 2.0 * math.log(2.0 * math.pi) + log_w)
+        _, theta, psi = _l2_float(rho, abs(z))
+        t = min(max(math.log(theta / psi), a), b)
+        # Newton ends after two to six evaluations of g, the last only for
+        # the length; bisections alone would narrow the bracket to a
         # rounding in fewer than 64
-        last = t == math.inf
+        last = False
         for _ in range(100):
-            # the turning Phi at t and the sines s_j = sin(j Phi / 2n),
-            # j = 0 .. n, scaled to peak 1 so that no product of them
-            # under- or overflows; s_n comes from the smaller of Phi and
-            # 2 pi - Phi, so it keeps its digits as the loop closes
+            # the turning Phi at t, and small = min(Phi, 2 pi - Phi), so
+            # that half = sin(Phi/2) keeps its digits as the loop closes
             e = math.exp(-abs(t))
             small = 2.0 * math.pi * e / (1.0 + e)
             big = 2.0 * math.pi / (1.0 + e)
             turn = big if t >= 0.0 else small
-            s = np.sin(k * (turn / (2 * n)))
-            s[n] = half = math.sin(0.5 * small)
-            peak = float(s.max())
-            s = s / peak
-            # n sin(Phi/n) - sin Phi = 4 peak^3 s_1 sum_k s_k s_{k+1}, a
-            # sum of nonnegative terms, so nothing cancels at small turning
-            s1, pairs = float(s[1]), float(s[:-1] @ s[1:])
+            half = math.sin(0.5 * small)
+            quotient = _turning_quotient(turn, small, half, n)
             if last:
                 break
-            excess = (math.log(0.5 * peak * s1 * pairs)
-                      - 2.0 * math.log(half / peak) - log_w)
+            # the left side over w, g / (8 half^2 w), as one product of
+            # factors that neither under- nor overflow: (small/2) / half
+            # lies in [1, pi/2]
+            excess = math.log(turn / w * (turn / small) * quotient
+                              * (0.5 * small / half) ** 2 * 0.5)
             if excess == 0.0:
                 break
             if excess < 0.0:
                 a = t
             else:
                 b = t
-            # d excess / dPhi = (cos(Phi/n) - cos Phi) / (n sin(Phi/n) -
-            # sin Phi) - cot(Phi/2), whose first numerator is
-            # 2 sin(Phi (n+1) / 2n) sin(Phi (n-1) / 2n), times dPhi/dt =
-            # Phi (2 pi - Phi) / (2 pi); taken over peak and sin(small/2)
-            # so that no factor over- or underflows
-            slope = big * (
-                math.sin(turn * (n + 1) / (2 * n)) / peak
-                * (math.sin(turn * (n - 1) / (2 * n)) / peak)
-                * (small / peak) / (4.0 * math.pi * s1 * pairs)
-                - math.cos(0.5 * turn) * (small / half) / (2.0 * math.pi))
+            # d excess / dPhi = g'(Phi) / g(Phi) - cot(Phi/2), where g' =
+            # cos(Phi/n) - cos Phi = 2 sin(Phi (n+1) / 2n) sin(Phi (n-1) /
+            # 2n), times dPhi/dt = Phi (2 pi - Phi) / (2 pi), with each
+            # sine taken over Phi or small so that no factor under- or
+            # overflows
+            slope = big / (2.0 * math.pi) * (
+                2.0 * (math.sin(turn * (n + 1) / (2 * n)) / turn)
+                * (math.sin(turn * (n - 1) / (2 * n)) / turn) / quotient
+                - math.cos(0.5 * turn) * (small / half))
             step = _quotient(excess, slope)
             # a step within rounding is the last one
             near = 4.0 * sys.float_info.epsilon * max(1.0, abs(t))
@@ -197,8 +261,16 @@ def _l2_polygon(target, n):
             t -= step
             if not a <= t <= b:  # also a NaN step
                 t = 0.5 * (a + b)
-        # in Python floats, which overflow to inf without a warning
-        length = n * math.sqrt(2.0 * abs(z) * s1 / (peak * pairs))
+        # the length fits both the chord, rho n sin(Phi / 2n) / half, and
+        # the area, n sin(Phi / 2n) sqrt(8 |z| / g); t has a rounding of
+        # |t| eps, and below pi the chord's form moves the least with it.
+        # In Python floats, which overflow to inf without a warning
+        s1 = math.sin(turn / (2 * n))
+        if t < 0.0:
+            length = n * (s1 / half) * rho
+        else:
+            g = quotient * small * turn * turn
+            length = n * s1 * math.sqrt(8.0 * abs(z) / g)
         if not math.isfinite(length):
             return None
     sign = math.copysign(1.0, z)
@@ -309,12 +381,13 @@ def cc_distance(A, B, *, segments=DEFAULT_SEGMENTS, norm="l2",
     by a relative 1e-12 at most; a larger excess is a fault. For l1 and
     linf the two agree, so a wrong witness or formula opens the bracket.
 
-    ``norm`` must be one of ``HORIZONTAL_NORMS``, ``segments`` a positive
-    integer, ``endpoint_tol`` positive and finite.
+    ``norm`` must be one of ``HORIZONTAL_NORMS``, ``segments`` an integer
+    in [1, ``MAX_SEGMENTS``], ``endpoint_tol`` positive and finite.
     """
     if isinstance(segments, bool) \
-            or not isinstance(segments, numbers.Integral) or segments < 1:
-        raise DomainError(f"segments must be a positive integer, "
+            or not isinstance(segments, numbers.Integral) \
+            or not 1 <= segments <= MAX_SEGMENTS:
+        raise DomainError(f"segments must be an integer in [1, 1e6], "
                           f"got {segments!r}")
     if isinstance(endpoint_tol, bool) \
             or not isinstance(endpoint_tol, numbers.Real) \
@@ -353,8 +426,10 @@ def cc_distance(A, B, *, segments=DEFAULT_SEGMENTS, norm="l2",
         if not degraded and scale * sol[0] <= value:
             length_hat, U, err_hat = sol
             n = segments
-            witness = HorizontalPath(A, np.column_stack(
-                [scale * U[:n], scale * U[n:], np.full(n, 1.0 / n)]))
+            # rows (scale u_k, scale v_k, 1/n), filled in place
+            controls = np.full((3, n), 1.0 / n)
+            np.multiply(U.reshape(2, n), scale, out=controls[:2])
+            witness = HorizontalPath(A, controls.T)
             value, err = scale * length_hat, err_hat * err_scale
         else:
             witness, err = chow_connect(A, B), 0.0

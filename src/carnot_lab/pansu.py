@@ -199,10 +199,10 @@ def pansu_derivative(f: GroupMap, base, schedule=None):
     if f.kind == "abelian_to_abelian":
         matrix = np.diag([da, dc, db])
     else:
-        # a literal 0, not 0 * d(b), which is NaN for an infinite d(b)
+        # literal 0s, not 0 * d(b), which is NaN for an infinite d(b)
         center = db if sched.convention == "source_linear" else 0.0
         matrix = np.array([[da, 0.0, 0.0], [0.0, dc, 0.0],
-                           [0.0, a * db, center]])
+                           [0.0, a * db if a else 0.0, center]])
     if not np.all(np.isfinite(matrix)):
         raise DomainError(f"blow-up derivative {matrix.tolist()} at base "
                           f"{(a, c, b)!r} is not finite")

@@ -998,7 +998,8 @@ _ARGV = st.one_of(
     _argv("ccdist", _opt("--a", _ELEMENTS), _opt("--b", _ELEMENTS),
           _opt("--norm", st.sampled_from(["l2", "l1", "linf", "l3"])),
           _opt("--segments", st.sampled_from(
-              ["0", "-3", "2", "3", "8", "64", "x", "1.5", "1e3"])),
+              ["0", "-3", "2", "3", "8", "64", "x", "1.5", "1e3",
+               "10000000000000"])),
           _opt("--tol", _NUMBERS)),
     _argv("holonomy",
           _opt("--loop", st.sampled_from(["circle", "square", "point",
@@ -1125,7 +1126,7 @@ _CONFIG_KEYS = {
               {"g2": _ANY_JSON, "op": _ANY_JSON}),
     "ccdist": ([], {}, {"a": _ANY_JSON, "b": _ANY_JSON, "pairs": _ANY_JSON,
                         "norm": _ANY_JSON, "tol": _ANY_JSON,
-                        "segments": _size(2, 8, "64", -1, 0)}),
+                        "segments": _size(2, 8, "64", -1, 0, 10 ** 13)}),
     "holonomy": ([], {}, {"path": _ANY_JSON, "loop": _ANY_JSON,
                           "radius": _ANY_JSON,
                           "samples": _size(0, 10, "100", 10 ** 8)}),

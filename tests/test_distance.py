@@ -730,6 +730,97 @@ def test_l2_polygon_turning_matches_brentq(n):
         assert math.hypot(U[0], U[n]) == pytest.approx(length, rel=1e-14)
 
 
+def _turning_sum(turn, small, n):
+    """g(Phi) / (small Phi^2) from the n-term sum g = 4 s_1 sum_k s_k
+    s_{k+1}, s_j = sin(j Phi / 2n), as ``_turning_reference`` sums it:
+    s_n from small = min(Phi, 2 pi - Phi), the sines scaled to peak 1 so
+    that no product of them underflows."""
+    s = np.sin(np.arange(n + 1) * (turn / (2 * n)))
+    s[n] = math.sin(0.5 * small)
+    peak = float(s.max())
+    s = s / peak
+    return (4.0 * (peak / turn) ** 2 * (peak / small)
+            * float(s[1]) * float(s[:-1] @ s[1:]))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 8, 64, 1000])
+def test_turning_quotient_matches_the_slot_sum(n):
+    # the scalar turning evaluation, series below the switch and the
+    # difference above it, against the n-term sum of positive terms:
+    # both sides of the switch, Phi down to 1e-300 and within 1e-12 of
+    # 2 pi, where sin Phi and, for n = 2, sin(Phi/2) come from small
+    switch = dist._SERIES_TURN
+    rng = np.random.default_rng([n, 29])
+    turns = np.concatenate((
+        [1e-300, 1e-100, 1e-8, switch * (1.0 - 2.0 ** -52), switch,
+         switch * (1.0 + 2.0 ** -52), math.pi],
+        10.0 ** rng.uniform(-300.0, 0.0, 40),
+        switch + rng.uniform(-1.0, 1.0, 40),
+        math.pi + rng.uniform(0.0, math.pi, 40)))
+    smalls = np.concatenate(([1e-12, 1e-13, 1e-300],
+                             10.0 ** rng.uniform(-12.0, 0.0, 40)))
+    cases = [(float(t), min(float(t), 2.0 * math.pi - float(t)))
+             for t in turns]
+    cases += [(2.0 * math.pi - float(c), float(c)) for c in smalls]
+    for turn, small in cases:
+        quotient = dist._turning_quotient(turn, small,
+                                          math.sin(0.5 * small), n)
+        assert quotient == pytest.approx(_turning_sum(turn, small, n),
+                                         rel=4e-15, abs=0.0), (turn, small)
+
+
+def _seeded_polygons(rng, ns, count):
+    """Slot polygons of ``_l2_polygon`` for seeded normalized targets of
+    w = |z| / rho^2 in [1e-30, 1e30], as (target, n, U)."""
+    for n in ns:
+        for _ in range(count):
+            w = 10.0 ** rng.uniform(-30.0, 30.0)
+            rho = min(1.0, 1.0 / math.sqrt(w))
+            angle = rng.uniform(0.0, 2.0 * math.pi)
+            target = np.array([rho * math.cos(angle), rho * math.sin(angle),
+                               rng.choice([-1.0, 1.0]) * min(w, 1.0)])
+            U = dist._l2_polygon(target, n)
+            if U is not None:
+                yield target, n, U
+
+
+def test_slot_endpoint_matches_integrate_path():
+    # the one-prefix-sum endpoint against the path integrator, relative to
+    # the path's length (its square for z, an area)
+    rng = np.random.default_rng(2929)
+    for _, n, U in _seeded_polygons(rng, (2, 3, 4, 8, 64), 40):
+        end = dist._slot_endpoint(U, 1.0 / n)
+        assert all(type(c) is float for c in end)
+        length = geo.cc_length(slot_path(U))
+        ref = geo.integrate_path(slot_path(U))
+        for got, want, unit in zip(end, ref, (length, length, length ** 2)):
+            assert abs(got - want) <= 1e-15 * unit, (n, got, want)
+
+
+def test_projection_iterates_only_where_the_check_fails(monkeypatch):
+    # the exact polygon passes the prefix-sum check without a Jacobian; a
+    # control moved by 1e-10 fails it, and Gauss-Newton takes it back
+    # within restore_tol
+    builds = []
+    jacobian = dist._endpoint_jacobian
+    monkeypatch.setattr(dist, "_endpoint_jacobian",
+                        lambda *a: builds.append(1) or jacobian(*a))
+    rng = np.random.default_rng(2930)
+    tol = 1e-13
+    for target, n, U in _seeded_polygons(rng, (3, 8, 64), 10):
+        _, err = dist._project_endpoint(U, target, 1.0 / n, tol)
+        assert err <= tol and not builds
+        moved = U.copy()
+        moved[int(rng.integers(2 * n))] += 1e-10
+        assert max(abs(e - c) for e, c in zip(
+            dist._slot_endpoint(moved, 1.0 / n), target)) > tol
+        projected, err = dist._project_endpoint(moved, target, 1.0 / n, tol)
+        assert builds and err <= tol
+        end = geo.integrate_path(slot_path(projected))
+        assert np.allclose(end, target, rtol=0.0, atol=2.0 * tol)
+        builds.clear()
+
+
 # ---------------------------------------------------------------------------
 # volume scaling
 

@@ -256,8 +256,7 @@ def test_polynomial_closed_form_refuses_non_finite_entries_quietly():
         # 2a overflows
         (square, (1e308, 0.0, 0.0), heis, "inf"),
         (square, (1e308, 0.0, 0.0), abelian, "inf"),
-        # 0 * inf is NaN
-        (square, (0.0, 0.0, 1e308), heis, "nan"),
+        # f'(b) = 2e308 overflows where the matrix keeps it
         (square, (0.0, 0.0, 1e308), abelian, "inf"),
         # a f'(b) = 1e300 * 2e300 overflows
         (square, (1e300, 1.0, 1e300), heis, "inf"),
@@ -273,6 +272,18 @@ def test_polynomial_closed_form_refuses_non_finite_entries_quietly():
                     pansu.pansu_derivative(pansu.GroupMap(kind, fn), base,
                                            sched)
             assert entry in str(exc.value), (fn, base, kind, conv)
+    # at a = 0 the entry a f'(b) is a literal 0, not 0 * inf: the exact
+    # matrix is 0 under source_graded, and source_linear keeps f'(b)
+    gmap = pansu.GroupMap(heis, square)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        matrix = pansu.pansu_derivative(gmap, (0.0, 0.0, 1e308))
+        assert matrix.tolist() == [[0.0] * 3] * 3
+        with pytest.raises(DomainError, match="not finite") as exc:
+            pansu.pansu_derivative(gmap, (0.0, 0.0, 1e308),
+                                   pansu.BlowupSchedule(
+                                       convention="source_linear"))
+    assert "inf" in str(exc.value) and "nan" not in str(exc.value)
 
 
 def test_divergent_entry_is_named():
