@@ -269,6 +269,14 @@ def _cmd_volume(cfg):
     return dataclasses.asdict(fit)
 
 
+def _floats(tokens, spec):
+    try:
+        return [float(tok) for tok in tokens]
+    except ValueError as exc:
+        raise _InputError(f"expected comma-separated numbers, got "
+                          f"{spec!r}") from exc
+
+
 def _parse_map(spec_str):
     # every map is a polynomial, so its blow-up derivative is exact
     if spec_str == "identity":
@@ -278,27 +286,28 @@ def _parse_map(spec_str):
     for prefix in ("custom-polynomial", "poly"):
         if spec_str.startswith(prefix):
             rest = spec_str[len(prefix):].lstrip(":=, ")
-            coeffs = [float(tok) for tok in rest.split(",") if tok.strip()]
+            coeffs = _floats([tok for tok in rest.split(",") if tok.strip()],
+                             spec_str)
             if not coeffs:
-                raise DomainError("polynomial map needs coefficients c0,c1,..")
+                raise _InputError("polynomial map needs coefficients c0,c1,..")
             if not all(map(math.isfinite, coeffs)):
                 raise _InputError(f"polynomial coefficients must be finite, "
                                   f"got {spec_str!r}")
             return np.polynomial.Polynomial(coeffs)
-    raise DomainError(f"unknown map spec {spec_str!r}")
+    raise _InputError(f"unknown map spec {spec_str!r}")
 
 
 def _cmd_pansu(cfg):
     fn = _parse_map(cfg["map"])
-    base = tuple(float(tok) for tok in cfg["base"].split(","))
+    base = tuple(_floats(cfg["base"].split(","), cfg["base"]))
     if len(base) != 3:
-        raise DomainError("base must be three comma-separated coordinates")
+        raise _InputError("base must be three comma-separated coordinates")
     if not all(map(math.isfinite, base)):
         raise _InputError(f"base coordinates must be finite, got "
                           f"{cfg['base']!r}")
     gmap = pansu.GroupMap(cfg["kind"], fn)
-    matrix = pansu.pansu_derivative(
-        gmap, base, pansu.BlowupSchedule(convention=cfg["convention"]))
+    matrix = pansu.pansu_derivative(gmap, base,
+                                    convention=cfg["convention"])
     return {"matrix": matrix.tolist(), "kind": cfg["kind"],
             "convention": cfg["convention"], "base": list(base)}
 

@@ -52,9 +52,10 @@ ENTRIES = {
                     "0 gives 0/0); the blow-up entries at the identity are "
                     "the quotients fn(t)/t, i.e. difference quotients "
                     "anchored at 0, not q-difference quotients at 0",
-        "resolution": "expose the fixed-t quotient profile and the blow-up "
-                      "quotient separately; no equality at 0 is asserted",
-        "tests": ["quotient profile table vs blow-up entries"],
+        "resolution": "expose the fixed-t Jackson quotient at a nonzero "
+                      "point and the blow-up quotient separately; no "
+                      "equality at 0 is asserted",
+        "tests": ["Jackson quotient of the moment function vs -S_q"],
     },
 }
 

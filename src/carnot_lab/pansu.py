@@ -9,29 +9,29 @@ source dilation and the inverse target dilation,
 
 and the derivative is the t -> 0+ limit: in closed form for a numpy
 ``Polynomial`` entry function, whose quotient is a polynomial in t, and
-extrapolated entrywise over a geometric schedule for any other callable.
+extrapolated entrywise over t = 2^-k, k = 1..20, for any other callable.
 On the Abelian source this reproduces the classical diagonal Jacobian;
 on the group source with the graded dilation the vertical entry of the
 identity map collapses to zero, which is the degenerate-center behavior
 the construction is designed to exhibit.
 
-The fixed-t quotient of a scalar function at a point, tabulated as t -> 1
-(``jackson_profile``), is the bridge between these blow-up quotients and
-the q-difference derivative of the entropy module: the quotient of
-g(x) = sum p_i^x at x = 1 with t = q equals minus the deformed entropy.
+The Jackson derivative of the entropy module is the one-dimensional
+analogue, the same extrapolation over t - 1 = 2^-k: its fixed-t quotient
+``qalgebra.jackson_quotient`` of g(x) = sum p_i^x at x = 1 with t = q
+equals minus the deformed entropy, and ``qalgebra.jackson_derivative``
+is its t -> 1 limit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from ._extrapolation import geometric_ratio, richardson_limit
+from ._extrapolation import STEPS, richardson_limit
 from .errors import ConvergenceError, DomainError
 from .heisenberg import abelian_mul, mul
-from .qalgebra import jackson_quotient
 
 MAP_KINDS = ("heis_to_abelian", "abelian_to_abelian")
 CONVENTIONS = ("source_graded", "source_linear")
@@ -57,29 +57,11 @@ class GroupMap:
                          self.fn(coords[2])], dtype=float)
 
 
-@dataclass(frozen=True)
-class BlowupSchedule:
-    """Strictly decreasing positive t values shrinking geometrically to 0,
-    plus the source dilation convention (graded t^2 on the vertical
-    coordinate, or linear t on all three)."""
-    t_values: np.ndarray = field(
-        default_factory=lambda: 2.0 ** -np.arange(1, 21))
-    convention: str = "source_graded"
-
-    def __post_init__(self):
-        ts = np.asarray(self.t_values, dtype=float)
-        if ts.ndim != 1 or len(ts) < 3:
-            raise DomainError("schedule needs at least 3 t values")
-        if np.any(ts <= 0) or np.any(np.diff(ts) >= 0):
-            raise DomainError("schedule must be strictly decreasing and > 0")
-        if self.convention not in CONVENTIONS:
-            raise DomainError(f"unknown convention {self.convention!r}")
-        object.__setattr__(self, "t_values", ts)
-        # the schedule is frozen, so its ratio is checked once, here
-        object.__setattr__(self, "_ratio", geometric_ratio(ts))
-
-    def ratio(self):
-        return self._ratio
+def _check_convention(convention):
+    """Refuse any source dilation convention but the graded one (t^2 on
+    the vertical coordinate) and the linear one (t on all three)."""
+    if convention not in CONVENTIONS:
+        raise DomainError(f"unknown convention {convention!r}")
 
 
 def _source_dilate(coords, t, convention):
@@ -124,8 +106,7 @@ def blowup_quotient(f: GroupMap, base, direction, t, convention="source_graded")
     """
     if not t > 0:
         raise DomainError("blow-up parameter t must be positive")
-    if convention not in CONVENTIONS:
-        raise DomainError(f"unknown convention {convention!r}")
+    _check_convention(convention)
     base = tuple(base)
     q, lost = _quotient(f, base, f.apply(base), direction, t, convention)
     if any(lost):
@@ -137,21 +118,21 @@ _UNIT_DIRECTIONS = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
 _ENTRY_NAMES = ("x", "y", "z")
 
 
-def blowup_limit(f: GroupMap, base, direction, schedule=None):
-    """t -> 0+ limit of the blow-up quotient along one direction, taken
-    when two successive extrapolants agree to 1e-8.
+def blowup_limit(f: GroupMap, base, direction, convention="source_graded"):
+    """t -> 0+ limit of the blow-up quotient along one direction over
+    t = 2^-k, k = 1..20, taken when two successive extrapolants agree to
+    1e-8.
 
     Returns the limit 3-vector. Entries whose extrapolation fails raise
     ConvergenceError naming the entry; a base that loses its displacement
     to rounding on a level an entry's extrapolation reads raises
     DomainError.
     """
-    sched = schedule if schedule is not None else BlowupSchedule()
-    ratio = sched.ratio()
+    _check_convention(convention)
     base = tuple(base)
     f_base = f.apply(base)
-    terms = [_quotient(f, base, f_base, direction, t, sched.convention)
-             for t in sched.t_values]
+    terms = [_quotient(f, base, f_base, direction, t, convention)
+             for t in STEPS]
     quotients = np.array([q for q, _ in terms])
     lost = np.array([flags for _, flags in terms])
 
@@ -159,13 +140,13 @@ def blowup_limit(f: GroupMap, base, direction, schedule=None):
         # only the levels the extrapolation read decide the entry
         k = np.flatnonzero(lost[:levels, i])
         if k.size:
-            raise _unresolved(base, i, sched.t_values[k[0]])
+            raise _unresolved(base, i, STEPS[k[0]])
 
     limits = np.empty(3)
     for i, name in enumerate(_ENTRY_NAMES):
         seq = quotients[:, i]
         try:
-            limits[i], diag = richardson_limit(seq, ratio=ratio, tol=1e-8,
+            limits[i], diag = richardson_limit(seq, tol=1e-8,
                                                what=f"blow-up entry {name!r}")
         except ConvergenceError as exc:
             check_resolved(i, len(seq))
@@ -176,7 +157,7 @@ def blowup_limit(f: GroupMap, base, direction, schedule=None):
     return limits
 
 
-def pansu_derivative(f: GroupMap, base, schedule=None):
+def pansu_derivative(f: GroupMap, base, convention="source_graded"):
     """Blow-up derivative matrix at ``base``: column j is the limit along
     the j-th coordinate unit displacement.
 
@@ -187,9 +168,9 @@ def pansu_derivative(f: GroupMap, base, schedule=None):
     ``source_graded``. A non-finite entry raises DomainError. Any other
     callable is extrapolated by ``blowup_limit``.
     """
-    sched = schedule if schedule is not None else BlowupSchedule()
+    _check_convention(convention)
     if not isinstance(f.fn, np.polynomial.Polynomial):
-        return np.column_stack([blowup_limit(f, base, direction, sched)
+        return np.column_stack([blowup_limit(f, base, direction, convention)
                                 for direction in _UNIT_DIRECTIONS])
     a, c, b = (float(v) for v in base)
     # a derivative past the float range overflows to inf (or NaN) and is
@@ -200,46 +181,10 @@ def pansu_derivative(f: GroupMap, base, schedule=None):
         matrix = np.diag([da, dc, db])
     else:
         # literal 0s, not 0 * d(b), which is NaN for an infinite d(b)
-        center = db if sched.convention == "source_linear" else 0.0
+        center = db if convention == "source_linear" else 0.0
         matrix = np.array([[da, 0.0, 0.0], [0.0, dc, 0.0],
                            [0.0, a * db if a else 0.0, center]])
     if not np.all(np.isfinite(matrix)):
         raise DomainError(f"blow-up derivative {matrix.tolist()} at base "
                           f"{(a, c, b)!r} is not finite")
     return matrix
-
-
-# ---------------------------------------------------------------------------
-# fixed-parameter quotient profiles
-
-@dataclass(frozen=True)
-class JacksonProfile:
-    """Quotient table of a scalar function at x0: rows (t, quotient),
-    plus the t -> 1 extrapolant."""
-    x0: float
-    table: np.ndarray
-    extrapolant: float
-
-
-def jackson_profile(fn, x0, t_grid=None) -> JacksonProfile:
-    """Tabulate (fn(t x0) - fn(x0)) / (t x0 - x0) over a grid of t -> 1
-    and extrapolate the limit, taken when two successive extrapolants
-    agree to 1e-9."""
-    if x0 == 0:
-        raise DomainError("quotient profile is degenerate at x0 = 0")
-    ts = (1.0 + 2.0 ** -np.arange(1, 13)) if t_grid is None \
-        else np.asarray(t_grid, dtype=float)
-    if ts.ndim != 1 or len(ts) < 3:
-        raise DomainError("grid needs at least 3 t values")
-    quotients = np.array([jackson_quotient(fn, x0, t) for t in ts])
-    steps = ts - 1.0
-    try:
-        limit, _ = richardson_limit(quotients, ratio=geometric_ratio(steps),
-                                    tol=1e-9, what="quotient profile")
-    except (DomainError, ConvergenceError):
-        # a non-geometric or rough grid: best-effort polynomial fit in
-        # (t - 1); the profile is an exhibit, so it never refuses to report
-        deg = min(3, len(ts) - 1)
-        limit = float(np.polyval(np.polyfit(steps, quotients, deg), 0.0))
-    return JacksonProfile(float(x0), np.column_stack([ts, quotients]),
-                          float(limit))

@@ -16,8 +16,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._extrapolation import geometric_ratio, richardson_limit
-from .errors import ConvergenceError, DomainError
+from ._extrapolation import STEPS, richardson_limit
+from .errors import DomainError
 
 SUM_TOL = 1e-12          # admissible deviation of sum(weights) from 1
 Q_ONE_WINDOW = 1e-8      # |q-1| below this routes to the BGS branch
@@ -317,25 +317,15 @@ def jackson_quotient(f, x, t) -> float:
     return (f(t * x) - f(x)) / (t * x - x)
 
 
-def default_jackson_schedule(levels=20):
-    """t_k = 1 + 2^-k, k = 1..levels, shrinking geometrically toward 1."""
-    return 1.0 + 2.0 ** -np.arange(1, levels + 1)
-
-
-def jackson_derivative(f, x, schedule=None) -> float:
+def jackson_derivative(f, x) -> float:
     """t -> 1 limit of the q-difference quotient, by Richardson
-    extrapolation over a geometric schedule of t values.
-
-    The default schedule is t_k = 1 + 2^-k, k = 1..20; convergence is
-    accepted when two successive extrapolants agree to 1e-9. Schedules
-    that are not geometric raise DomainError, quotients that fail to
-    stabilize ConvergenceError.
+    extrapolation over t_k = 1 + 2^-k, k = 1..20; convergence is accepted
+    when two successive extrapolants agree to 1e-9. Quotients that fail
+    to stabilize, or are not finite, raise ConvergenceError.
     """
     if x == 0:
         raise DomainError("Jackson derivative is degenerate at x = 0")
-    ts = default_jackson_schedule() if schedule is None else np.asarray(schedule, float)
-    ratio = geometric_ratio(ts - 1.0)
-    quotients = [jackson_quotient(f, x, t) for t in ts]
-    limit, _ = richardson_limit(quotients, ratio=ratio, tol=1e-9,
+    quotients = [jackson_quotient(f, x, t) for t in 1.0 + STEPS]
+    limit, _ = richardson_limit(quotients, tol=1e-9,
                                 what="jackson derivative")
     return limit

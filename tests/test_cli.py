@@ -444,12 +444,13 @@ def test_main_config_values_go_through_their_flags(tmp_path, capsys):
         code, out = _main_with_config(tmp_path, capsys, command, line)
         assert code == 2, line
         assert "config key" in out["error"]["message"]
-    # the text a flag would get reaches the command, which refuses it
-    for command, line, module in (("entropy", "dist = 5", "q_algebra"),
-                                  ("pansu", "base = [1,2,3]", "pansu")):
-        code, out = _main_with_config(tmp_path, capsys, command, line)
-        assert code == 3, line
-        assert out["error"]["module"] == module
+    # the text a flag would get reaches the command, which refuses it:
+    # entropy as a module error, pansu where it parses its base
+    code, out = _main_with_config(tmp_path, capsys, "entropy", "dist = 5")
+    assert code == 3 and out["error"]["module"] == "q_algebra"
+    code, out = _main_with_config(tmp_path, capsys, "pansu", "base = [1,2,3]")
+    assert code == 2 and out["error"]["module"] == "cli_reports"
+    assert "'[1, 2, 3]'" in out["error"]["message"]
     # as --x "1" does, a JSON string reads through the flag's type
     code, out = _main_with_config(tmp_path, capsys, "qadd", 'x = "1"')
     assert code == 0 and out["summary"]["result"] == 1.0
@@ -754,23 +755,26 @@ def test_main_holonomy_refuses_non_positive_samples(tmp_path, capsys):
 
 def test_main_holonomy_circle_memory_stays_flat(tmp_path):
     # the circle preset is streamed in blocks: built whole, 10^7 samples
-    # peaked at 689 MB, against 79 MB at 10^3; one fresh process, so the
-    # peak is this command's own
-    code = ("import resource, sys\n"
+    # peaked at 689 MB, against 79 MB at 10^3; one fresh process, whose
+    # VmHWM is its own peak (Linux's ru_maxrss keeps the peak of the
+    # process that forked it, across exec)
+    code = ("import sys\n"
             "from carnot_lab import cli\n"
             "assert cli.main(['--output-dir', sys.argv[1], 'holonomy',"
             " '--loop', 'circle', '--samples', '10000000']) == 0\n"
-            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+            "with open('/proc/self/status') as fh:\n"
+            "    print(next(ln.split()[1] for ln in fh"
+            " if ln.startswith('VmHWM:')))\n")
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH")))))
     out = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
                          capture_output=True, text=True, env=env, check=True)
-    peak_mb = int(out.stdout.split()[-1]) / 1024  # ru_maxrss is in KiB
+    peak_mb = int(out.stdout.split()[-1]) / 1024  # VmHWM is in kB
     assert peak_mb < 120, f"peak memory {peak_mb:.0f} MB"
     payload = read_bundle(tmp_path / "holonomy.bundle.json").payload
     assert payload["samples"] == 10_000_001
-    assert payload["area"] == pytest.approx(math.pi, rel=1e-13)
+    assert payload["area"] == pytest.approx(math.pi, rel=1e-13, abs=0)
     # the defect keeps its sign: the n-gon's is about pi^3 / (3 n^2)
     n = 10_000_000
     assert payload["isoperimetric_defect"] > 0
@@ -845,6 +849,25 @@ def test_main_pansu_refuses_non_finite_coefficients(tmp_path, capsys):
         err = json.loads(captured.err)
         assert err["error"]["module"] == "cli_reports"
         assert "finite" in err["error"]["message"]
+    assert not (tmp_path / "pansu.bundle.json").exists()
+
+
+def test_main_pansu_refuses_malformed_input_as_usage_errors(tmp_path,
+                                                           capsys):
+    # refused where the map or the base is parsed, before any work
+    for argv, words in ((["--base", "1,2"], "three"),
+                        (["--base", "a,b,c"], "'a,b,c'"),
+                        (["--map", "poly:"], "coefficients"),
+                        (["--map", "cube"], "'cube'"),
+                        (["--base", "nan,0,0"], "finite"),
+                        (["--map", "poly:1,inf"], "finite")):
+        code = cli.main(["--output-dir", str(tmp_path), "pansu", *argv])
+        assert code == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)["error"]
+        assert err["module"] == "cli_reports", argv
+        assert words in err["message"], argv
     assert not (tmp_path / "pansu.bundle.json").exists()
 
 

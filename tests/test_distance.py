@@ -63,7 +63,7 @@ def test_vertical_anchor_isoperimetric():
     target = 2.0 * math.sqrt(math.pi)
     assert res.value == pytest.approx(target, abs=2e-2)
     # the lower bracket is the isoperimetric value itself here
-    assert res.lower == pytest.approx(target, rel=1e-12)
+    assert res.lower == pytest.approx(target, rel=1e-12, abs=0)
     assert res.value >= res.lower - 1e-12
     # the slot path approaches from above: the best polygonal loop with
     # N segments is slightly longer than the circle
@@ -81,7 +81,7 @@ def test_witness_integrates_to_target():
             assert np.allclose(end, b, atol=1e-6)
             assert res.witness.start == a
             assert res.value == pytest.approx(
-                geo.cc_length(res.witness, norm), rel=1e-12)
+                geo.cc_length(res.witness, norm), rel=1e-12, abs=0)
 
 
 def test_value_within_rigorous_sandwich():
@@ -107,7 +107,7 @@ def test_value_within_rigorous_sandwich():
             else:
                 # the exact distance, the value itself to rounding
                 assert lo - 1e-12 <= res.lower <= res.value
-                assert res.lower == pytest.approx(res.value, rel=1e-15)
+                assert res.lower == pytest.approx(res.value, rel=1e-15, abs=0)
 
 
 def test_l2_value_within_its_bracket():
@@ -220,9 +220,9 @@ def test_vertical_values_match_busemann():
     for z in (0.25, 1.0, -3.0):
         p = hg.HeisPoint(0.0, 0.0, z)
         assert dist.cc_distance(O, p, norm="l1").value == pytest.approx(
-            4.0 * math.sqrt(abs(z)), rel=1e-12)
+            4.0 * math.sqrt(abs(z)), rel=1e-12, abs=0)
         assert dist.cc_distance(O, p, norm="linf").value == pytest.approx(
-            2.0 * math.sqrt(2.0 * abs(z)), rel=1e-12)
+            2.0 * math.sqrt(2.0 * abs(z)), rel=1e-12, abs=0)
 
 
 def test_l1_distance_below_word_length():
@@ -263,7 +263,7 @@ def test_l1_linf_witness_is_exact(a, b, norm):
     assert np.allclose(geo.integrate_path(res.witness), b, rtol=0.0,
                        atol=1e-9)
     assert geo.cc_length(res.witness, norm) == pytest.approx(res.value,
-                                                            rel=1e-12)
+                                                            rel=1e-12, abs=0)
     assert len(res.witness.controls) <= 4 and not res.degraded
     lo, hi = elementary_bounds(hg.exp_mul(hg.exp_inv(a), b), norm)
     assert lo * (1.0 - 1e-12) <= res.value <= hi * (1.0 + 1e-12)
@@ -468,10 +468,10 @@ def test_tiny_gauge_is_solved():
         unit = dist.cc_distance(O, hg.HeisPoint(3.0, 4.0, 1.0), norm=norm)
         tiny = dist.cc_distance(O, hg.HeisPoint(3.0 * t, 4.0 * t, t * t),
                                 norm=norm)
-        assert tiny.value == pytest.approx(t * unit.value, rel=1e-12)
+        assert tiny.value == pytest.approx(t * unit.value, rel=1e-12, abs=0)
         flat = dist.cc_distance(O, hg.HeisPoint(0.0, 1.9e-295, 0.0),
                                 norm=norm)
-        assert flat.value == pytest.approx(1.9e-295, rel=1e-12)
+        assert flat.value == pytest.approx(1.9e-295, rel=1e-12, abs=0)
 
 
 def test_deterministic_repeat():
@@ -488,11 +488,11 @@ def test_deterministic_repeat():
 
 def test_l2_distance_anchors():
     assert dist.l2_distance(0.0, 1.0) == pytest.approx(
-        2.0 * math.sqrt(math.pi), rel=1e-15)
+        2.0 * math.sqrt(math.pi), rel=1e-15, abs=0)
     # on the axis also where pi |z| is subnormal or overflows
     for z in (5e-324, 1e-323, 2.5e-323, 3e-310, 7.5e307, 1.7e308):
         assert dist.l2_distance(0.0, z) == pytest.approx(
-            2.0 * math.sqrt(math.pi) * math.sqrt(z), rel=1e-15)
+            2.0 * math.sqrt(math.pi) * math.sqrt(z), rel=1e-15, abs=0)
     assert dist.l2_distance(1.7, 0.0) == 1.7
     assert dist.l2_distance(0.0, 0.0) == 0.0
 
@@ -506,7 +506,7 @@ _abs_z = st.floats(0.0, 100.0, allow_subnormal=False)
 def test_l2_distance_dilation_homogeneity(rho, abs_z, t):
     d = float(dist.l2_distance(rho, abs_z))
     assert dist.l2_distance(t * rho, t * t * abs_z) == pytest.approx(
-        t * d, rel=1e-12)
+        t * d, rel=1e-12, abs=0)
 
 
 @settings(max_examples=200, deadline=None)
@@ -604,14 +604,14 @@ def test_vertical_polygon_matches_zenodorus():
         for z in (1.0, -1.0):
             length, _, err = dist._solve_normalized(
                 np.array([0.0, 0.0, z]), n, 1e-13)
-            assert length == pytest.approx(zenodorus, rel=1e-12)
+            assert length == pytest.approx(zenodorus, rel=1e-12, abs=0)
             assert err <= 1e-13
         for z in (0.25, -3.0):
             value = dist.cc_distance(O, hg.HeisPoint(0.0, 0.0, z),
                                      segments=n).value
             # below five slots the explicit square loop, 4 sqrt|z|, wins
             assert value == pytest.approx(
-                min(zenodorus, 4.0) * math.sqrt(abs(z)), rel=1e-12)
+                min(zenodorus, 4.0) * math.sqrt(abs(z)), rel=1e-12, abs=0)
 
 
 def test_slot_polygon_edge_cases():
@@ -623,11 +623,12 @@ def test_slot_polygon_edge_cases():
     assert solve([0.0, 0.0, 1.0], 2) is None
     # targets in the plane or nearly so take the straight path, targets
     # nearly on the axis the regular polygon
-    assert solve([0.6, 0.8, 0.0], 1)[0] == pytest.approx(1.0, rel=1e-15)
+    assert solve([0.6, 0.8, 0.0], 1)[0] == pytest.approx(1.0, rel=1e-15, abs=0)
     for z in (5e-324, -1e-300):
-        assert solve([0.6, 0.8, z], 64)[0] == pytest.approx(1.0, rel=1e-13)
+        assert solve([0.6, 0.8, z], 64)[0] == \
+            pytest.approx(1.0, rel=1e-13, abs=0)
     assert solve([1e-160, 0.0, 1.0], 64)[0] == pytest.approx(
-        2.0 * math.sqrt(64 * math.tan(math.pi / 64)), rel=1e-13)
+        2.0 * math.sqrt(64 * math.tan(math.pi / 64)), rel=1e-13, abs=0)
     res = dist.cc_distance(O, hg.HeisPoint(0.0, 0.0, 1.0), segments=2)
     assert res.degraded and res.value == pytest.approx(4.0)
     # so near the axis the two-slot path is too long for a float
@@ -727,7 +728,8 @@ def test_l2_polygon_turning_matches_brentq(n):
         s = np.sin(np.arange(n + 1) * phi / (2 * n))
         s[n] = math.sin(0.5 * min(phi, comp))
         length = n * math.sqrt(2.0 * abs(z) * s[1] / float(s[:-1] @ s[1:]))
-        assert math.hypot(U[0], U[n]) == pytest.approx(length, rel=1e-14)
+        assert math.hypot(U[0], U[n]) == \
+            pytest.approx(length, rel=1e-14, abs=0)
 
 
 def _turning_sum(turn, small, n):
@@ -1017,15 +1019,15 @@ def test_l2_ball_height_closed_form():
     height = _unit_meridian_height(t)
     top = 1.0 / (2.0 * math.pi)
     assert height.max() <= top * (1.0 + 1e-15)
-    assert _unit_meridian_height(0.5 * math.pi) == pytest.approx(top,
-                                                                rel=1e-15)
+    assert _unit_meridian_height(0.5 * math.pi) == \
+        pytest.approx(top, rel=1e-15, abs=0)
     peak = minimize_scalar(lambda u: -_unit_meridian_height(u),
                            bounds=(1e-3, math.pi), method="bounded",
                            options={"xatol": 1e-10})
     assert peak.x == pytest.approx(0.5 * math.pi, abs=1e-6)
     # the exact distance puts the rim on the unit sphere
-    assert dist.l2_distance(2.0 / math.pi, top) == pytest.approx(1.0,
-                                                                rel=1e-14)
+    assert dist.l2_distance(2.0 / math.pi, top) == \
+        pytest.approx(1.0, rel=1e-14, abs=0)
 
 
 @pytest.mark.parametrize("r", [1.0, 1e-70, 1e70])

@@ -160,14 +160,14 @@ def test_circle_check_streams_the_whole_loop(radius, samples):
     # loop's pairwise sum, which one block reproduces bit for bit
     terms = 0.5 * (loop[:-1, 0] * loop[1:, 1] - loop[1:, 0] * loop[:-1, 1])
     exact_area = math.fsum(terms)
-    assert area == pytest.approx(exact_area, rel=1e-14)
-    assert whole[0] == pytest.approx(exact_area, rel=1e-14)
+    assert area == pytest.approx(exact_area, rel=1e-14, abs=0)
+    assert whole[0] == pytest.approx(exact_area, rel=1e-14, abs=0)
     if samples <= geo._LOOP_BLOCK:
         assert area == whole[0]
         assert length == whole[1]
     else:
-        assert area == pytest.approx(whole[0], rel=1e-12)
-        assert length == pytest.approx(whole[1], rel=1e-14)
+        assert area == pytest.approx(whole[0], rel=1e-12, abs=0)
+        assert length == pytest.approx(whole[1], rel=1e-14, abs=0)
     assert defect == pytest.approx(
         whole[1] ** 2 / (4.0 * np.pi) - abs(exact_area), abs=1e-13)
 
@@ -232,7 +232,7 @@ def test_cc_length_scales_with_dilated_controls():
         dpath = geo.HorizontalPath(hg.ORIGIN, scaled)
         for norm in geo.HORIZONTAL_NORMS:
             assert geo.cc_length(dpath, norm) == \
-                pytest.approx(t * geo.cc_length(path, norm), rel=1e-14)
+                pytest.approx(t * geo.cc_length(path, norm), rel=1e-14, abs=0)
         # and the endpoint is the dilated endpoint
         assert np.allclose(geo.integrate_path(dpath),
                            geo.dilate(geo.integrate_path(path), t),

@@ -6,6 +6,7 @@ import pytest
 from numpy.polynomial import Polynomial
 
 from carnot_lab import pansu
+from carnot_lab._extrapolation import STEPS
 from carnot_lab import qalgebra as qa
 from carnot_lab.errors import ConvergenceError, DomainError
 
@@ -14,23 +15,13 @@ def central_diff(fn, x, h=1e-6):
     return (fn(x + h) - fn(x - h)) / (2.0 * h)
 
 
-def test_schedule_validation():
-    with pytest.raises(DomainError):
-        pansu.BlowupSchedule(np.array([0.5, 0.5, 0.25]))
-    with pytest.raises(DomainError):
-        pansu.BlowupSchedule(np.array([0.5, -0.25, 0.1]))
-    with pytest.raises(DomainError):
-        pansu.BlowupSchedule(convention="graded")
-    sched = pansu.BlowupSchedule()
-    assert sched.ratio() == pytest.approx(2.0)
-    # NaN, infinite, zero and non-geometric t values are refused by the
-    # schedule or by the limit that reads it
-    gmap = pansu.GroupMap("abelian_to_abelian", lambda x: x)
-    for bad in ([0.5, math.nan, 0.125], [math.inf, 0.25, 0.125],
-                [0.5, 0.25, 0.0], [0.5, 0.4, 0.35]):
-        with pytest.raises(DomainError):
-            pansu.blowup_limit(gmap, (1.0, 2.0, 3.0), (1.0, 0.0, 0.0),
-                               pansu.BlowupSchedule(np.array(bad)))
+def test_unknown_convention_is_refused():
+    for fn in (lambda x: x, Polynomial([0.0, 1.0])):
+        for kind in pansu.MAP_KINDS:
+            gmap = pansu.GroupMap(kind, fn)
+            with pytest.raises(DomainError, match="unknown convention"):
+                pansu.pansu_derivative(gmap, (1.0, 2.0, 3.0),
+                                       convention="graded")
 
 
 def test_group_map_validation():
@@ -134,17 +125,16 @@ def test_pansu_identity_graded_kills_center():
 
 
 def test_pansu_identity_linear_keeps_center():
-    sched = pansu.BlowupSchedule(convention="source_linear")
     gmap = pansu.GroupMap("heis_to_abelian", lambda x: x)
-    matrix = pansu.pansu_derivative(gmap, (0.0, 0.0, 0.0), sched)
+    matrix = pansu.pansu_derivative(gmap, (0.0, 0.0, 0.0),
+                                    convention="source_linear")
     assert np.allclose(matrix, np.eye(3), atol=1e-10)
 
 
 def test_homomorphism_quotients_are_t_independent():
     gmap = pansu.GroupMap("heis_to_abelian", lambda x: x)
-    sched = pansu.BlowupSchedule()
     qs = np.array([pansu.blowup_quotient(gmap, (0, 0, 0), (1.0, 0.5, 0.0), t)
-                   for t in sched.t_values])
+                   for t in 2.0 ** -np.arange(1, 21)])
     assert float(np.var(qs[:, 0])) < 1e-12
     assert float(np.var(qs[:, 1])) < 1e-12
 
@@ -199,13 +189,12 @@ def test_polynomial_closed_form_matches_richardson():
                      * 10.0 ** rng.integers(-2, 2, 3))
         for kind in pansu.MAP_KINDS:
             for conv in pansu.CONVENTIONS:
-                sched = pansu.BlowupSchedule(convention=conv)
                 for poly in _POLYNOMIALS:
                     exact = pansu.pansu_derivative(
-                        pansu.GroupMap(kind, poly), base, sched)
+                        pansu.GroupMap(kind, poly), base, conv)
                     approx = pansu.pansu_derivative(
                         pansu.GroupMap(kind, lambda x, p=poly: p(x)), base,
-                        sched)
+                        conv)
                     tol = 1e-8 * np.maximum(1.0, np.abs(exact))
                     assert np.all(np.abs(exact - approx) <= tol), \
                         (kind, conv, poly, base)
@@ -219,13 +208,12 @@ def test_polynomial_closed_form_is_exact_in_both_conventions():
     base = (1.3, -0.7, 2.1)
     d = [-2.0 + x + 0.75 * x * x for x in base]
     for conv, kappa in (("source_graded", 0.0), ("source_linear", 1.0)):
-        sched = pansu.BlowupSchedule(convention=conv)
         matrix = pansu.pansu_derivative(
-            pansu.GroupMap("heis_to_abelian", cubic), base, sched)
+            pansu.GroupMap("heis_to_abelian", cubic), base, conv)
         expect = [[d[0], 0, 0], [0, d[1], 0], [0, base[0] * d[2], kappa * d[2]]]
         assert np.allclose(matrix, expect, rtol=1e-15, atol=0.0)
         matrix = pansu.pansu_derivative(
-            pansu.GroupMap("abelian_to_abelian", cubic), base, sched)
+            pansu.GroupMap("abelian_to_abelian", cubic), base, conv)
         assert np.allclose(matrix, np.diag(d), rtol=1e-15, atol=0.0)
 
 
@@ -265,12 +253,11 @@ def test_polynomial_closed_form_refuses_non_finite_entries_quietly():
         (Polynomial([0.0, 1e308, 1e308]), (0.0, 0.0, 0.0), abelian, "nan"))
     for fn, base, kind, entry in cases:
         for conv in pansu.CONVENTIONS:
-            sched = pansu.BlowupSchedule(convention=conv)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 with pytest.raises(DomainError, match="not finite") as exc:
                     pansu.pansu_derivative(pansu.GroupMap(kind, fn), base,
-                                           sched)
+                                           conv)
             assert entry in str(exc.value), (fn, base, kind, conv)
     # at a = 0 the entry a f'(b) is a literal 0, not 0 * inf: the exact
     # matrix is 0 under source_graded, and source_linear keeps f'(b)
@@ -281,8 +268,7 @@ def test_polynomial_closed_form_refuses_non_finite_entries_quietly():
         assert matrix.tolist() == [[0.0] * 3] * 3
         with pytest.raises(DomainError, match="not finite") as exc:
             pansu.pansu_derivative(gmap, (0.0, 0.0, 1e308),
-                                   pansu.BlowupSchedule(
-                                       convention="source_linear"))
+                                   convention="source_linear")
     assert "inf" in str(exc.value) and "nan" not in str(exc.value)
 
 
@@ -291,62 +277,16 @@ def test_divergent_entry_is_named():
                           lambda x: math.sqrt(abs(x)))
     with pytest.raises(ConvergenceError, match="'x'"):
         pansu.blowup_limit(gmap, (0.0, 0.0, 0.0), (1.0, 0.0, 0.0))
-
-
-# ---------------------------------------------------------------------------
-# quotient profiles
-
-def test_jackson_profile_square():
-    prof = pansu.jackson_profile(lambda x: x * x, 1.0)
-    assert prof.extrapolant == pytest.approx(2.0, abs=1e-9)
-    # fixed-t rows are t + 1
-    for t, qv in prof.table:
-        assert qv == pytest.approx(t + 1.0, rel=1e-12)
+    # a constant infinite quotient sequence has no finite limit either
+    gmap = pansu.GroupMap("abelian_to_abelian",
+                          lambda x: 0.0 if x == 1.0 else math.inf)
+    with pytest.raises(ConvergenceError, match="'x'"):
+        pansu.pansu_derivative(gmap, (1.0, 1.0, 1.0))
 
 
 def test_jackson_profile_linear():
-    prof = pansu.jackson_profile(lambda x: 3.0 * x - 1.0, 2.0)
-    assert np.allclose(prof.table[:, 1], 3.0)
-    assert prof.extrapolant == pytest.approx(3.0, abs=1e-12)
-
-
-def test_jackson_profile_moment_function_gives_entropy():
-    # the quotient of g(x) = sum p^x at x = 1 with t = q is exactly -S_q
-    rng = np.random.default_rng(63)
-    for _ in range(20):
-        p = rng.dirichlet(np.ones(4))
-        q = rng.uniform(0.3, 2.5)
-        if abs(q - 1.0) < 1e-3:
-            continue
-        g = lambda x: float(np.sum(p ** x))
-        prof = pansu.jackson_profile(g, 1.0, t_grid=[q, (1 + q) / 2,
-                                                     (3 + q) / 4])
-        quotient_at_q = prof.table[0, 1]
-        assert quotient_at_q == pytest.approx(-qa.tsallis_entropy(p, q),
-                                              rel=1e-9)
-
-
-def test_jackson_profile_non_geometric_grid_falls_back_to_polyfit():
-    grid = [1.5, 1.3, 1.1, 1.05]
-    prof = pansu.jackson_profile(math.exp, 1.0, t_grid=grid)
-    steps = np.array(grid) - 1.0
-    cubic = np.polyfit(steps, prof.table[:, 1], 3)
-    assert prof.extrapolant == float(np.polyval(cubic, 0.0))
-    assert prof.extrapolant == pytest.approx(math.e, rel=1e-2)
-
-
-def test_jackson_profile_alternating_grid_falls_back_to_polyfit():
-    # steps of +-0.5 have ratio -1, which no extrapolation can use; the
-    # profile still reports the cubic fit (rank-deficient on two
-    # distinct steps)
-    grid = [1.5, 0.5, 1.5, 0.5]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", np.exceptions.RankWarning)
-        prof = pansu.jackson_profile(math.exp, 1.0, t_grid=grid)
-        cubic = np.polyfit(np.array(grid) - 1.0, prof.table[:, 1], 3)
-    assert prof.extrapolant == float(np.polyval(cubic, 0.0))
-
-
-def test_jackson_profile_rejects_zero_base():
-    with pytest.raises(DomainError):
-        pansu.jackson_profile(lambda x: x, 0.0)
+    # a linear map's Jackson quotients are all its slope, and so is the limit
+    f = lambda x: 3.0 * x - 1.0
+    for t in 1.0 + STEPS:
+        assert qa.jackson_quotient(f, 2.0, t) == pytest.approx(3.0, abs=1e-12)
+    assert qa.jackson_derivative(f, 2.0) == pytest.approx(3.0, abs=1e-12)
