@@ -22,7 +22,7 @@ import numpy as np
 
 from . import acceptance, discrepancies, distance, geometry, growth, \
     heisenberg, pansu, qalgebra
-from .errors import BudgetError, ConvergenceError, DomainError
+from .errors import BudgetError, DomainError
 from .reports import ReportBundle, canonical_json, emit_plot_table, \
     read_bundle, write_bundle
 
@@ -263,7 +263,7 @@ def _holonomy_payload(area, length, defect, samples):
 
 
 def _cmd_volume(cfg):
-    radii = [float(tok) for tok in str(cfg["radii"]).split(",")]
+    radii = _floats(str(cfg["radii"]).split(","), cfg["radii"])
     fit = distance.ball_volume_fit(cfg["metric"], radii, cfg["samples"],
                                    cfg["seed"])
     return dataclasses.asdict(fit)
@@ -318,22 +318,36 @@ def _parse_generators(text):
         chunk = chunk.strip()
         if not chunk:
             continue
-        parts = [int(tok) for tok in chunk.split(",")]
-        if len(parts) != 3:
-            raise DomainError(f"generator {chunk!r} is not a,c,b")
-        gens.append(tuple(parts))
+        gens.append(_ints(chunk, 3, "generator a,c,b"))
     if not gens:
-        raise DomainError("no generators given")
+        raise _InputError("no generators given")
     return tuple(gens)
 
 
+def _ints(text, n, what):
+    """The n comma-separated integers of ``text``; anything else is a
+    usage error naming ``what``."""
+    try:
+        values = tuple(int(tok) for tok in text.split(","))
+    except ValueError:
+        values = ()
+    if len(values) != n:
+        raise _InputError(f"{what} takes {n} comma-separated integers, "
+                          f"got {text!r}")
+    return values
+
+
 def _cmd_growth(cfg):
-    # an unknown group gets no standard set and is rejected by word_ball
+    # every text is parsed before the search; an unknown group gets no
+    # standard set and is rejected by word_ball
     gens = _parse_generators(str(cfg["gens"])) if cfg.get("gens") \
         else growth.STANDARD_GENERATORS.get(cfg["group"], ())
+    other = _parse_generators(str(cfg["compare_gens"])) \
+        if cfg.get("compare_gens") else None
+    window = _ints(str(cfg["fit_window"]), 2, "fit window rmin,rmax") \
+        if cfg.get("fit_window") else None
     report = None
-    if cfg.get("compare_gens"):
-        other = _parse_generators(str(cfg["compare_gens"]))
+    if other is not None:
         # the report's coverage_ok carries the non-generating warning
         # into the summary, so stderr stays free for JSON errors
         with warnings.catch_warnings():
@@ -347,9 +361,8 @@ def _cmd_growth(cfg):
         table = growth.word_ball(cfg["group"], gens, cfg["radius"],
                                  mem_budget_mb=cfg.get("mem_budget"))
     payload = table.to_payload()
-    window = cfg.get("fit_window")
     if window:
-        lo, hi = (int(tok) for tok in str(window).split(","))
+        lo, hi = window
         d, c, resid = growth.growth_fit(table, lo, hi)
         payload["fit"] = {"window": [lo, hi], "exponent": d, "prefactor": c,
                           "max_residual": resid}
@@ -407,7 +420,7 @@ def run(command, config) -> ReportBundle:
         partial = exc.partial.to_payload() if exc.partial is not None else {}
         raise CommandError(module, str(exc),
                            {"partial": _json_safe(partial)}) from exc
-    except (DomainError, ConvergenceError, OSError, ValueError) as exc:
+    except (DomainError, OSError, ValueError) as exc:
         raise CommandError(module, str(exc)) from exc
     wall = time.perf_counter() - t0
     # delivery-only keys do not affect the payload and would tie the

@@ -5,10 +5,6 @@ class DomainError(ValueError):
     """An input is outside the mathematical domain of an operation."""
 
 
-class ConvergenceError(RuntimeError):
-    """An iterative limit did not stabilize within its schedule."""
-
-
 class BudgetError(RuntimeError):
     """A resource budget would be exceeded.
 

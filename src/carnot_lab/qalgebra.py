@@ -2,8 +2,8 @@
 
 The one-parameter entropy family S_q, its Boltzmann-Gibbs-Shannon limit,
 the deformed additions that restore additivity over product distributions,
-and the q-difference (Jackson) derivative that rewrites S_q as a quotient
-of the moment function g(x) = sum_i p_i^x at x = 1.
+and the q-difference (Jackson) quotient: S_q is minus the quotient of the
+moment function g(x) = sum_i p_i^x at x = 1 with step parameter q.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._extrapolation import STEPS, richardson_limit
 from .errors import DomainError
 
 SUM_TOL = 1e-12          # admissible deviation of sum(weights) from 1
@@ -185,31 +184,12 @@ def abe_entropy(p, q):
     """S_q written as minus the q-difference quotient of g(x) = sum p_i^x
     at x = 1 with step parameter q: -(g(q) - g(1)) / (q - 1).
 
-    Algebraically identical to ``tsallis_entropy``; the shared per-term
-    expm1 kernel keeps the identity exact in floating point. q = 1 (within
-    the BGS window) routes to ``abe_bgs_entropy``, row by row for a 2-D
-    ``p``, which is taken like ``tsallis_entropy`` takes it.
+    Algebraically identical to ``tsallis_entropy``, and evaluated as it:
+    the per-term expm1 kernel has no cancellation near q = 1, and within
+    the BGS window the value is the exact q -> 1 limit, the BGS entropy.
+    Takes rows like ``tsallis_entropy``.
     """
-    w = as_distribution(p)
-    q = _check_q(q, w)
-    s = _tsallis(w, q)
-    near = np.abs(np.asarray(q) - 1.0) < Q_ONE_WINDOW
-    return _value(np.where(near, _abe_bgs(w), s) if near.any() else s)
-
-
-def _abe_bgs(w):
-    def g(x):
-        return _positive_sum(w, lambda p: p ** x)
-
-    step = 1e-5
-    return -(g(1.0 + step) - g(1.0 - step)) / (2.0 * step)
-
-
-def abe_bgs_entropy(p):
-    """-g'(1) for g(x) = sum p_i^x by central difference with step 1e-5;
-    the classical (ordinary-derivative) counterpart of ``abe_entropy``.
-    One value per row for a 2-D ``p``."""
-    return _value(_abe_bgs(as_distribution(p)))
+    return tsallis_entropy(p, q)
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +286,7 @@ def composition_defect(p, r, q):
 
 
 # ---------------------------------------------------------------------------
-# Jackson derivative
+# Jackson quotient
 
 def jackson_quotient(f, x, t) -> float:
     """The q-difference quotient (f(t x) - f(x)) / (t x - x)."""
@@ -315,17 +295,3 @@ def jackson_quotient(f, x, t) -> float:
     if t == 1.0:
         raise DomainError("Jackson quotient needs t != 1")
     return (f(t * x) - f(x)) / (t * x - x)
-
-
-def jackson_derivative(f, x) -> float:
-    """t -> 1 limit of the q-difference quotient, by Richardson
-    extrapolation over t_k = 1 + 2^-k, k = 1..20; convergence is accepted
-    when two successive extrapolants agree to 1e-9. Quotients that fail
-    to stabilize, or are not finite, raise ConvergenceError.
-    """
-    if x == 0:
-        raise DomainError("Jackson derivative is degenerate at x = 0")
-    quotients = [jackson_quotient(f, x, t) for t in 1.0 + STEPS]
-    limit, _ = richardson_limit(quotients, tol=1e-9,
-                                what="jackson derivative")
-    return limit

@@ -35,7 +35,17 @@ def test_criterion_01_q_composition_identity():
 
 def test_criterion_02_abe_identity():
     rec = _gate(acceptance.criterion_abe_identity, 0.5)
-    assert rec["detail"]["max_rel_diff"] < 1e-13
+    assert rec["detail"]["max_diff_to_bound"] <= 1.0
+
+
+def test_criterion_02_sees_a_shifted_entropy(monkeypatch):
+    # the quotient is computed apart from the entropy kernel, so an
+    # entropy off by 0.01 must fail it
+    tsallis = qalgebra._tsallis
+    monkeypatch.setattr(qalgebra, "_tsallis",
+                        lambda w, q: tsallis(w, q) + 0.01)
+    rec = acceptance.criterion_abe_identity(SEED)
+    assert rec["passed"] is False, rec
 
 
 def test_criterion_03_bgs_limit():
@@ -78,16 +88,13 @@ def test_criterion_11_pansu_diagonal():
     _gate(acceptance.criterion_pansu_diagonal, 1.0)
 
 
-def test_criterion_11_sees_the_extrapolated_quotients(monkeypatch):
-    # its Horner callable takes the Richardson path, not the closed form
-    # of polynomial maps: quotients off by a relative 1e-5 must fail it
-    quotient = pansu._quotient
-
-    def planted(*args):
-        q, lost = quotient(*args)
-        return q * (1.0 + 1e-5), lost
-
-    monkeypatch.setattr(pansu, "_quotient", planted)
+def test_criterion_11_sees_a_fault_in_the_closed_form(monkeypatch):
+    # the Horner central differences are independent of the closed form:
+    # derivatives off by a relative 1e-5 must fail it
+    derivative = pansu.pansu_derivative
+    monkeypatch.setattr(pansu, "pansu_derivative",
+                        lambda *args, **kw: derivative(*args, **kw)
+                        * (1.0 + 1e-5))
     rec = acceptance.criterion_pansu_diagonal(SEED)
     assert rec["passed"] is False, rec
 
@@ -189,14 +196,24 @@ def _composition_by_rows(seed):
 
 def _abe_identity_by_rows(seed):
     rng = acceptance._rng(seed, 2)
-    worst = 0.0
+    eps = np.finfo(float).eps
+    worst = worst_ratio = 0.0
     for _ in range(1000):
         p = _dist_by_rows(rng)
         q = rng.uniform(0.2, 3.0)
         s = qalgebra.tsallis_entropy(p, q)
-        a = qalgebra.abe_entropy(p, q)
-        worst = max(worst, abs(a - s) / max(abs(s), 1e-300))
-    return {"max_rel_diff": worst, "tolerance": 1e-13, "samples": 1000}
+
+        def g(x):
+            return np.sum(p ** x)
+
+        a = -qalgebra.jackson_quotient(g, 1.0, q)
+        rel = abs(a - s) / max(abs(s), 1e-300)
+        worst = max(worst, float(rel))
+        g_q = g(q)
+        bound = (len(p) + 2) * eps * (g_q + 1.0) / abs(g_q - 1.0) + 4.0 * eps
+        worst_ratio = max(worst_ratio, float(rel / bound))
+    return {"max_rel_diff": worst, "max_diff_to_bound": worst_ratio,
+            "samples": 1000}
 
 
 def _bgs_limit_by_rows(seed):

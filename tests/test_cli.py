@@ -431,10 +431,18 @@ def test_main_growth_config_errors(tmp_path, capsys):
         assert code == 2, line
         assert out["error"]["module"] == "cli_reports"
         assert line.split()[0] in out["error"]["message"]
-    for line in ("gens = 5", "fit_window = 10"):
+    # text that does not parse as a generating set or a window is
+    # refused where growth parses it, as a usage error
+    for line, words in (("gens = 5", "generator a,c,b takes 3"),
+                        ("fit_window = 10", "window")):
         code, out = _main_with_config(tmp_path, capsys, "growth", line)
-        assert code == 3, line
-        assert out["error"]["module"] == "cayley_growth"
+        assert code == 2, line
+        assert out["error"]["module"] == "cli_reports"
+        assert words in out["error"]["message"], line
+    code, out = _main_with_config(tmp_path, capsys, "growth",
+                                  'fit_window = "5,2"')
+    assert code == 3
+    assert out["error"]["module"] == "cayley_growth"
 
 
 def test_main_config_values_go_through_their_flags(tmp_path, capsys):
@@ -541,6 +549,29 @@ def test_growth_compare_searches_each_set_once(tmp_path, monkeypatch):
     assert len(searches) == 2
     assert bundle.payload["counts"] == list(growth.word_ball(
         "heis_Z", growth.STANDARD_GENERATORS["heis_Z"], 10).counts)
+
+
+def test_main_volume_and_growth_refuse_malformed_text_as_usage_errors(
+        tmp_path, capsys):
+    # refused where the radii, the window or the generators are parsed,
+    # before any work
+    for argv, words in ((["volume", "--radii", "a,b"], "'a,b'"),
+                        (["volume", "--radii", "1,,2"], "'1,,2'"),
+                        (["growth", "--fit-window", "x"], "'x'"),
+                        (["growth", "--gens", "1,2"], "'1,2'"),
+                        (["growth", "--gens", "1,0,0;x,0,0"], "'x,0,0'"),
+                        (["growth", "--compare-gens", ";"], "no generators"),
+                        (["growth", "--radius", "100000000",
+                          "--fit-window", "1,2,3"], "'1,2,3'")):
+        code = cli.main(["--output-dir", str(tmp_path), *argv])
+        assert code == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)["error"]
+        assert err["module"] == "cli_reports", argv
+        assert words in err["message"], argv
+    assert not (tmp_path / "volume.bundle.json").exists()
+    assert not (tmp_path / "growth.bundle.json").exists()
 
 
 def test_main_volume_refuses_radii_without_log_spread(tmp_path, capsys):
@@ -975,7 +1006,8 @@ _TRIPLES = st.lists(
     st.one_of(st.tuples(*[st.integers(-2, 2)] * 3).map(
                   lambda t: ",".join(map(str, t))),
               st.sampled_from(["0,0,0", "1,0", "1,0,0,0", "x,0,0", "1.5,0,0",
-                               "", "1000000000000,0,0", "0,0,1000000000000",
+                               "", "1,,0", "1;2", "1000000000000,0,0",
+                               "0,0,1000000000000",
                                "1000000000000,1,1000000000000"])),
     min_size=1, max_size=3).map(";".join)
 
@@ -990,6 +1022,50 @@ _GROWTH_SIZE = st.one_of(
     st.tuples(_always("--radius", st.sampled_from(
                   ["100000000", "1" + "0" * 30])), st.just([]))).map(
     lambda parts: parts[0] + parts[1])
+
+
+# radii and fit windows that do not parse, and windows that do
+_MALFORMED_RADII = st.sampled_from(["a,b", "1,,2", "1;2", ",", "1,2,", ""])
+_WINDOWS = st.sampled_from(["1,2,3", "5,2", "x", "", "4,", "a,b", "4;8",
+                            "1.5,4", "1,4", "2,8", "3,40"])
+
+
+def _ints(text, n):
+    # whether text is n comma-separated integers
+    try:
+        return len([int(tok) for tok in text.split(",")]) == n
+    except ValueError:
+        return False
+
+
+def _malformed(flags):
+    """Whether the radii, fit-window, gens or compare-gens text in
+    ``flags`` (key -> text) fails to parse: a radius that is not a
+    number, a window that is not two integers, a generating set with no
+    generator or one that is not three integers. An empty window or
+    generating set is not given."""
+    try:
+        [float(tok) for tok in flags.get("radii", "0").split(",")]
+    except ValueError:
+        return True
+    if flags.get("fit_window") and not _ints(flags["fit_window"], 2):
+        return True
+    for key in ("gens", "compare_gens"):
+        if flags.get(key):
+            chunks = [c.strip() for c in flags[key].split(";") if c.strip()]
+            if not all(_ints(c, 3) for c in chunks) or not chunks:
+                return True
+    return False
+
+
+def _argv_flags(tokens):
+    # key -> text of each --flag value or --flag=value among the tokens
+    flags = {}
+    for i, tok in enumerate(tokens):
+        name, eq, value = tok.partition("=")
+        if name.startswith("--") and (eq or i + 1 < len(tokens)):
+            flags[name[2:].replace("-", "_")] = value if eq else tokens[i + 1]
+    return flags
 
 
 # poly: maps whose coefficients are non-finite or near the float range
@@ -1032,12 +1108,12 @@ _ARGV = st.one_of(
     # the draws ask for exactly the floor
     _argv("volume",
           _opt("--metric", st.sampled_from(["cc", "euclidean", "l1"])),
-          _opt("--radii", st.lists(
+          _opt("--radii", st.one_of(_MALFORMED_RADII, st.lists(
               st.one_of(st.floats(1e-3, 1e3).map(repr),
                         st.sampled_from(["1e-200", "3e-78", "1e-77", "1e70",
                                          "1e100", "2.8e102", "1e150",
                                          "1e200"]), _NUMBERS),
-              min_size=2, max_size=4).map(",".join)),
+              min_size=2, max_size=4).map(",".join))),
           st.sampled_from(["10000", "10000", "9999", "x"]).map(
               lambda n: ["--samples", n]),
           _opt("--seed", _SMALL_INTS)),
@@ -1056,8 +1132,7 @@ _ARGV = st.one_of(
     _argv("growth",
           _opt("--group", st.sampled_from(["heis_Z", "z3", "so3", "Z3"])),
           _GROWTH_SIZE, _opt("--compare-gens", _TRIPLES),
-          _opt("--fit-window", st.sampled_from(
-              ["1,2,3", "5,2", "x", "1,4", "2,8", "3,40"])),
+          _opt("--fit-window", _WINDOWS),
           _opt("--mem-budget", st.sampled_from(["0", "1", "-1", "64", "x"]))))
 
 
@@ -1093,6 +1168,9 @@ def test_main_fuzz_ends_in_result_or_json_error(tmp_path, argv):
     assert len(lines) == 1, (argv, lines)
     record = json.loads(lines[0])
     assert ("error" in record) == (code != 0), (argv, record)
+    # text that does not parse is a usage error
+    if argv[0] in ("volume", "growth") and _malformed(_argv_flags(argv[1:])):
+        assert code == 2, (argv, record)
     # a NaN result is written as null; exit 0 must carry real values
     if code == 0:
         assert None not in record["summary"].values(), (argv, record)
@@ -1154,14 +1232,16 @@ _CONFIG_KEYS = {
                           "radius": _ANY_JSON,
                           "samples": _size(0, 10, "100", 10 ** 8)}),
     "volume": ([], {"samples": _size(10_000, "9999", 10 ** 30)},
-               {"metric": _ANY_JSON, "radii": _ANY_JSON,
+               {"metric": _ANY_JSON,
+                "radii": st.one_of(_ANY_JSON, _MALFORMED_RADII),
                 "seed": _ANY_JSON}),
     "pansu": ([], {}, {"map": st.one_of(_ANY_JSON, _POLY_MAPS), "base": _ANY_JSON,
                        "kind": _ANY_JSON, "convention": _ANY_JSON}),
     "growth": ([], {"radius": _size(0, 3, "8", -1, 10 ** 8, 10 ** 30)},
-               {"group": _ANY_JSON, "gens": _ANY_JSON,
-                "fit_window": _ANY_JSON, "mem_budget": _ANY_JSON,
-                "compare_gens": _ANY_JSON}),
+               {"group": _ANY_JSON, "gens": st.one_of(_ANY_JSON, _TRIPLES),
+                "fit_window": st.one_of(_ANY_JSON, _WINDOWS),
+                "mem_budget": _ANY_JSON,
+                "compare_gens": st.one_of(_ANY_JSON, _TRIPLES)}),
     "verify-all": ([], {"seed": _ANY_JSON.filter(
         lambda v: not _int_text(v))}, {}),
 }
@@ -1191,5 +1271,11 @@ def test_main_config_fuzz_ends_in_result_or_json_error(tmp_path, draw):
     assert len(lines) == 1, (values, lines)
     record = json.loads(lines[0])
     assert ("error" in record) == (code != 0), (values, record)
+    # text that does not parse is a usage error; each value reaches the
+    # command as the text its flag would take
+    flags = {key: value if isinstance(value, str) else json.dumps(value)
+             for key, value in cli.parse_config_file(str(conf)).items()}
+    if command in ("volume", "growth") and _malformed(flags):
+        assert code == 2, (values, record)
     if code == 0:
         assert None not in record["summary"].values(), (values, record)

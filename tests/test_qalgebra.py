@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from carnot_lab import qalgebra as qa
-from carnot_lab.errors import ConvergenceError, DomainError
+from carnot_lab.errors import DomainError
 
 
 def direct_tsallis(p, q):
@@ -341,7 +341,7 @@ def test_rescaled_composition_rule():
 
 
 # ---------------------------------------------------------------------------
-# Jackson derivative
+# Jackson quotient
 
 def test_jackson_quotient_symbolic():
     # f(x) = x^3 at x = 2: quotient is (t^3 - 1) * 8 / ((t - 1) * 2)
@@ -352,27 +352,12 @@ def test_jackson_quotient_symbolic():
             pytest.approx(expected, rel=1e-13, abs=0)
 
 
-def test_jackson_derivative_values():
-    assert qa.jackson_derivative(lambda x: x * x, 1.0) == \
-        pytest.approx(2.0, abs=1e-9)
-    assert qa.jackson_derivative(lambda x: 4.25, 3.0) == \
-        pytest.approx(0.0, abs=1e-12)
-    assert qa.jackson_derivative(math.exp, 1.0) == \
-        pytest.approx(math.e, abs=1e-8)
-
-
 def test_jackson_derivative_errors():
-    # the quotient and its limit are degenerate at x = 0
-    with pytest.raises(DomainError):
+    # the quotient is degenerate at x = 0 and undefined at t = 1
+    with pytest.raises(DomainError, match="x = 0"):
         qa.jackson_quotient(lambda x: x, 0.0, 1.5)
-    with pytest.raises(DomainError):
-        qa.jackson_derivative(lambda x: x, 0.0)
-    # every quotient is infinite: a constant sequence, but no finite limit
-    with pytest.raises(ConvergenceError, match="non-finite"):
-        qa.jackson_derivative(lambda x: 0.0 if x == 1.0 else math.inf, 1.0)
-    with pytest.raises(ConvergenceError):
-        # quotient ~ 1/sqrt(t-1) blows up as t -> 1
-        qa.jackson_derivative(lambda x: math.sqrt(abs(x - 1.0)), 1.0 + 1e-30)
+    with pytest.raises(DomainError, match="t != 1"):
+        qa.jackson_quotient(lambda x: x, 2.0, 1.0)
 
 
 def test_jackson_quotient_of_moment_function_is_minus_tsallis():
@@ -417,13 +402,13 @@ def test_abe_is_the_quotient_of_the_moment_function():
 
 
 def test_abe_bgs_matches_bgs():
-    p = [0.2, 0.8]
-    assert qa.abe_bgs_entropy(p) == pytest.approx(qa.bgs_entropy(p), abs=1e-8)
+    # inside the BGS window the quotient form is its exact q -> 1 limit
     rng = np.random.default_rng(17)
     for _ in range(50):
         p = rng.dirichlet(np.ones(4))
-        assert qa.abe_bgs_entropy(p) == pytest.approx(qa.bgs_entropy(p),
-                                                      abs=1e-8)
+        for q in (1.0, 1.0 + 5e-9, 1.0 - 5e-9):
+            assert qa.abe_entropy(p, q) == qa.bgs_entropy(p)
+    assert qa.abe_entropy([0.2, 0.8], 1.0) == direct_bgs([0.2, 0.8])
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +435,7 @@ def test_rows_equal_their_one_dimensional_calls():
         r = rng.dirichlet(np.ones(3), size=len(p))
         calls = [(qa.tsallis_entropy, (p, q)), (qa.tsallis_entropy, (p, 2.5)),
                  (qa.abe_entropy, (p, q)), (qa.rescaled_entropy, (p, q)),
-                 (qa.bgs_entropy, (p,)), (qa.abe_bgs_entropy, (p,)),
+                 (qa.bgs_entropy, (p,)),
                  (qa.composition_defect, (p, r, q)),
                  (qa.product_distribution, (p, r))]
         for fn, args in calls:
