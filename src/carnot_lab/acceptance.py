@@ -3,8 +3,8 @@
 Each criterion function returns a record with deterministic detail
 numbers (given the master seed); nothing time-dependent lands in the
 record, so a verification bundle is byte-reproducible. Oracles used here
-(dense 3x3 matrix products, central finite differences, closed-form
-lattice counts) are deliberately independent of the code paths they
+(dense 3x3 matrix products, central finite differences, breadth-first
+lattice searches) are deliberately independent of the code paths they
 check.
 """
 
@@ -307,32 +307,35 @@ def criterion_pansu_diagonal(seed=DEFAULT_SEED):
                    {"max_gap": worst, "bases": 20, "tolerance": 1e-6})
 
 
-def _octahedral_count(r):
-    # exact |{v in Z^3 : ||v||_1 <= r}| (cumulative octahedral numbers)
-    return (2 * r + 1) * (2 * r * r + 2 * r + 3) // 3
-
-
 def criterion_discrete_growth(seed=DEFAULT_SEED):
-    """12: lattice ball counts, growth degrees, generator robustness."""
-    heis_table = growth.word_ball("heis_Z", growth.STANDARD_GENERATORS["heis_Z"],
-                                  30)
+    """12: lattice ball counts, growth degrees, generator robustness.
+
+    The standard sets' balls come in closed form; each is checked
+    against a breadth-first search: heis_Z's against the search the
+    robustness report runs for the standard set, to r = 22, and Z^3's
+    octahedral counts against a search to r = 40.
+    """
+    heis_std = growth.STANDARD_GENERATORS["heis_Z"]
+    z3_std = growth.STANDARD_GENERATORS["z3"]
+    heis_table = growth.word_ball("heis_Z", heis_std, 30)
     first = heis_table.counts[:3] == (1, 5, 17)
     d_heis, _, _ = growth.growth_fit(heis_table, 10, 30)
 
-    z3_table = growth.word_ball("z3", growth.STANDARD_GENERATORS["z3"], 40)
-    z3_exact = all(z3_table.counts[r] == _octahedral_count(r)
-                   for r in range(41))
+    z3_table = growth.word_ball("z3", z3_std, 40)
+    z3_exact = z3_table.counts == growth._search_ball("z3", z3_std, 40).counts
     d_z3, _, _ = growth.growth_fit(z3_table, 10, 40)
 
     report = growth.generator_robustness(
-        "heis_Z", growth.STANDARD_GENERATORS["heis_Z"],
-        (growth.T1, growth.T2, (1, 1, 1)), 22)
+        "heis_Z", heis_std, (growth.T1, growth.T2, (1, 1, 1)), 22)
+    searched = report.tables[0].counts
+    heis_exact = heis_table.counts[:len(searched)] == searched
 
-    passed = (first and abs(d_heis - 4.0) <= 0.25 and z3_exact
-              and abs(d_z3 - 3.0) <= 0.1 and report.exponent_gap <= 0.3
-              and report.coverage_ok)
+    passed = (first and heis_exact and abs(d_heis - 4.0) <= 0.25
+              and z3_exact and abs(d_z3 - 3.0) <= 0.1
+              and report.exponent_gap <= 0.3 and report.coverage_ok)
     return _record(12, "discrete growth", passed,
                    {"first_counts": list(heis_table.counts[:3]),
+                    "heis_matches_search": heis_exact,
                     "heis_exponent": d_heis, "z3_exponent": d_z3,
                     "z3_matches_octahedral": z3_exact,
                     "robustness_gap": report.exponent_gap})

@@ -17,10 +17,13 @@ sorting run ends: the union of the neighbour runs, and from it the two
 spheres before, taken away, each by sorting starts and stops on their
 own. On sets whose spheres have no runs the ends are single keys and
 the search costs about 1.2-1.6 times a search over keys.
-``word_norm`` answers the standard generating sets in closed form (the
-l1 norm on Z^3, Blachere's formula on heis_Z) and meets, for any other
-set, a search from the identity with one from the element halfway,
-testing whether two families of runs overlap. Ball
+The standard generating sets, given in any order, with or without their
+inverses, are never searched. ``word_ball`` answers them in closed form:
+the octahedral numbers on Z^3, and on heis_Z the integer recurrence of
+the rational ball series (Duchin-Shapiro 2019). ``word_norm`` answers
+them by the l1 norm on Z^3 and Blachere's formula on heis_Z; for any
+other set it meets a search from the identity with one from the element
+halfway, testing whether two families of runs overlap. Ball
 cardinalities grow polynomially, with degree 4 for the Heisenberg
 lattice and 3 for Z^3; the degree is a generating-set-independent
 invariant, which ``generator_robustness`` checks empirically.
@@ -30,6 +33,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
 import warnings
 from dataclasses import dataclass, field
 
@@ -109,7 +113,8 @@ class GrowthTable:
     max_abs_horizontal: tuple = ()
     max_abs_vertical: tuple = ()
     truncated: bool = False
-    #: maximal runs of consecutive keys the search held for each sphere
+    #: maximal runs of consecutive keys the search held for each sphere;
+    #: empty when no search ran (the standard sets, in closed form)
     runs: tuple = ()
 
     def to_payload(self) -> dict:
@@ -336,25 +341,83 @@ def _table(group, gens, spheres, radius, reach, mem_budget_mb=None,
     return table
 
 
-def word_ball(group, generators, radius, mem_budget_mb=None) -> GrowthTable:
-    """All ball cardinalities |B_0|..|B_radius| by breadth-first search.
+def _search_ball(group, gens, radius, mem_budget_mb=None) -> GrowthTable:
+    """``word_ball`` by breadth-first search, on any generating set.
 
     Only the runs of the last two spheres and of the neighbours of the
     last are held: at most about r^3 elements rather than the r^4 of the
     whole ball, and about r^2 runs under the standard heis_Z set. If a
     memory budget is given and building the next sphere would hold more
     bytes than it allows, a BudgetError carrying the partial table is
-    raised; the table's ``runs`` gives the runs each sphere held.
-    A generating set whose coordinates could leave the int64 keys within
-    ``radius`` raises DomainError before the search starts.
+    raised; the table's ``runs`` gives the runs each sphere held. Keys
+    that could leave int64 within ``radius`` raise DomainError before the
+    search starts.
     """
     _check_radius("radius", radius)
     _check_budget(mem_budget_mb)
-    gens = symmetrize_generators(group, generators)
+    gens = symmetrize_generators(group, gens)
     law, _ = GROUP_LAWS[group]
     reach = _reach(law, gens, radius)
     return _table(group, gens, _spheres(law, gens, radius, reach), radius,
                   reach, mem_budget_mb)
+
+
+def _is_standard(group, gens):
+    """Whether the symmetric set ``gens`` is the group's standard set,
+    given in any order, with or without its inverses."""
+    return set(gens) == set(symmetrize_generators(
+        group, STANDARD_GENERATORS[group]))
+
+
+# heis_Z's ball series under the standard set (Duchin-Shapiro 2019):
+# sum_r |B_r| x^r = N(x) / D(x), D = (1-x)^5 (1+x^2) (1+x+x^2)
+_HEIS_BALL_NUM = (1, 1, 4, 11, 8, 21, 6, 9, 1)
+_HEIS_BALL_DEN = (1, -4, 7, -9, 11, -11, 9, -7, 4, -1)
+
+
+def _standard_ball(group, gens, radius) -> GrowthTable:
+    """The table of the standard set ``gens`` to ``radius``, exact on
+    Python ints: on Z^3 the octahedral numbers (2r+1)(2r^2+2r+3)/3 and
+    reaches r and r; on heis_Z the counts from the ball series'
+    recurrence, D's coefficients on the last nine counts, and reaches r
+    and floor(r^2/4)."""
+    radii = tuple(range(radius + 1))
+    if group == "z3":
+        counts = [(2 * r + 1) * (2 * r * r + 2 * r + 3) // 3 for r in radii]
+        vertical = radii
+    else:
+        # nine zero counts before r = 0 start the recurrence
+        counts = [0] * 9
+        tail = _HEIS_BALL_DEN[:0:-1]
+        for r in radii:
+            head = _HEIS_BALL_NUM[r] if r < len(_HEIS_BALL_NUM) else 0
+            counts.append(head - sum(map(operator.mul, tail, counts[-9:])))
+        del counts[:9]
+        vertical = tuple(r * r // 4 for r in radii)
+    return GrowthTable(group, gens, radii, tuple(counts), radii, vertical)
+
+
+def word_ball(group, generators, radius, mem_budget_mb=None) -> GrowthTable:
+    """All ball cardinalities |B_0|..|B_radius|.
+
+    The standard generating set, given in any order, with or without
+    its inverses, is answered in closed form (``_standard_ball``); its
+    table's ``runs`` is empty, as no search ran. Every other set is
+    searched breadth first (``_search_ball``). A generating set whose
+    coordinates could leave the search's int64 keys within ``radius``
+    raises DomainError up front, the standard sets too. A memory budget,
+    in MB, prices only the search: past it, BudgetError carries the
+    partial table. The closed form holds O(radius) ints and is never
+    refused by it.
+    """
+    _check_radius("radius", radius)
+    _check_budget(mem_budget_mb)
+    gens = symmetrize_generators(group, generators)
+    if not _is_standard(group, gens):
+        return _search_ball(group, gens, radius, mem_budget_mb)
+    law, _ = GROUP_LAWS[group]
+    _radix(_reach(law, gens, radius))
+    return _standard_ball(group, gens, radius)
 
 
 def _standard_norm(group, g):
@@ -427,8 +490,7 @@ def word_norm(element, group="heis_Z", generators=None, radius_cap=20):
     _radix(ball)
     if any(abs(c) > m for c, m in zip(target, ball)):
         return None
-    if set(gens) == set(symmetrize_generators(
-            group, STANDARD_GENERATORS[group])):
+    if _is_standard(group, gens):
         norm = _standard_norm(group, target)
         return norm if norm <= radius_cap else None
     return _search_norm(law, gens, target, radius_cap)

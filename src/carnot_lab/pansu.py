@@ -82,8 +82,9 @@ def blowup_quotient(f: GroupMap, base, direction, t, convention="source_graded")
     The convention switch concerns the group source only; the Abelian
     source always carries the isotropic (linear) dilations. A base so
     large that base . delta_t(dir) rounds away the displacement in a
-    coordinate the direction moves (a step below about half an ulp of the
-    base, such as t = 1/2 against 1e16) is refused with DomainError.
+    coordinate the product moves (a step below about half an ulp of the
+    base, such as t = 1/2 against 1e16, or on the group source the shear
+    a t dy that the product adds to z) is refused with DomainError.
     """
     if not t > 0:
         raise DomainError("blow-up parameter t must be positive")
@@ -93,7 +94,12 @@ def blowup_quotient(f: GroupMap, base, direction, t, convention="source_graded")
     base = tuple(base)
     disp = _source_dilate(direction, t, convention)
     moved = _SOURCE_MUL[f.kind](base, disp)
-    for name, d, m, b in zip("xyz", disp, moved, base):
+    # the product's displacement of each coordinate: on the group source
+    # z also moves by the shear a dy
+    shift = list(disp)
+    if f.kind == "heis_to_abelian":
+        shift[2] = disp[2] + base[0] * disp[1]
+    for name, d, m, b in zip("xyz", shift, moved, base):
         if d != 0 and m == b:
             raise DomainError(
                 f"base {name} = {float(b)!r} is beyond the quotient's "

@@ -4,13 +4,15 @@ Each test prints one PASS/FAIL line (visible with pytest -s or on
 failure) and enforces the criterion's runtime budget.
 """
 
+import dataclasses
 import resource
 import time
 
 import numpy as np
+import pytest
 
-from carnot_lab import acceptance, distance, geometry, heisenberg, pansu, \
-    qalgebra
+from carnot_lab import acceptance, distance, geometry, growth, heisenberg, \
+    pansu, qalgebra
 from carnot_lab.cli import run
 
 SEED = acceptance.DEFAULT_SEED
@@ -103,6 +105,52 @@ def test_criterion_12_discrete_growth():
     _gate(acceptance.criterion_discrete_growth, 10.0)
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     assert peak_mb < 4096, f"peak memory {peak_mb:.0f} MB"
+
+
+@pytest.mark.parametrize("group", ["heis_Z", "z3"])
+def test_criterion_12_sees_a_closed_form_count_off_by_one(monkeypatch,
+                                                          group):
+    # the closed forms are checked against searches, so one count off
+    # by one, at r = 17, must fail it
+    standard_ball = growth._standard_ball
+
+    def off_by_one(grp, gens, radius):
+        table = standard_ball(grp, gens, radius)
+        if grp != group:
+            return table
+        counts = list(table.counts)
+        counts[17] += 1
+        return dataclasses.replace(table, counts=tuple(counts))
+
+    monkeypatch.setattr(growth, "_standard_ball", off_by_one)
+    rec = acceptance.criterion_discrete_growth(SEED)
+    assert rec["passed"] is False, rec
+    key = "heis_matches_search" if group == "heis_Z" \
+        else "z3_matches_octahedral"
+    assert rec["detail"][key] is False
+
+
+@pytest.mark.filterwarnings("ignore:a generating set:UserWarning")
+def test_criterion_12_sees_a_search_that_loses_a_key(monkeypatch):
+    # every search that yields S_5 without one of its keys must disagree
+    # with the closed form it checks; the ball it loses the key from may
+    # also no longer cover the other set's
+    spheres = growth._spheres
+
+    def lossy(*args, **kwargs):
+        for r, (lo, hi) in enumerate(spheres(*args, **kwargs)):
+            if r == 5:
+                hi = hi.copy()
+                hi[0] -= 1
+                keep = lo < hi
+                lo, hi = lo[keep], hi[keep]
+            yield lo, hi
+
+    monkeypatch.setattr(growth, "_spheres", lossy)
+    rec = acceptance.criterion_discrete_growth(SEED)
+    assert rec["passed"] is False, rec
+    assert rec["detail"]["heis_matches_search"] is False
+    assert rec["detail"]["z3_matches_octahedral"] is False
 
 
 def test_criterion_13_verify_all_determinism(tmp_path):

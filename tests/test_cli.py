@@ -217,7 +217,9 @@ def test_growth_run_custom_and_compare(tmp_path):
 
 
 def test_growth_budget_error(tmp_path):
-    cfg = base_cfg(tmp_path, group="heis_Z", radius=40, mem_budget=0.15)
+    # the budget prices the search of a set that is not the standard one
+    cfg = base_cfg(tmp_path, group="heis_Z", radius=40, mem_budget=0.15,
+                   gens="1,0,0;0,1,0;1,1,1")
     with pytest.raises(CommandError) as info:
         run("growth", cfg)
     assert "partial" in info.value.payload
@@ -225,7 +227,7 @@ def test_growth_budget_error(tmp_path):
     # with --compare-gens the budget also prices the spheres the report
     # keeps, so the search for --gens stops no later
     with pytest.raises(CommandError) as compare:
-        run("growth", dict(cfg, compare_gens="1,0,0;0,1,0;1,1,1"))
+        run("growth", dict(cfg, compare_gens="1,0,0;0,1,0"))
     assert compare.value.module == "cayley_growth"
     counts = compare.value.payload["partial"]["counts"]
     assert counts == info.value.payload["partial"]["counts"][:len(counts)]
@@ -501,6 +503,22 @@ def test_main_unreadable_config_file_is_a_usage_error(tmp_path, capsys):
                          str(path), "qadd"])
         assert code == 2, path
         assert json.loads(capsys.readouterr().err)["error"]["message"]
+
+
+def test_main_growth_answers_the_standard_set_in_closed_form(
+        tmp_path, capsys, monkeypatch):
+    # far past any search: |B_3000| of heis_Z's standard set, exact; a
+    # search that far would hold gigabytes, so one fails at once
+    def no_search(*args, **kwargs):
+        raise AssertionError("searched a standard set")
+
+    monkeypatch.setattr(growth, "_spheres", no_search)
+    assert cli.main(["--output-dir", str(tmp_path), "growth",
+                     "--radius", "3000"]) == 0
+    counts = json.loads(
+        (tmp_path / "growth.bundle.json").read_text())["payload"]["counts"]
+    assert len(counts) == 3001
+    assert counts[-1] == 34_869_765_881_001
 
 
 def test_main_growth_refuses_huge_radius_up_front(tmp_path, capsys):

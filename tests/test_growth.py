@@ -154,22 +154,80 @@ def test_word_ball_strictly_increasing_with_frontier_bound():
         assert table.counts[r] <= table.counts[r - 1] * (1 + gens)
 
 
-def test_word_ball_z3_octahedral_oracle():
-    table = growth.word_ball("z3", growth.STANDARD_GENERATORS["z3"], 25)
+def test_search_ball_z3_octahedral_oracle():
+    table = growth._search_ball("z3", growth.STANDARD_GENERATORS["z3"], 25)
     for r in range(26):
         assert table.counts[r] == octahedral_count(r)
 
 
-def test_word_ball_heis_rational_series_oracle():
-    table = growth.word_ball("heis_Z", growth.STANDARD_GENERATORS["heis_Z"], 80)
+def test_search_ball_heis_rational_series_oracle():
+    table = growth._search_ball("heis_Z",
+                                growth.STANDARD_GENERATORS["heis_Z"], 80)
     spheres = np.diff(table.counts, prepend=0).tolist()
     assert spheres == heis_sphere_series(80)
 
 
-def test_word_ball_heis_runs_per_column():
+@pytest.mark.parametrize("group,radius", [("heis_Z", 200), ("z3", 60)])
+def test_standard_ball_is_the_search(group, radius):
+    # the closed form equals the search at every radius up to the last,
+    # on the counts and on both reaches: r, and floor(r^2/4) or r
+    std = growth.STANDARD_GENERATORS[group]
+    searched = growth._search_ball(group, std, radius)
+    assert len(searched.runs) == radius + 1
+    for r in range(radius + 1):
+        table = growth.word_ball(group, std, r)
+        assert table.runs == () and not table.truncated
+        assert table.radii == searched.radii[:r + 1]
+        assert table.generators == searched.generators
+        for name in ("counts", "max_abs_horizontal", "max_abs_vertical"):
+            assert getattr(table, name) == getattr(searched, name)[:r + 1]
+    assert table.max_abs_horizontal[-1] == radius
+    assert table.max_abs_vertical[-1] == \
+        (radius * radius // 4 if group == "heis_Z" else radius)
+
+
+def test_word_ball_dispatches_the_standard_sets_to_the_closed_form(
+        monkeypatch):
+    search = growth._search_ball
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("searched a standard set")
+
+    monkeypatch.setattr(growth, "_search_ball", no_search)
+    listed = [growth.T1, growth.T2]
+    for gens in (listed[::-1], listed + [(-1, 0, 0), (0, -1, 0)],
+                 listed * 3 + [(0, -1, 0)], HEIS_GENS[::-1]):
+        table = growth.word_ball("heis_Z", gens, 12)
+        assert table.runs == ()
+        assert table.counts == search("heis_Z", gens, 12).counts
+        assert table.generators == growth.symmetrize_generators("heis_Z",
+                                                                gens)
+    z3 = growth.STANDARD_GENERATORS["z3"]
+    table = growth.word_ball("z3", z3[::-1] + z3, 9)
+    assert table.runs == () and table.counts[-1] == octahedral_count(9)
+    # the budget prices only the search: the closed form is never refused
+    table = growth.word_ball("heis_Z", listed, 40, mem_budget_mb=0.0)
+    assert table.runs == () and len(table.counts) == 41
+    monkeypatch.undo()
+
+    # every other set is searched, never answered by the formula
+    def no_formula(*args):
+        raise AssertionError("a closed form for a non-standard set")
+
+    monkeypatch.setattr(growth, "_standard_ball", no_formula)
+    for group, gens in (("heis_Z", listed + [(1, 1, 1)]),
+                        ("heis_Z", [(2, 0, 0), (0, 1, 0)]),
+                        ("z3", z3[:2])):
+        table = growth.word_ball(group, gens, 6)
+        assert len(table.runs) == 7
+        assert table.counts == search(group, gens, 6).counts
+
+
+def test_search_ball_heis_runs_per_column():
     # a sphere of the standard set meets at most 2r^2 + 2r + 1 (a, c)
     # columns, |a| + |c| <= r, and holds at most two runs in each
-    table = growth.word_ball("heis_Z", growth.STANDARD_GENERATORS["heis_Z"], 40)
+    table = growth._search_ball("heis_Z",
+                                growth.STANDARD_GENERATORS["heis_Z"], 40)
     assert len(table.runs) == 41
     for r, runs in enumerate(table.runs):
         assert 1 <= runs <= 2 * (2 * r * r + 2 * r + 1)
@@ -225,7 +283,7 @@ def test_word_ball_determinism():
 
 def test_word_ball_budget_error_carries_partial():
     with pytest.raises(BudgetError) as info:
-        growth.word_ball("heis_Z", growth.STANDARD_GENERATORS["heis_Z"], 40,
+        growth.word_ball("heis_Z", (growth.T1, growth.T2, (1, 1, 1)), 40,
                          mem_budget_mb=0.15)
     partial = info.value.partial
     assert partial is not None and partial.truncated
@@ -317,9 +375,9 @@ def test_robustness_budget_prices_both_searches():
     std = growth.STANDARD_GENERATORS["heis_Z"]
     other = std + ((1, 1, 1),)
     # the search for the first set also prices the spheres it keeps for
-    # the coverage check, so it stops no later than word_ball does
+    # the coverage check, so it stops no later than a search of its ball
     with pytest.raises(BudgetError) as ball:
-        growth.word_ball("heis_Z", std, 20, mem_budget_mb=0.15)
+        growth._search_ball("heis_Z", std, 20, mem_budget_mb=0.15)
     with pytest.raises(BudgetError) as first:
         growth.generator_robustness("heis_Z", std, other, 20,
                                     mem_budget_mb=0.15)
@@ -329,7 +387,7 @@ def test_robustness_budget_prices_both_searches():
     assert len(counts) < len(ball.value.partial.counts)
     # the first set fits; the second, searched while the first set's
     # ball is held, does not
-    growth.word_ball("heis_Z", std, 14, mem_budget_mb=0.15)
+    growth._search_ball("heis_Z", std, 14, mem_budget_mb=0.15)
     with pytest.raises(BudgetError) as second:
         growth.generator_robustness("heis_Z", std, other, 14,
                                     mem_budget_mb=0.15)

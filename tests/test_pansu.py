@@ -156,6 +156,18 @@ def test_base_beyond_the_schedules_resolution_is_refused():
     q = pansu.blowup_quotient(gmap, (0.0, 0.0, 1e5), (0.0, 0.0, 1.0),
                               2.0 ** -20, "source_linear")
     assert q.tolist() == [0.0, 0.0, 1.0]
+    # along y the product still moves z, by the shear a t = 9.5e-17,
+    # below half an ulp of z = 1: the z entry would read 0.0, not 1e-10
+    with pytest.raises(DomainError, match="base z = 1.0 .*resolution"):
+        pansu.blowup_quotient(gmap, (1e-10, 0.0, 1.0), (0.0, 1.0, 0.0),
+                              2.0 ** -20)
+    q = pansu.blowup_quotient(gmap, (1e-10, 0.0, 0.0), (0.0, 1.0, 0.0),
+                              2.0 ** -20)
+    assert q.tolist() == [0.0, 1.0, 1e-10]
+    # on the Abelian source nothing moves z
+    q = pansu.blowup_quotient(pansu.GroupMap("abelian_to_abelian", IDENTITY),
+                              (1e-10, 0.0, 1.0), (0.0, 1.0, 0.0), 2.0 ** -20)
+    assert q.tolist() == [0.0, 1.0, 0.0]
 
 
 _POLYNOMIALS = (IDENTITY, SQUARE,
