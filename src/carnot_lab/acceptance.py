@@ -2,10 +2,11 @@
 
 Each criterion function returns a record with deterministic detail
 numbers (given the master seed); nothing time-dependent lands in the
-record, so a verification bundle is byte-reproducible. Oracles used here
-(dense 3x3 matrix products, central finite differences, breadth-first
-lattice searches) are deliberately independent of the code paths they
-check.
+record, so a verification bundle is byte-reproducible. Samples are drawn
+in blocks, each stream in an order the seed fixes, and checked on whole
+arrays. Oracles used here (dense 3x3 matrix products, central finite
+differences, breadth-first lattice searches) are deliberately independent
+of the code paths they check.
 """
 
 from __future__ import annotations
@@ -23,25 +24,15 @@ def _rng(seed, criterion):
     return np.random.default_rng([seed, criterion])
 
 
-def _random_dist(rng, nmin=2, nmax=6):
-    # Dirichlet(1, ..., 1) as numpy's dirichlet computes it, exponential
-    # variates times the reciprocal of their sequential sum: the same
-    # draws from the same stream, without the per-call overhead
-    n = int(rng.integers(nmin, nmax + 1))
-    e = rng.standard_exponential(n)
-    return e * (1.0 / np.add.accumulate(e)[-1])
-
-
-def _stacks(draws):
-    """The draws (tuples of arrays and floats) grouped by the lengths of
-    their arrays, each group as one tuple of stacked fields: equal-length
-    distributions become the rows of one 2-D array."""
-    groups = {}
-    for draw in draws:
-        key = tuple(len(f) for f in draw if isinstance(f, np.ndarray))
-        groups.setdefault(key, []).append(draw)
-    return [tuple(np.array(f) for f in zip(*group))
-            for group in groups.values()]
+def _dirichlet_classes(rng, lengths):
+    """Dirichlet(1) blocks for a (k, m) array of lengths, one length
+    class at a time: for each distinct row of lengths, in ascending
+    order, yields the indices of its rows and one block per column,
+    drawn column by column with `rng.dirichlet(np.ones(n), size=...)`.
+    A block consumes the stream as its rows drawn one by one would."""
+    for key in np.unique(lengths, axis=0):
+        rows = np.flatnonzero(np.all(lengths == key, axis=1))
+        yield rows, [rng.dirichlet(np.ones(n), size=len(rows)) for n in key]
 
 
 def _record(cid, name, passed, detail):
@@ -50,16 +41,18 @@ def _record(cid, name, passed, detail):
 
 
 # ---------------------------------------------------------------------------
-# Criteria 1-3 draw per sample, in the order the seed fixes, and evaluate
-# each group of equal-length draws in one call on rows.
+# Criteria 1-3 draw every length, then every q, then the Dirichlet(1)
+# weights one block per length class, and evaluate each block in one call
+# on rows.
 
 def criterion_composition(seed=DEFAULT_SEED):
     """1: deformed-sum composition of the entropy over products."""
     rng = _rng(seed, 1)
-    draws = [(_random_dist(rng), _random_dist(rng), rng.uniform(0.2, 3.0))
-             for _ in range(1000)]
-    worst = max(float(np.max(np.abs(qalgebra.composition_defect(p, r, q))))
-                for p, r, q in _stacks(draws))
+    lengths = rng.integers(2, 7, (1000, 2))
+    qs = rng.uniform(0.2, 3.0, 1000)
+    worst = max(
+        float(np.max(np.abs(qalgebra.composition_defect(p, r, qs[rows]))))
+        for rows, (p, r) in _dirichlet_classes(rng, lengths))
     return _record(1, "q-composition identity", worst < 1e-10,
                    {"max_defect": worst, "tolerance": 1e-10, "samples": 1000})
 
@@ -77,9 +70,11 @@ def criterion_abe_identity(seed=DEFAULT_SEED):
     """2: Abe's quotient form -(g(q) - g(1)) / (q - 1), g(x) = sum p_i^x,
     equals the direct form S_q within the quotient's rounding bound."""
     rng = _rng(seed, 2)
-    draws = [(_random_dist(rng), rng.uniform(0.2, 3.0)) for _ in range(1000)]
+    lengths = rng.integers(2, 7, (1000, 1))
+    qs = rng.uniform(0.2, 3.0, 1000)
     worst = worst_ratio = 0.0
-    for p, q in _stacks(draws):
+    for rows, (p,) in _dirichlet_classes(rng, lengths):
+        q = qs[rows]
         s = qalgebra.tsallis_entropy(p, q)
         g_q = np.sum(p ** q[:, None], axis=-1)
         a = -(g_q - np.sum(p, axis=-1)) / (q - 1.0)
@@ -98,7 +93,7 @@ def criterion_bgs_limit(seed=DEFAULT_SEED):
     h = 1e-4
     worst_margin = -np.inf
     ok = True
-    for (p,) in _stacks([(_random_dist(rng),) for _ in range(100)]):
+    for _, (p,) in _dirichlet_classes(rng, rng.integers(2, 7, (100, 1))):
         # Dirichlet(1) weights are positive, so every log is finite
         curvature = np.abs(np.sum(p * np.log(p) ** 2, axis=-1))
         gap = np.abs(qalgebra.tsallis_entropy(p, 1.0 + h)
@@ -155,7 +150,8 @@ def criterion_group_exactness(seed=DEFAULT_SEED):
 def criterion_commutator_oracle(seed=DEFAULT_SEED):
     """5: the commutator of two scalar embeddings is the identity.
 
-    Checked against dense 3x3 products with LAPACK inverses; the record
+    Checked against dense 3x3 products with one LAPACK inverse, as
+    [x, y] = x y x^-1 y^-1 = (x y) (y x)^-1; the record
     also quantifies how far the '-2xy central entry' variant (see
     discrepancy entry embed-commutator-central-entry) is from what the
     matrices actually do.
@@ -174,7 +170,7 @@ def criterion_commutator_oracle(seed=DEFAULT_SEED):
 
     sx = stack_embed(xs)
     sy = stack_embed(ys)
-    comm = sx @ sy @ np.linalg.inv(sx) @ np.linalg.inv(sy)
+    comm = sx @ sy @ np.linalg.inv(sy @ sx)
     worst = float(np.max(np.abs(comm - np.eye(3))))
     claim_gap = float(np.max(np.abs(-2.0 * xs * ys - comm[:, 0, 2])))
     fast = heisenberg.commutator(heisenberg.scalar_embed(xs),
@@ -232,13 +228,19 @@ def criterion_holonomy(seed=DEFAULT_SEED):
 
 
 def criterion_distance_anchors(seed=DEFAULT_SEED):
-    """8: the two analytically forced distance values."""
+    """8: the two analytically forced distance values.
+
+    The record also gives the vertical value's gap to the Zenodorus form
+    sqrt(4 n tan(pi / n)) of its n-slot polygon; the pass rule does not
+    use it."""
     origin = heisenberg.HeisPoint(0.0, 0.0, 0.0)
     horizontal = distance.cc_distance(origin,
                                       heisenberg.HeisPoint(1.0, 0.0, 0.0))
     vertical = distance.cc_distance(origin,
                                     heisenberg.HeisPoint(0.0, 0.0, 1.0))
     iso = 2.0 * math.sqrt(math.pi)
+    n = vertical.segments
+    zenodorus = math.sqrt(4.0 * n * math.tan(math.pi / n))
     gap1 = abs(horizontal.value - 1.0)
     gap2 = abs(vertical.value - iso)
     lower_ok = vertical.lower >= iso - 1e-12
@@ -246,7 +248,8 @@ def criterion_distance_anchors(seed=DEFAULT_SEED):
     return _record(8, "distance anchors", passed,
                    {"horizontal_gap": gap1, "vertical_gap": gap2,
                     "vertical_lower": vertical.lower,
-                    "isoperimetric_value": iso})
+                    "isoperimetric_value": iso,
+                    "zenodorus_gap": abs(vertical.value - zenodorus)})
 
 
 def criterion_dilation_homogeneity(seed=DEFAULT_SEED):

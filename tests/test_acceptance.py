@@ -5,6 +5,7 @@ failure) and enforces the criterion's runtime budget.
 """
 
 import dataclasses
+import math
 import resource
 import time
 
@@ -35,6 +36,16 @@ def test_criterion_01_q_composition_identity():
     assert rec["detail"]["max_defect"] < 1e-10
 
 
+def test_criterion_01_sees_a_shifted_entropy(monkeypatch):
+    # the deformed sum adds the two factors' entropies, so a constant
+    # shift of 1e-6 in every entropy leaves a defect far above 1e-10
+    tsallis = qalgebra._tsallis
+    monkeypatch.setattr(qalgebra, "_tsallis",
+                        lambda w, q: tsallis(w, q) + 1e-6)
+    rec = acceptance.criterion_composition(SEED)
+    assert rec["passed"] is False, rec
+
+
 def test_criterion_02_abe_identity():
     rec = _gate(acceptance.criterion_abe_identity, 0.5)
     assert rec["detail"]["max_diff_to_bound"] <= 1.0
@@ -54,6 +65,15 @@ def test_criterion_03_bgs_limit():
     _gate(acceptance.criterion_bgs_limit, 0.5)
 
 
+def test_criterion_03_sees_a_shifted_bgs_entropy(monkeypatch):
+    # the bound is 5 h times the curvature, h = 1e-4; a BGS entropy off
+    # by 1e-3 exceeds it (one off by 1e-4 need not)
+    bgs = qalgebra._bgs
+    monkeypatch.setattr(qalgebra, "_bgs", lambda w: bgs(w) + 1e-3)
+    rec = acceptance.criterion_bgs_limit(SEED)
+    assert rec["passed"] is False, rec
+
+
 def test_criterion_04_group_exactness():
     rec = _gate(acceptance.criterion_group_exactness, 1.0)
     assert rec["detail"]["double_commutators_trivial"] is True
@@ -66,6 +86,20 @@ def test_criterion_05_commutator_oracle():
     assert rec["detail"]["max_claimed_entry_gap"] > 1.0
 
 
+def test_criterion_05_sees_a_shifted_central_entry(monkeypatch):
+    # the dense products are independent of heisenberg.commutator, whose
+    # central entry off by 1e-9 must fail the 1e-10 identity tolerance
+    commutator = heisenberg.commutator
+
+    def shifted(g1, g2):
+        comm = commutator(g1, g2)
+        return comm._replace(b=comm.b + 1e-9)
+
+    monkeypatch.setattr(heisenberg, "commutator", shifted)
+    rec = acceptance.criterion_commutator_oracle(SEED)
+    assert rec["passed"] is False, rec
+
+
 def test_criterion_06_left_invariance():
     _gate(acceptance.criterion_left_invariance, 10.0)
 
@@ -75,7 +109,10 @@ def test_criterion_07_holonomy_equals_area():
 
 
 def test_criterion_08_distance_anchors():
-    _gate(acceptance.criterion_distance_anchors, 10.0)
+    rec = _gate(acceptance.criterion_distance_anchors, 10.0)
+    # the vertical value is the 64-slot Zenodorus form to a few ulps
+    zenodorus = math.sqrt(4.0 * 64 * math.tan(math.pi / 64))
+    assert rec["detail"]["zenodorus_gap"] <= 4 * math.ulp(zenodorus)
 
 
 def test_criterion_09_dilation_homogeneity():
@@ -216,7 +253,7 @@ def _commutator_oracle_by_rows(seed):
         return m
 
     sx, sy = stack_embed(xs), stack_embed(ys)
-    comm = sx @ sy @ np.linalg.inv(sx) @ np.linalg.inv(sy)
+    comm = sx @ sy @ np.linalg.inv(sy @ sx)
     worst = float(np.max(np.abs(comm - np.eye(3))))
     claim_gap = float(np.max(np.abs(-2.0 * xs * ys - comm[:, 0, 2])))
     for x, y in zip(xs, ys):
@@ -227,28 +264,37 @@ def _commutator_oracle_by_rows(seed):
             "max_claimed_entry_gap": claim_gap, "pairs": 10_000}
 
 
-def _dist_by_rows(rng):
-    return rng.dirichlet(np.ones(int(rng.integers(2, 7))))
+def _dists_by_rows(rng, lengths):
+    """Dirichlet(1) weights for a (k, m) array of lengths, drawn one row
+    at a time: class by class in ascending order of the length rows, and
+    within a class column by column, row by row."""
+    keys = [tuple(int(n) for n in row) for row in lengths]
+    dists = [[None] * len(key) for key in keys]
+    for key in sorted(set(keys)):
+        rows = [i for i, k in enumerate(keys) if k == key]
+        for column, n in enumerate(key):
+            for i in rows:
+                dists[i][column] = rng.dirichlet(np.ones(n))
+    return dists
 
 
 def _composition_by_rows(seed):
     rng = acceptance._rng(seed, 1)
+    lengths = rng.integers(2, 7, (1000, 2))
+    qs = rng.uniform(0.2, 3.0, 1000)
     worst = 0.0
-    for _ in range(1000):
-        p = _dist_by_rows(rng)
-        r = _dist_by_rows(rng)
-        q = rng.uniform(0.2, 3.0)
+    for (p, r), q in zip(_dists_by_rows(rng, lengths), qs):
         worst = max(worst, abs(qalgebra.composition_defect(p, r, q)))
     return {"max_defect": worst, "tolerance": 1e-10, "samples": 1000}
 
 
 def _abe_identity_by_rows(seed):
     rng = acceptance._rng(seed, 2)
+    lengths = rng.integers(2, 7, (1000, 1))
+    qs = rng.uniform(0.2, 3.0, 1000)
     eps = np.finfo(float).eps
     worst = worst_ratio = 0.0
-    for _ in range(1000):
-        p = _dist_by_rows(rng)
-        q = rng.uniform(0.2, 3.0)
+    for (p,), q in zip(_dists_by_rows(rng, lengths), qs):
         s = qalgebra.tsallis_entropy(p, q)
 
         def g(x):
@@ -268,8 +314,7 @@ def _bgs_limit_by_rows(seed):
     rng = acceptance._rng(seed, 3)
     h = 1e-4
     worst_margin = -np.inf
-    for _ in range(100):
-        p = _dist_by_rows(rng)
+    for (p,) in _dists_by_rows(rng, rng.integers(2, 7, (100, 1))):
         nz = p[p > 0]
         curvature = abs(float(np.sum(nz * np.log(nz) ** 2)))
         gap = abs(qalgebra.tsallis_entropy(p, 1.0 + h)
