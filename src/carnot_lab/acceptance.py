@@ -147,14 +147,33 @@ def criterion_group_exactness(seed=DEFAULT_SEED):
     return _record(4, "group exactness", passed, detail)
 
 
+def _inverse_3x3(m):
+    """Inverses of a stack of 3x3 matrices, adj(m) / det(m), on whole
+    arrays: entry (c, r) of the adjugate is the cofactor of entry (r, c),
+    the minor of rows r+1, r+2 and columns c+1, c+2 (mod 3), whose
+    cyclic order carries the cofactor's sign."""
+    adj = np.empty_like(m)
+    for r in range(3):
+        r1, r2 = (r + 1) % 3, (r + 2) % 3
+        for c in range(3):
+            c1, c2 = (c + 1) % 3, (c + 2) % 3
+            adj[:, c, r] = (m[:, r1, c1] * m[:, r2, c2]
+                            - m[:, r1, c2] * m[:, r2, c1])
+    det = (m[:, 0, 0] * adj[:, 0, 0] + m[:, 0, 1] * adj[:, 1, 0]
+           + m[:, 0, 2] * adj[:, 2, 0])
+    adj /= det[:, None, None]
+    return adj
+
+
 def criterion_commutator_oracle(seed=DEFAULT_SEED):
     """5: the commutator of two scalar embeddings is the identity.
 
-    Checked against dense 3x3 products with one LAPACK inverse, as
-    [x, y] = x y x^-1 y^-1 = (x y) (y x)^-1; the record
-    also quantifies how far the '-2xy central entry' variant (see
-    discrepancy entry embed-commutator-central-entry) is from what the
-    matrices actually do.
+    Checked against dense 3x3 products, as
+    [x, y] = x y x^-1 y^-1 = (x y) (y x)^-1, with the inverse by
+    cofactors (``_inverse_3x3``); the record also quantifies how far the
+    '-2xy central entry' variant (see discrepancy entry
+    embed-commutator-central-entry) is from what the matrices actually
+    do.
     """
     rng = _rng(seed, 5)
     n = 10_000
@@ -170,7 +189,10 @@ def criterion_commutator_oracle(seed=DEFAULT_SEED):
 
     sx = stack_embed(xs)
     sy = stack_embed(ys)
-    comm = sx @ sy @ np.linalg.inv(sy @ sx)
+    # the inverse first, so that y x is freed before x y is formed
+    inverse = _inverse_3x3(sy @ sx)
+    comm = sx @ sy @ inverse
+    del inverse
     worst = float(np.max(np.abs(comm - np.eye(3))))
     claim_gap = float(np.max(np.abs(-2.0 * xs * ys - comm[:, 0, 2])))
     fast = heisenberg.commutator(heisenberg.scalar_embed(xs),

@@ -346,6 +346,16 @@ def _cmd_growth(cfg):
         if cfg.get("compare_gens") else None
     window = _ints(str(cfg["fit_window"]), 2, "fit window rmin,rmax") \
         if cfg.get("fit_window") else None
+    # a fit the radius cannot hold is refused before the search, not
+    # after it; the robustness report fits over radii 1..radius
+    radius = cfg["radius"]
+    if isinstance(radius, int):
+        if window and not 1 <= window[0] < window[1] <= radius:
+            raise _InputError(f"fit window {window[0]},{window[1]} needs "
+                              f"1 <= rmin < rmax <= radius {radius}")
+        if other is not None and radius < 2:
+            raise _InputError(f"--compare-gens needs radius >= 2, got "
+                              f"{radius}")
     report = None
     if other is not None:
         # the report's coverage_ok carries the non-generating warning
@@ -353,12 +363,12 @@ def _cmd_growth(cfg):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
             report = growth.generator_robustness(
-                cfg["group"], gens, other, cfg["radius"],
+                cfg["group"], gens, other, radius,
                 mem_budget_mb=cfg.get("mem_budget"))
         # its first table is word_ball's for --gens: one search, not two
         table = report.tables[0]
     else:
-        table = growth.word_ball(cfg["group"], gens, cfg["radius"],
+        table = growth.word_ball(cfg["group"], gens, radius,
                                  mem_budget_mb=cfg.get("mem_budget"))
     payload = table.to_payload()
     if window:

@@ -2,21 +2,25 @@
 
 Breadth-first expansion over the Cayley graph of the integer Heisenberg
 group (coordinates (a, c, b) with product (a1+a2, c1+c2, b1+b2+a1*c2))
-or of Z^3, under a symmetric generating set, one sphere at a time and
-holding only the last two spheres. Keys pack (a, c, b) in lexicographic
-order into int64, in one mixed radix fixed for the whole search, whose
-b digit has one spare value, so no run of consecutive keys crosses from
-one (a, c) column to the next. The radix is bounded up front from the
-radius, and a search whose keys, with one spare bit, could reach 2^63
-is refused before any int64 arithmetic. A sphere is held as its
-maximal runs of consecutive keys, two sorted arrays of starts and
-stops: on heis_Z a sphere of radius r holds O(r^2) runs for its O(r^3)
-elements, one or two per column it meets. Multiplying by a generator
-shifts both ends of each run alike, so each new sphere comes from
-sorting run ends: the union of the neighbour runs, and from it the two
-spheres before, taken away, each by sorting starts and stops on their
-own. On sets whose spheres have no runs the ends are single keys and
-the search costs about 1.2-1.6 times a search over keys.
+or of Z^3, under a symmetric generating set, one ball at a time and
+holding only the last. Keys pack (a, c, b) in lexicographic order into
+int64, in one mixed radix fixed for the whole search, whose b digit has
+one spare value, so no run of consecutive keys crosses from one (a, c)
+column to the next. The radix is bounded up front from the radius, and
+a search whose keys, with one spare bit, could reach 2^63 is refused
+before any int64 arithmetic. A ball is held as its maximal runs of
+consecutive keys, two sorted arrays of starts and stops: balls are
+solid along b, and the standard heis_Z ball (Blachere 2003) and the
+octahedron of Z^3 meet each of the 2r^2 + 2r + 1 columns with
+|a| + |c| <= r in one run. Multiplying by a generator shifts both ends
+of each run alike, so B_{r+1}, the union of B_r's runs shifted by each
+generator and by the identity, comes from one sort of their starts and
+one of their stops. A level costs about (|gens| + 1) runs(B_r) sorted
+ends and 26 bytes a run of them. On sets whose balls have no runs
+(strided, skewed or lower-dimensional sets) every key of B_r is a run:
+r^4 of them on heis_Z, against the r^3 keys of a sphere; under
+<(2,0,0), (0,2,0)> the search to B_30 takes about 0.2 s and 46 MB of
+traced memory, and a memory budget stops it before it runs away.
 The standard generating sets, given in any order, with or without their
 inverses, are never searched. ``word_ball`` answers them in closed form:
 the octahedral numbers on Z^3, and on heis_Z the integer recurrence of
@@ -54,14 +58,14 @@ STANDARD_GENERATORS = {
 }
 
 _KEY_LIMIT = 2 ** 63  # the keys are int64, with one spare bit
-# bytes a level holds per run of S_{r-1}, S_r and the |gens| runs(S_r)
-# neighbour runs: the neighbours' sorted starts and stops, the union's
-# cut indices, the four sorted arrays of the difference and the two
-# spheres themselves; the peak traced by tracemalloc while building the
-# upper half of the levels to r = 40 is 32-33 B per run for the
-# standard heis_Z and z3 sets and up to 40 B for sets whose runs are
-# single keys
-_BYTES_PER_ROW = 40
+# bytes a level holds per run of its |gens| + 1 neighbour blocks of B_r:
+# their sorted starts and stops, the timsort buffer, the union's cut
+# mask and indices and the new ball; the peak traced by tracemalloc
+# while building the upper half of the levels to r = 40 (r = 24 for the
+# strided heis_Z sets) is 20-26 B per block run on sets whose balls hold
+# a few hundred runs or more, with or without runs longer than one key
+# (on a line, under 100 runs, numpy's fixed costs read up to 42 B)
+_BYTES_PER_ROW = 26
 
 
 # heisenberg's matrix-coordinate law and its Abelian group, on the
@@ -113,8 +117,8 @@ class GrowthTable:
     max_abs_horizontal: tuple = ()
     max_abs_vertical: tuple = ()
     truncated: bool = False
-    #: maximal runs of consecutive keys the search held for each sphere;
-    #: empty when no search ran (the standard sets, in closed form)
+    #: maximal runs of consecutive keys the search held for each ball
+    #: B_r; empty when no search ran (the standard sets, in closed form)
     runs: tuple = ()
 
     def to_payload(self) -> dict:
@@ -216,8 +220,8 @@ def _runs_inside(x, ball):
     return bool((ball[0][idx] <= x[0]).all() and (x[1] <= ball[1][idx]).all())
 
 
-def _spheres(law, gens, radius, reach, start=IDENTITY):
-    """Spheres S_0, ..., S_radius about ``start`` in the Cayley graph,
+def _balls(law, gens, radius, reach, start=IDENTITY):
+    """Balls B_0, ..., B_radius about ``start`` in the Cayley graph,
     each a pair (starts, stops) of sorted int64 arrays: its maximal runs
     [start, stop) of consecutive keys in the radix of ``reach``, which
     must bound every element within ``radius`` of ``start``
@@ -225,117 +229,95 @@ def _spheres(law, gens, radius, reach, start=IDENTITY):
     run lies in one (a, c) column, and its stop, one past its last key,
     in the same column, at worst on the spare b digit.
 
-    ``gens`` is symmetric, so a neighbour of S_r lies in S_{r-1}, S_r or
-    S_{r+1}; taking the first two away alone gives the spheres of a
-    search that tests against the whole ball. Right multiplication by
-    s = (sa, sc, sb) adds key(s) - key(e) to each key of a run, plus
-    sc * a on heis_Z: it shifts both ends of a run alike, so each block
-    S_r s is a sorted family of runs. Their union comes from sorting all
-    starts and all stops on their own (``_union``). Taking away
-    X = S_{r-1} u S_r is one more pair of sorts: a point of the union
-    outside X is covered once by the union and once by a gap of X, so
-    sorting the union's starts with the gaps' starts (X's stops), and
-    its stops with the gaps' stops (X's starts), pairs the i-th start
-    with the i-th stop, and the pairs with start < stop are S_{r+1}.
+    B_{r+1} is the union of the blocks B_r s over the generators s and
+    the identity. Right multiplication by s = (sa, sc, sb) adds
+    key(s) - key(e) to each key of a run, plus sc * a on heis_Z: it
+    shifts both ends of a run alike, so each block is a sorted family of
+    runs, and their union comes from sorting all starts and all stops on
+    their own (``_union``).
     """
     _, wc, wb = _radix(reach)
     ma = reach[0]
     origin = _key(IDENTITY, reach)
-    # per generator, as columns: the slope in a of the b it adds (sc on
+    # per block, as columns: the slope in a of the b it adds (sc on
     # heis_Z, 0 on Z^3) and its key step, less slope * m_a, since a key's
     # column index key // (w_c w_b) is a + m_a; on keys in range every
     # partial sum below stays within +-2^63
-    slopes = [law((1, 0, 0), s)[2] - s[2] for s in gens]
+    steps = (IDENTITY,) + tuple(gens)
+    slopes = [law((1, 0, 0), s)[2] - s[2] for s in steps]
     shift = np.array([[_key(s, reach) - origin - ma * k]
-                      for s, k in zip(gens, slopes)], dtype=np.int64)
+                      for s, k in zip(steps, slopes)], dtype=np.int64)
     twist = any(slopes)
     slopes = np.array(slopes, dtype=np.int64)[:, None]
-    none = np.zeros(0, dtype=np.int64)
-    prev = (none, none)
     key = _key(start, reach)
-    sphere = (np.array([key], dtype=np.int64),
-              np.array([key + 1], dtype=np.int64))
-    single = True
+    ball = (np.array([key], dtype=np.int64),
+            np.array([key + 1], dtype=np.int64))
     for r in range(radius + 1):
-        yield sphere
+        yield ball
         if r == radius:
             return
-        lo, hi = sphere
+        lo, hi = ball
         if twist:
             step = slopes * (lo // (wc * wb))
             step += shift
         else:
             step = np.repeat(shift, len(lo), axis=1)
-        if not single:
-            bhi = (step + hi).ravel()
-            bhi.sort(kind="stable")
+        bhi = (step + hi).ravel()
+        bhi.sort(kind="stable")
         step += lo
         blo = step.ravel()
         blo.sort(kind="stable")
-        if single:
-            # every run is one key: the stops sort as the starts do
-            bhi = blo + 1
-        ulo, uhi = _union(blo, bhi)
-        del blo, bhi, step
-        nlo = np.concatenate((ulo, prev[1], hi))
-        nlo.sort(kind="stable")
-        nhi = np.concatenate((prev[0], lo, uhi))
-        nhi.sort(kind="stable")
-        del ulo, uhi
-        keep = np.flatnonzero(nlo < nhi)
-        prev, sphere = sphere, (nlo[keep], nhi[keep])
-        single = bool((sphere[1] - sphere[0] == 1).all())
+        ball = _union(blo, bhi)
+        del step, blo, bhi
 
 
-def _table(group, gens, spheres, radius, reach, mem_budget_mb=None,
-           keep=None, held=0):
-    """GrowthTable of |B_0|..|B_radius| from the spheres S_0, S_1, ... in
-    the radix of ``reach``; ``keep``, a list, receives each sphere.
-    With a memory budget, the bytes held while the next level is built
-    are checked before it is built: the level itself, the spheres kept
-    before it and ``held`` bytes held outside the search. BudgetError
-    carries the partial table."""
+def _reaches(lo, hi, reach):
+    """The largest |a| or |c|, and the largest |b|, over the runs
+    [lo, hi) in the radix of ``reach``. Keys order by a first, so the
+    first start and the last stop hold the extreme a; a run and its stop
+    lie in one (a, c) column, and its ends hold its extreme b."""
     _, wc, wb = _radix(reach)
     ma, mc, mb = reach
+    a_lo, a_hi = (int(k) // (wc * wb) - ma for k in (lo[0], hi[-1]))
+    ac, b_lo = np.divmod(lo, wb)
+    c = ac % wc
+    return (max(-a_lo, a_hi, int(c.max()) - mc, mc - int(c.min())),
+            max(int((hi % wb).max()) - 1 - mb, mb - int(b_lo.min())))
+
+
+def _table(group, gens, balls, radius, reach, mem_budget_mb=None,
+           keep=None, held=0):
+    """GrowthTable of |B_0|..|B_radius| from the balls B_0, B_1, ... in
+    the radix of ``reach``; ``keep``, a dict keyed by radii, receives the
+    ball of each radius it names. With a memory budget, the bytes held
+    while the next level is built are checked before it is built: the
+    level itself, the balls kept before it and ``held`` bytes held
+    outside the search. BudgetError carries the partial table."""
     counts, max_h, max_v, runs = [], [], [], []
-    total = total_runs = reach_h = reach_v = prev_n = 0
-    for r, (lo, hi) in enumerate(spheres):
-        if keep is not None:
-            keep.append((lo, hi))
-        # no sphere is empty: both groups are infinite and torsion-free
+    kept = 0
+    for r, (lo, hi) in enumerate(balls):
         n = len(lo)
-        total += int((hi - lo).sum())
-        total_runs += n
-        # keys order by a first, so a sphere's ends hold its extreme a;
-        # a run and its stop lie in one (a, c) column, and its ends hold
-        # its extreme b
-        a_lo, a_hi = (int(k) // (wc * wb) - ma for k in (lo[0], hi[-1]))
-        ac, b_lo = np.divmod(lo, wb)
-        c = ac % wc
-        reach_h = max(reach_h, -a_lo, a_hi, int(c.max()) - mc,
-                      mc - int(c.min()))
-        reach_v = max(reach_v, int((hi % wb).max()) - 1 - mb,
-                      mb - int(b_lo.min()))
-        counts.append(total)
-        max_h.append(reach_h)
-        max_v.append(reach_v)
+        counts.append(int((hi - lo).sum()))
+        h, v = _reaches(lo, hi, reach)
+        max_h.append(h)
+        max_v.append(v)
         runs.append(n)
+        if keep is not None and r in keep:
+            keep[r] = (lo, hi)
+            kept += n
         if r == radius:
             break
         if mem_budget_mb is not None:
-            # S_{r-1} and S_r are priced with the level; the kept spheres
-            # before them are two 8-byte keys a run
-            kept = total_runs - prev_n - n if keep is not None else 0
-            need = held + 16 * kept + _BYTES_PER_ROW * (prev_n + n
-                                                        + len(gens) * n)
+            # B_r and the balls kept are two 8-byte keys a run
+            need = held + 16 * (kept + n) \
+                + _BYTES_PER_ROW * (len(gens) + 1) * n
             if need > mem_budget_mb * 2 ** 20:
                 break
-        prev_n = n
     table = GrowthTable(group, gens, tuple(range(len(counts))),
                         tuple(counts), tuple(max_h), tuple(max_v),
                         truncated=len(counts) <= radius, runs=tuple(runs))
     if table.truncated:
-        raise BudgetError(f"building S_{len(counts)} would hold ~{need} "
+        raise BudgetError(f"building B_{len(counts)} would hold ~{need} "
                           f"bytes, over the memory budget of "
                           f"{mem_budget_mb} MB", partial=table)
     return table
@@ -344,21 +326,21 @@ def _table(group, gens, spheres, radius, reach, mem_budget_mb=None,
 def _search_ball(group, gens, radius, mem_budget_mb=None) -> GrowthTable:
     """``word_ball`` by breadth-first search, on any generating set.
 
-    Only the runs of the last two spheres and of the neighbours of the
-    last are held: at most about r^3 elements rather than the r^4 of the
-    whole ball, and about r^2 runs under the standard heis_Z set. If a
-    memory budget is given and building the next sphere would hold more
-    bytes than it allows, a BudgetError carrying the partial table is
-    raised; the table's ``runs`` gives the runs each sphere held. Keys
-    that could leave int64 within ``radius`` raise DomainError before the
-    search starts.
+    Only the runs of the last ball and of its neighbour blocks are held:
+    2r^2 + 2r + 1 runs, one per (a, c) column, for the ~r^4 elements of
+    B_r under the standard heis_Z set and the ~r^3 under z3's, and every
+    key of B_r on sets whose balls have no runs. If a memory budget is given and
+    building the next ball would hold more bytes than it allows, a
+    BudgetError carrying the partial table is raised; the table's
+    ``runs`` gives the runs each ball held. Keys that could leave int64
+    within ``radius`` raise DomainError before the search starts.
     """
     _check_radius("radius", radius)
     _check_budget(mem_budget_mb)
     gens = symmetrize_generators(group, gens)
     law, _ = GROUP_LAWS[group]
     reach = _reach(law, gens, radius)
-    return _table(group, gens, _spheres(law, gens, radius, reach), radius,
+    return _table(group, gens, _balls(law, gens, radius, reach), radius,
                   reach, mem_budget_mb)
 
 
@@ -449,15 +431,15 @@ def _search_norm(law, gens, target, radius_cap):
     """Word norm of ``target`` under ``gens`` by meeting in the middle,
     or None past ``radius_cap``: a search from the identity and one from
     the target g, in one radix, grow in turn, and the norm is the first k
-    at which S_i meets g S_j, with i = ceil(k/2) and j = floor(k/2). A
+    at which B_i meets g B_j, with i = ceil(k/2) and j = floor(k/2). A
     geodesic word for g splits after its i-th letter, and a common
-    element x = g w with |x| = i, |w| = j gives |g| <= i + j, so the
-    spheres first meet at k = |g|, when some of their runs overlap."""
+    element x = g w with |x| <= i, |w| <= j gives |g| <= i + j, so the
+    balls first meet at k = |g|, when some of their runs overlap."""
     inner, outer = radius_cap - radius_cap // 2, radius_cap // 2
     reach = tuple(map(max, _reach(law, gens, inner),
                       _reach(law, gens, outer, target)))
-    near = _spheres(law, gens, inner, reach)
-    far = _spheres(law, gens, outer, reach, target)
+    near = _balls(law, gens, inner, reach)
+    far = _balls(law, gens, outer, reach, target)
     s, t = next(near), next(far)
     for k in range(radius_cap + 1):
         if k:
@@ -538,13 +520,14 @@ def generator_robustness(group, gens1, gens2, radius,
     inside it (half the radius); failing that the report flags the set as
     possibly non-generating. Both searches run in one radix, bounded up
     front from both sets, so their keys compare directly; one search per
-    set yields both its table and its balls, as runs: the inner ball is
-    covered when each of its runs lies inside one maximal run of the
-    other ball. A memory budget applies to both searches and prices what
-    the report holds while it builds a level: the level, the spheres the
-    running search has kept, and the ball and inner ball kept from the
-    search for ``gens1`` once it is done, at 16 bytes a run. The search
-    that would exceed it raises BudgetError with its partial table.
+    set yields its table and keeps two of its balls, as runs: B_radius
+    and the inner ball B_{radius // 2}, which is covered when each of
+    its runs lies inside one maximal run of the other set's B_radius. A
+    memory budget applies to both searches and prices what the report
+    holds while it builds a level: the level, the inner ball the running
+    search has kept, and the two balls kept from the search for
+    ``gens1`` once it is done, at 16 bytes a run. The search that would
+    exceed it raises BudgetError with its partial table.
     """
     _check_radius("radius", radius)
     _check_budget(mem_budget_mb)
@@ -556,15 +539,12 @@ def generator_robustness(group, gens1, gens2, radius,
     tables, balls, inner = [], [], []
     held = 0
     for gens in sets:
-        spheres = []
-        tables.append(_table(group, gens, _spheres(law, gens, radius, reach),
-                             radius, reach, mem_budget_mb, keep=spheres,
+        keep = {half: None, radius: None}
+        tables.append(_table(group, gens, _balls(law, gens, radius, reach),
+                             radius, reach, mem_budget_mb, keep=keep,
                              held=held))
-        inner.append(tuple(np.concatenate(ends)
-                           for ends in zip(*spheres[:half + 1])))
-        balls.append(_union(*(np.sort(np.concatenate(ends), kind="stable")
-                              for ends in zip(*spheres))))
-        del spheres
+        inner.append(keep[half])
+        balls.append(keep[radius])
         held += 16 * (len(balls[-1][0]) + len(inner[-1][0]))
     t1, t2 = tables
     lo, hi = min(10, max(1, radius // 2)), radius

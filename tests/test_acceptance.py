@@ -169,13 +169,13 @@ def test_criterion_12_sees_a_closed_form_count_off_by_one(monkeypatch,
 
 @pytest.mark.filterwarnings("ignore:a generating set:UserWarning")
 def test_criterion_12_sees_a_search_that_loses_a_key(monkeypatch):
-    # every search that yields S_5 without one of its keys must disagree
+    # every search that yields B_5 without one of its keys must disagree
     # with the closed form it checks; the ball it loses the key from may
     # also no longer cover the other set's
-    spheres = growth._spheres
+    balls = growth._balls
 
     def lossy(*args, **kwargs):
-        for r, (lo, hi) in enumerate(spheres(*args, **kwargs)):
+        for r, (lo, hi) in enumerate(balls(*args, **kwargs)):
             if r == 5:
                 hi = hi.copy()
                 hi[0] -= 1
@@ -183,7 +183,7 @@ def test_criterion_12_sees_a_search_that_loses_a_key(monkeypatch):
                 lo, hi = lo[keep], hi[keep]
             yield lo, hi
 
-    monkeypatch.setattr(growth, "_spheres", lossy)
+    monkeypatch.setattr(growth, "_balls", lossy)
     rec = acceptance.criterion_discrete_growth(SEED)
     assert rec["passed"] is False, rec
     assert rec["detail"]["heis_matches_search"] is False
@@ -253,7 +253,12 @@ def _commutator_oracle_by_rows(seed):
         return m
 
     sx, sy = stack_embed(xs), stack_embed(ys)
-    comm = sx @ sy @ np.linalg.inv(sy @ sx)
+    # (y x)^-1 as adj / det: row r of the cofactor matrix is the cross
+    # product of rows r+1 and r+2, and det is row 0 dotted with its own
+    yx = sy @ sx
+    cof = np.cross(yx[:, [1, 2, 0]], yx[:, [2, 0, 1]])
+    det = (yx[:, 0] * cof[:, 0]).sum(axis=1)
+    comm = sx @ sy @ (cof.transpose(0, 2, 1) / det[:, None, None])
     worst = float(np.max(np.abs(comm - np.eye(3))))
     claim_gap = float(np.max(np.abs(-2.0 * xs * ys - comm[:, 0, 2])))
     for x, y in zip(xs, ys):

@@ -224,8 +224,8 @@ def test_growth_budget_error(tmp_path):
         run("growth", cfg)
     assert "partial" in info.value.payload
     assert info.value.module == "cayley_growth"
-    # with --compare-gens the budget also prices the spheres the report
-    # keeps, so the search for --gens stops no later
+    # with --compare-gens the budget also prices the inner ball the
+    # report keeps, so the search for --gens stops no later
     with pytest.raises(CommandError) as compare:
         run("growth", dict(cfg, compare_gens="1,0,0;0,1,0"))
     assert compare.value.module == "cayley_growth"
@@ -234,9 +234,10 @@ def test_growth_budget_error(tmp_path):
 
 
 def test_main_growth_budget_covers_the_compared_set(tmp_path, capsys):
-    # --gens fits the budget at radius 14; the compared set, searched
-    # while the first ball is held, does not: exit 3 with its partial
-    argv = ["--output-dir", str(tmp_path), "growth", "--radius", "14",
+    # --gens fits the budget at radius 20; the compared set, searched
+    # while the first set's balls are held, does not: exit 3 with its
+    # partial
+    argv = ["--output-dir", str(tmp_path), "growth", "--radius", "20",
             "--compare-gens", "1,0,0;0,1,0;1,1,1"]
     assert cli.main(argv + ["--mem-budget", "0.15"]) == 3
     captured = capsys.readouterr()
@@ -245,7 +246,7 @@ def test_main_growth_budget_covers_the_compared_set(tmp_path, capsys):
     assert err["module"] == "cayley_growth"
     partial = err["payload"]["partial"]
     assert len(partial["generators"]) == 6
-    assert 1 < len(partial["counts"]) <= 14
+    assert 1 < len(partial["counts"]) <= 20
     assert not (tmp_path / "growth.bundle.json").exists()
     assert cli.main(argv) == 0
 
@@ -441,8 +442,13 @@ def test_main_growth_config_errors(tmp_path, capsys):
         assert code == 2, line
         assert out["error"]["module"] == "cli_reports"
         assert words in out["error"]["message"], line
+    # so is a window the radius cannot hold, before the search
     code, out = _main_with_config(tmp_path, capsys, "growth",
                                   'fit_window = "5,2"')
+    assert code == 2
+    assert out["error"]["module"] == "cli_reports"
+    assert "1 <= rmin < rmax <= radius 12" in out["error"]["message"]
+    code, out = _main_with_config(tmp_path, capsys, "growth", "radius = -1")
     assert code == 3
     assert out["error"]["module"] == "cayley_growth"
 
@@ -512,7 +518,7 @@ def test_main_growth_answers_the_standard_set_in_closed_form(
     def no_search(*args, **kwargs):
         raise AssertionError("searched a standard set")
 
-    monkeypatch.setattr(growth, "_spheres", no_search)
+    monkeypatch.setattr(growth, "_balls", no_search)
     assert cli.main(["--output-dir", str(tmp_path), "growth",
                      "--radius", "3000"]) == 0
     counts = json.loads(
@@ -555,13 +561,13 @@ def test_main_growth_non_generating_compare_is_one_json_line(tmp_path,
 def test_growth_compare_searches_each_set_once(tmp_path, monkeypatch):
     # the table for --gens is the robustness report's first table
     searches = []
-    spheres = growth._spheres
+    balls = growth._balls
 
     def counted(law, gens, *args, **kwargs):
         searches.append(gens)
-        return spheres(law, gens, *args, **kwargs)
+        return balls(law, gens, *args, **kwargs)
 
-    monkeypatch.setattr(growth, "_spheres", counted)
+    monkeypatch.setattr(growth, "_balls", counted)
     bundle = run("growth", base_cfg(tmp_path, group="heis_Z", radius=10,
                                     compare_gens="1,0,0;0,1,0;1,1,1"))
     assert len(searches) == 2
@@ -589,6 +595,31 @@ def test_main_volume_and_growth_refuse_malformed_text_as_usage_errors(
         assert err["module"] == "cli_reports", argv
         assert words in err["message"], argv
     assert not (tmp_path / "volume.bundle.json").exists()
+    assert not (tmp_path / "growth.bundle.json").exists()
+
+
+def test_main_growth_refuses_a_fit_the_radius_cannot_hold(tmp_path, capsys,
+                                                          monkeypatch):
+    # a window outside 1 <= rmin < rmax <= radius, or a comparison whose
+    # fit needs two radii, is a usage error before any search
+    def no_search(*args, **kwargs):
+        raise AssertionError("searched before refusing the fit")
+
+    monkeypatch.setattr(growth, "word_ball", no_search)
+    monkeypatch.setattr(growth, "generator_robustness", no_search)
+    for argv, words in (
+            (["--radius", "10", "--fit-window", "5,50"], "rmax <= radius 10"),
+            (["--fit-window", "6,3"], "rmin < rmax"),
+            (["--fit-window", "0,5"], "1 <= rmin"),
+            (["--radius", "1", "--compare-gens", "1,0,0;0,1,0;1,1,1"],
+             "radius >= 2")):
+        code = cli.main(["--output-dir", str(tmp_path), "growth", *argv])
+        assert code == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)["error"]
+        assert err["module"] == "cli_reports", argv
+        assert words in err["message"], argv
     assert not (tmp_path / "growth.bundle.json").exists()
 
 
@@ -1060,14 +1091,25 @@ def _malformed(flags):
     """Whether the radii, fit-window, gens or compare-gens text in
     ``flags`` (key -> text) fails to parse: a radius that is not a
     number, a window that is not two integers, a generating set with no
-    generator or one that is not three integers. An empty window or
-    generating set is not given."""
+    generator or one that is not three integers; or whether an integer
+    growth radius cannot hold the fit: a window outside
+    1 <= rmin < rmax <= radius, or compare-gens with radius < 2. An
+    empty window or generating set is not given."""
     try:
         [float(tok) for tok in flags.get("radii", "0").split(",")]
     except ValueError:
         return True
     if flags.get("fit_window") and not _ints(flags["fit_window"], 2):
         return True
+    radius = flags.get("radius", "12")
+    if _ints(radius, 1):
+        radius = int(radius)
+        if flags.get("fit_window"):
+            lo, hi = map(int, flags["fit_window"].split(","))
+            if not 1 <= lo < hi <= radius:
+                return True
+        if flags.get("compare_gens") and radius < 2:
+            return True
     for key in ("gens", "compare_gens"):
         if flags.get(key):
             chunks = [c.strip() for c in flags[key].split(";") if c.strip()]

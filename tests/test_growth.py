@@ -223,14 +223,13 @@ def test_word_ball_dispatches_the_standard_sets_to_the_closed_form(
         assert table.counts == search(group, gens, 6).counts
 
 
-def test_search_ball_heis_runs_per_column():
-    # a sphere of the standard set meets at most 2r^2 + 2r + 1 (a, c)
-    # columns, |a| + |c| <= r, and holds at most two runs in each
-    table = growth._search_ball("heis_Z",
-                                growth.STANDARD_GENERATORS["heis_Z"], 40)
-    assert len(table.runs) == 41
-    for r, runs in enumerate(table.runs):
-        assert 1 <= runs <= 2 * (2 * r * r + 2 * r + 1)
+@pytest.mark.parametrize("group", ["heis_Z", "z3"])
+def test_search_ball_runs_per_column(group):
+    # a ball of the standard set meets the 2r^2 + 2r + 1 (a, c) columns
+    # with |a| + |c| <= r, each in one interval of b (Blachere 2003 on
+    # heis_Z, the octahedron on z3), so it holds exactly one run in each
+    table = growth._search_ball(group, growth.STANDARD_GENERATORS[group], 40)
+    assert table.runs == tuple(2 * r * r + 2 * r + 1 for r in range(41))
     # the runs are a trace of the search, not part of the result
     assert "runs" not in table.to_payload()
 
@@ -240,26 +239,30 @@ def test_search_ball_heis_runs_per_column():
     ("z3", growth.STANDARD_GENERATORS["z3"])]
     + [s[:2] for s in RICHER_SETS + [MIXED_SET] + RUNLESS_SETS])
 def test_spheres_are_maximal_runs_of_the_reference_frontiers(group, gens):
-    # each sphere's runs are sorted, disjoint, non-adjacent and nonempty,
+    # each ball's runs are sorted, disjoint, non-adjacent and nonempty,
     # each lies, with its stop, in one (a, c) column, and together they
-    # hold exactly the keys of the reference search's frontier
+    # hold exactly the keys of the reference search's frontiers 0..r, so
+    # the keys each ball adds are that frontier
     law, _ = growth.GROUP_LAWS[group]
     sym = growth.symmetrize_generators(group, gens)
     radius = 8
     reach = growth._reach(law, sym, radius)
     wb = growth._radix(reach)[2]
     frontiers = reference_bfs(law, sym, radius)
-    spheres = list(growth._spheres(law, sym, radius, reach))
-    assert len(spheres) == len(frontiers)
-    for (lo, hi), frontier in zip(spheres, frontiers):
+    balls = list(growth._balls(law, sym, radius, reach))
+    assert len(balls) == len(frontiers)
+    inner = np.zeros(0, dtype=np.int64)
+    for (lo, hi), frontier in zip(balls, frontiers):
         assert lo.dtype == hi.dtype == np.int64 and len(lo) == len(hi)
         assert np.all(lo < hi)
         assert np.all(lo[1:] > hi[:-1])
         assert np.array_equal(lo // wb, (hi - 1) // wb)
         assert np.array_equal(hi // wb, lo // wb)
         keys = np.concatenate([np.arange(a, b) for a, b in zip(lo, hi)])
-        assert keys.tolist() == sorted(growth._key(g, reach)
-                                       for g in frontier)
+        sphere = sorted(growth._key(g, reach) for g in frontier)
+        assert keys.tolist() == sorted(inner.tolist() + sphere)
+        assert np.setdiff1d(keys, inner).tolist() == sphere
+        inner = keys
 
 
 def test_word_ball_anisotropy():
@@ -374,12 +377,13 @@ def test_growth_refuses_huge_radius_up_front():
 def test_robustness_budget_prices_both_searches():
     std = growth.STANDARD_GENERATORS["heis_Z"]
     other = std + ((1, 1, 1),)
-    # the search for the first set also prices the spheres it keeps for
-    # the coverage check, so it stops no later than a search of its ball
+    # the search for the first set also prices the inner ball it keeps
+    # for the coverage check, so it stops no later than a search of its
+    # ball
     with pytest.raises(BudgetError) as ball:
-        growth._search_ball("heis_Z", std, 20, mem_budget_mb=0.15)
+        growth._search_ball("heis_Z", std, 40, mem_budget_mb=0.15)
     with pytest.raises(BudgetError) as first:
-        growth.generator_robustness("heis_Z", std, other, 20,
+        growth.generator_robustness("heis_Z", std, other, 40,
                                     mem_budget_mb=0.15)
     counts = first.value.partial.counts
     assert first.value.partial.generators == ball.value.partial.generators
@@ -387,20 +391,20 @@ def test_robustness_budget_prices_both_searches():
     assert len(counts) < len(ball.value.partial.counts)
     # the first set fits; the second, searched while the first set's
     # ball is held, does not
-    growth._search_ball("heis_Z", std, 14, mem_budget_mb=0.15)
+    growth._search_ball("heis_Z", std, 20, mem_budget_mb=0.15)
     with pytest.raises(BudgetError) as second:
-        growth.generator_robustness("heis_Z", std, other, 14,
+        growth.generator_robustness("heis_Z", std, other, 20,
                                     mem_budget_mb=0.15)
     partial = second.value.partial
     assert partial.truncated
     assert partial.generators == growth.symmetrize_generators("heis_Z",
                                                               other)
     assert partial.counts == \
-        growth.word_ball("heis_Z", other, 14).counts[:len(partial.counts)]
+        growth.word_ball("heis_Z", other, 20).counts[:len(partial.counts)]
     # with room for both searches, the budget changes nothing
-    budgeted = growth.generator_robustness("heis_Z", std, other, 14,
+    budgeted = growth.generator_robustness("heis_Z", std, other, 20,
                                            mem_budget_mb=0.6)
-    free = growth.generator_robustness("heis_Z", std, other, 14)
+    free = growth.generator_robustness("heis_Z", std, other, 20)
     assert [t.to_payload() for t in budgeted.tables] == \
         [t.to_payload() for t in free.tables]
     assert (budgeted.exponents, budgeted.coverage_ok) == \
