@@ -25,12 +25,14 @@ reported distance under left translation and dilation holds by
 construction.
 
 The l2 distance from the origin also has a closed form, ``l2_distance``,
-and so does the l2 sphere, a meridian curve turned about the z axis.
-A Monte Carlo volume fit cuts its box into slabs over annuli by a
-certified table of that meridian (of the circle, for Euclidean balls),
-deals the samples among them with one multinomial draw per radius, and
-draws and decides exactly only the samples of the slabs the table
-leaves open, about one in 7,700 for the l2 ball.
+and so does the l2 sphere, a meridian curve turned about the z axis:
+at fixed rho the ball of radius r is |z| <= r^2 H(rho / r), H the
+meridian's height. A Monte Carlo volume fit cuts its box into slabs
+over annuli by a certified table of H (of the circle, for Euclidean
+balls), deals the samples among them with one multinomial draw per
+radius, and draws only the samples of the slabs the table leaves open,
+about one in 7,700 for the l2 ball; each is decided by the height
+itself, the one the table bounds.
 """
 
 from __future__ import annotations
@@ -465,7 +467,7 @@ _MERIDIAN_CELLS = 1 << 11
 
 
 def _quotient(num, den):
-    """num / den as numpy divides floats: x / 0 is +-inf and 0 / 0 NaN."""
+    """num / den as IEEE 754 divides floats: x / 0 is +-inf, 0 / 0 NaN."""
     try:
         return num / den
     except ZeroDivisionError:
@@ -473,11 +475,15 @@ def _quotient(num, den):
 
 
 def _l2_float(rho, az):
-    """``l2_distance`` at one pair of floats rho, az >= 0, in Python floats
-    step for step, so bit for bit, as the array path, with the arc's
-    half-angle theta and pi - theta: (distance, theta, pi - theta). Newton
-    runs in the unknown of its branch, so the second of the two angles
-    keeps its digits as the arc closes."""
+    """``l2_distance`` at one pair of Python floats rho, az >= 0, with the
+    arc's half-angle theta and pi - theta: (distance, theta, pi - theta).
+
+    q = sqrt(w) stays accurate where rho^2 underflows, and the axis value
+    where pi |z| would under- or overflow (it is taken 2^600 toward 1).
+    Newton runs on the equation times 8 sin^2, finite at both ends, in
+    the unknown of its branch, so the second of the two angles keeps its
+    digits as the arc closes, and is clipped to a proven bracket of it,
+    which also takes a NaN step back to its start."""
     if rho == 0.0 and az == 0.0:
         return rho, 0.0, math.pi
     q = math.sqrt(az) / rho if rho != 0.0 else math.inf
@@ -487,6 +493,9 @@ def _l2_float(rho, az):
                            -up), math.pi, 0.0)
     w = q * q
     if 0.0 < w <= math.pi / 8:
+        # theta lies in [4w, min(6w, pi/2)]: w(theta) is convex with slope
+        # 1/6 at 0 and chord slope 1/4 to pi/2. Newton descends from the
+        # top of the bracket
         lo, hi = 4.0 * w, min(6.0 * w, 0.5 * math.pi)
         t = hi
         for _ in range(_NEWTON_STEPS):
@@ -495,11 +504,14 @@ def _l2_float(rho, az):
             qs = q * s
             t -= _quotient(n - 8.0 * (qs * qs),
                            4.0 * s * s - 2.0 * n * math.cos(t) / s)
-            # fmin(hi, .) then fmax(lo, .): a NaN goes to hi
+            # clipped to [lo, hi]; a NaN goes to hi
             t = t if t < hi else hi
             t = t if t > lo else lo
         return rho * t / math.sin(t), t, math.pi - t
     if w > math.pi / 8:
+        # psi lies in [p_lo, pi/2], p_lo = sqrt(pi / (4w)): w(psi) is
+        # decreasing and at least pi / (4 psi^2). It is convex, so Newton
+        # climbs from p_lo without passing the root
         p_lo = 0.5 * math.sqrt(math.pi) / q
         p = p_lo
         for _ in range(_NEWTON_STEPS):
@@ -508,7 +520,7 @@ def _l2_float(rho, az):
             qs = q * s
             p += _quotient(n - 8.0 * (qs * qs),
                            4.0 * s * s + 2.0 * n * math.cos(p) / s)
-            # fmax(p_lo, .) then fmin(pi/2, .): a NaN goes to p_lo
+            # clipped to [p_lo, pi/2]; a NaN goes to p_lo
             p = p if p > p_lo else p_lo
             p = p if p < 0.5 * math.pi else 0.5 * math.pi
         return rho * (math.pi - p) / math.sin(p), math.pi - p, p
@@ -517,69 +529,49 @@ def _l2_float(rho, az):
 
 def l2_distance(rho, abs_z):
     """Exact l2 distance from the origin to points with planar radius
-    ``rho`` and vertical gap ``abs_z`` (arrays, broadcast together); NaN
-    where either is NaN or negative.
+    ``rho`` and vertical gap ``abs_z``; NaN where either is NaN or
+    negative. Two scalars give a Python float; arrays are broadcast
+    together and give a float array of their shape, element by element.
 
     Geodesics project to circular arcs (Gaveau 1977; Montgomery 2002).
     With w = abs_z / rho^2 the arc's half-angle theta in [0, pi) solves
     (2 theta - sin 2 theta) / (8 sin^2 theta) = w, and the distance is
     rho theta / sin theta (2 sqrt(pi abs_z) on the vertical axis). Newton
     runs in theta for w <= pi/8, in psi = pi - theta as the arc closes,
-    clipped to a proven bracket of the unknown. Two scalars are answered
-    in Python floats, with the same steps and the same value, without
-    numpy's cost per call.
+    clipped to a proven bracket of the unknown, in Python floats
+    (``_l2_float``).
     """
-    if isinstance(rho, (int, float)) and isinstance(abs_z, (int, float)):
-        if not (rho >= 0 and abs_z >= 0):  # also NaN
-            return math.nan
-        return _l2_float(float(rho), float(abs_z))[0]
-    rho, az = np.broadcast_arrays(np.asarray(rho, dtype=float),
-                                  np.asarray(abs_z, dtype=float))
-    # q = sqrt(w) stays accurate where rho^2 underflows, and the axis value
-    # where pi |z| would under- or overflow (it is taken 2^600 toward 1);
-    # w = 0 and q = inf keep the values set here, as does a NaN q: the
-    # origin (0 / 0), rho = abs_z = inf and NaN inputs. Newton runs on the
-    # equation times 8 sin^2, finite at both ends; fmin/fmax send a NaN
-    # step back to its start
-    with np.errstate(all="ignore"):
-        q = np.sqrt(az) / rho
-        up = np.where(az < 1.0, 300, -300)
-        axis = np.ldexp(2.0 * np.sqrt(np.pi * np.ldexp(az, 2 * up)), -up)
-        d = np.where(np.isinf(q), axis, np.where(np.isnan(az), az, rho))
-        w = q * q
-        arc = (w > 0) & (w <= np.pi / 8)
-        loop = (w > np.pi / 8) & np.isfinite(q)
-        # a branch without points is skipped, which halves a scalar call
-        if arc.any():
-            # theta lies in [4w, min(6w, pi/2)]: w(theta) is convex with
-            # slope 1/6 at 0 and chord slope 1/4 to pi/2. Newton descends
-            # from the top of the bracket
-            qa, wa = q[arc], w[arc]
-            lo, hi = 4.0 * wa, np.minimum(6.0 * wa, 0.5 * np.pi)
-            t = hi
-            for _ in range(_NEWTON_STEPS):
-                s = np.sin(t)
-                n = 2.0 * t - np.sin(2.0 * t)
-                step = (n - 8.0 * (qa * s) ** 2) / (
-                    4.0 * s * s - 2.0 * n * np.cos(t) / s)
-                t = np.fmax(lo, np.fmin(hi, t - step))
-            d[arc] = rho[arc] * t / np.sin(t)
-        if loop.any():
-            # psi lies in [p_lo, pi/2], p_lo = sqrt(pi / (4w)): w(psi) is
-            # decreasing and at least pi / (4 psi^2). It is convex, so
-            # Newton climbs from p_lo without passing the root
-            ql = q[loop]
-            p_lo = 0.5 * math.sqrt(math.pi) / ql
-            p = p_lo
-            for _ in range(_NEWTON_STEPS):
-                s = np.sin(p)
-                n = 2.0 * np.pi - 2.0 * p + np.sin(2.0 * p)
-                step = (n - 8.0 * (ql * s) ** 2) / (
-                    4.0 * s * s + 2.0 * n * np.cos(p) / s)
-                p = np.fmin(0.5 * np.pi, np.fmax(p_lo, p + step))
-            d[loop] = rho[loop] * (np.pi - p) / np.sin(p)
-    d[(rho < 0.0) | (az < 0.0)] = np.nan
-    return d
+    if not (isinstance(rho, (int, float)) and isinstance(abs_z, (int, float))):
+        rho, az = np.broadcast_arrays(np.asarray(rho, dtype=float),
+                                      np.asarray(abs_z, dtype=float))
+        return np.array([l2_distance(p, q) for p, q in
+                         zip(rho.ravel().tolist(), az.ravel().tolist())],
+                        dtype=float).reshape(rho.shape)
+    if not (rho >= 0 and abs_z >= 0):  # also NaN
+        return math.nan
+    return _l2_float(float(rho), float(abs_z))[0]
+
+
+def _meridian(u):
+    """The unit l2 sphere's meridian over u = rho / r in [0, 1], an array:
+    (t, H), the half-angle t in (0, pi] with sin t = u t, by Newton from
+    t = sqrt(6 (1 - u)), to a rounding in five steps, and the height
+    H(u) = (2t - sin 2t) / (8 t^2). At u = 1 the meridian meets the plane:
+    H = 0 (t is NaN there, where Newton's first step is 0 / 0)."""
+    t = np.minimum(np.sqrt(6.0 * (1.0 - u)), np.pi)
+    with np.errstate(invalid="ignore"):
+        for _ in range(5):
+            t = np.minimum(np.pi, t - (np.sin(t) - u * t) / (np.cos(t) - u))
+    return t, np.where(u < 1.0, (2.0 * t - np.sin(2.0 * t)) / (8.0 * t * t),
+                       0.0)
+
+
+def _height(metric, u):
+    """Height of ``metric``'s unit ball over u = rho / r in [0, 1], an
+    array, in units of the box's half-height Z (r^2 for cc, r Euclidean):
+    the meridian's H(u), or sqrt(1 - u^2). It is what the ball tables
+    bound, and the ball of radius r is {rho <= r, |z| <= Z height}."""
+    return _meridian(u)[1] if metric == "cc" else np.sqrt(1.0 - u * u)
 
 
 @functools.cache
@@ -595,8 +587,8 @@ def _meridian_table():
     Z_s(rho)}, Z_s(rho) = s^2 H(rho / s). Since dH/du = -cos t / (2t), H
     rises on [0, 2/pi] from 1/(4 pi) to 1/(2 pi) and falls to 0 at u = 1:
     on cell k, [k/K, (k+1)/K], H lies between the cell's knot values, or
-    at most 1/(2 pi) in the cell of 2/pi. The knots' t come from Newton
-    on sin t = u t from t = sqrt(6 (1 - u)), to a rounding in five steps.
+    at most 1/(2 pi) in the cell of 2/pi. The knots come from
+    ``_meridian``, whose H also decides the fit's open samples.
 
     For a point of cell k = floor(rho K / r) and r' = r(1 -+ 1e-12),
     rho / r' lies in the cell widened to [k/K (1 - d), (k+1)/K (1 + d)],
@@ -617,12 +609,8 @@ def _meridian_table():
     lo = hi = -1: all are outside.
     """
     K = _MERIDIAN_CELLS
-    u = np.arange(K) / K
-    t = np.minimum(np.sqrt(6.0 * (1.0 - u)), np.pi)
-    for _ in range(5):
-        t = np.minimum(np.pi, t - (np.sin(t) - u * t) / (np.cos(t) - u))
-    knots = np.append((2.0 * t - np.sin(2.0 * t)) / (8.0 * t * t), 0.0)
-    pad = 2e-12 * (1.0 + 1.0 / t[-1])
+    t, knots = _meridian(np.arange(K + 1) / K)
+    pad = 2e-12 * (1.0 + 1.0 / t[K - 1])
     lo = np.minimum(knots[:-1], knots[1:]) - pad
     hi = np.maximum(knots[:-1], knots[1:]) + pad
     hi[int(2.0 * K / np.pi)] = 0.5 / np.pi + pad
@@ -648,7 +636,7 @@ def _sphere_table():
     """
     K = _MERIDIAN_CELLS
     u = np.arange(K + 1) / K
-    knots = np.sqrt(1.0 - u * u)
+    knots = _height("euclidean", u)
     edge = (K - 1) / K * (1.0 + 2e-12)
     pad = 2e-12 * (1.0 + edge / math.sqrt(1.0 - edge * edge))
     lo, hi = knots[1:] - pad, knots[:-1] + pad
@@ -713,13 +701,16 @@ def ball_volume_fit(metric, radii, samples, seed) -> VolumeFit:
     the ball, open and outside. Per radius one multinomial draw deals the
     ``samples`` points among them; only the points of the open slabs
     (about one in 7,700 for cc, one in 1,700 Euclidean) are drawn, rho^2
-    uniform on their annulus and |z| on their slab, and decided exactly,
-    by ``l2_distance`` or the squared norm. The hit count is that of
-    ``samples`` uniform points of the box in law, Binomial(samples,
-    volume / box), and the work per radius grows only with the open
-    points. Each radius draws from its own generator, spawned from the
-    one seeded by ``seed``, so its hits depend only on the seed and its
-    place in the list.
+    uniform on their annulus and |z| on their slab, and each is inside
+    if |z| <= Z ``_height``(rho / r), Z the box's half-height: the height
+    profile the tables bound, one test for both metrics. The tests find
+    these decisions equal to ``l2_distance`` and the squared norm, also
+    on points planted a relative 1e-13 off the sphere. The hit count is
+    that of ``samples`` uniform points of the box in law,
+    Binomial(samples, volume / box), and the work per radius grows only
+    with the open points. Each radius draws from its own generator,
+    spawned from the one seeded by ``seed``, so its hits depend only on
+    the seed and its place in the list.
 
     Every radius must have a box volume (8 r^3 Euclidean, 8 r^4 cc) that
     is a finite, normal, positive float, so that the volumes, their logs
@@ -774,10 +765,7 @@ def ball_volume_fit(metric, radii, samples, seed) -> VolumeFit:
         rho = r / K * np.sqrt(cell * cell
                               + gen.random(len(cell)) * (2 * cell + 1))
         az = zr * (lo[cell] + gen.random(len(cell)) * (hi[cell] - lo[cell]))
-        if metric == "euclidean":
-            inside = rho * rho + az * az <= r * r
-        else:
-            inside = l2_distance(rho, az) <= r
+        inside = az <= zr * _height(metric, rho / r)
         hits = int(counts[0]) + int(np.count_nonzero(inside))
         frac = hits / samples
         vols.append(box * frac)

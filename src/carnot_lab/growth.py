@@ -512,24 +512,28 @@ def generator_robustness(group, gens1, gens2, radius,
                          mem_budget_mb=None) -> RobustnessReport:
     """Fit the growth degree under two generating sets and compare.
 
-    The fit window is [min(10, max(1, radius // 2)), radius]. The degree
-    is a quasi-isometry invariant, so the two exponents must agree
-    closely (the report records their gap and the min/max ratio of
+    The fit window is [min(10, max(1, radius // 2)), radius], so the
+    radius must be at least 2; a smaller one is refused before any search.
+    The degree is a quasi-isometry invariant, so the two exponents must
+    agree closely (the report records their gap and the min/max ratio of
     ball counts as an empirical witness). Coverage is cross-checked: each
     set must reach, within ``radius``, everything the other reaches well
     inside it (half the radius); failing that the report flags the set as
     possibly non-generating. Both searches run in one radix, bounded up
     front from both sets, so their keys compare directly; one search per
-    set yields its table and keeps two of its balls, as runs: B_radius
-    and the inner ball B_{radius // 2}, which is covered when each of
-    its runs lies inside one maximal run of the other set's B_radius. A
-    memory budget applies to both searches and prices what the report
-    holds while it builds a level: the level, the inner ball the running
-    search has kept, and the two balls kept from the search for
-    ``gens1`` once it is done, at 16 bytes a run. The search that would
-    exceed it raises BudgetError with its partial table.
+    set yields its table and keeps two of its balls, as runs: B_radius and
+    the inner ball B_{radius // 2}, which is covered when each of its runs
+    lies inside one maximal run of the other set's B_radius. A memory
+    budget applies to both searches and prices what the report holds while
+    it builds a level: the level, the inner ball the running search has
+    kept, and the two balls kept from the search for ``gens1`` once it is
+    done, at 16 bytes a run. The search that would exceed it raises
+    BudgetError with its partial table.
     """
     _check_radius("radius", radius)
+    if radius < 2:  # the window [1, radius] holds no fit
+        raise DomainError(f"a robustness report fits over radii 1..radius "
+                          f"and needs radius >= 2, got {radius}")
     _check_budget(mem_budget_mb)
     sets = [symmetrize_generators(group, gens) for gens in (gens1, gens2)]
     law, _ = GROUP_LAWS[group]

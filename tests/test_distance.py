@@ -534,10 +534,10 @@ def test_l2_distance_matches_optimizer():
 
 
 def test_l2_distance_scalars_equal_the_array_path():
-    # two nonnegative scalars are answered in Python floats; over a seeded
-    # sweep of every branch (the plane, the arc, the closing loop, the
-    # axis and both ends of the float range) and the grid of extremes,
-    # each value is the array path's bit for bit
+    # two scalars are answered as a Python float, arrays element by
+    # element; over a seeded sweep of every branch (the plane, the arc,
+    # the closing loop, the axis and both ends of the float range) and
+    # the grid of extremes, each array value is the scalar's bit for bit
     rng = np.random.default_rng(61)
     n = 24_000
     rho = rng.uniform(0.0, 3.0, n)
@@ -554,7 +554,24 @@ def test_l2_distance_scalars_equal_the_array_path():
     got = [dist.l2_distance(r, z) for r, z in zip(rho.tolist(),
                                                   abs_z.tolist())]
     assert all(type(d) is float for d in got)
+    assert expected.dtype == float and expected.shape == rho.shape
     assert np.array_equal(np.array(got), expected)
+    # a 0-d array gives a 0-d float array; a column and a row broadcast
+    # to their grid, a NaN or negative entry to a NaN in its place
+    d = dist.l2_distance(np.asarray(rho[7]), np.asarray(abs_z[7]))
+    assert d.shape == () and d.dtype == float and d == got[7]
+    col = np.array([[0.0], [1.0], [-1.0], [math.nan]])
+    row = np.array([0.0, 2.0, 1e-300, -0.5, math.nan])
+    d = dist.l2_distance(col, row)
+    assert d.shape == (4, 5) and d.dtype == float
+    for i, c in enumerate(col[:, 0].tolist()):
+        for j, z in enumerate(row.tolist()):
+            want = dist.l2_distance(c, z)
+            assert d[i, j] == want or math.isnan(d[i, j]) and math.isnan(want)
+    assert np.isnan(d[2:]).all() and np.isnan(d[:, 3:]).all()
+    assert not np.isnan(d[:2, :3]).any()
+    ints = dist.l2_distance(np.arange(3), 1)
+    assert ints.dtype == float and ints.shape == (3,)
 
 
 def test_nan_coordinates_give_nan():
@@ -1205,37 +1222,61 @@ def test_partition_brackets_the_exact_volume(metric):
     assert open_share < (2e-4 if metric == "cc" else 1e-3)
 
 
+def _spy_heights(monkeypatch):
+    # every call of the fit's height profile, as (metric, u, height): one
+    # per radius, with the open samples' rho / r. The tables are built
+    # first, so that only the fit's calls are kept
+    dist._partition("cc"), dist._partition("euclidean")
+    sent, height = [], dist._height
+
+    def keeping(metric, u):
+        sent.append((metric, u, height(metric, u)))
+        return sent[-1][2]
+
+    monkeypatch.setattr(dist, "_height", keeping)
+    return sent
+
+
+def _fit_open_samples(metric, radii, samples, seed):
+    # the fit's draws replayed: per radius, the samples dealt to the
+    # inside slabs and the open samples (rho, |z|)
+    lo, hi, pvals = dist._partition(metric)
+    K = dist._MERIDIAN_CELLS
+    draws = []
+    for r, gen in zip(radii, np.random.default_rng(seed).spawn(len(radii))):
+        zr = r * r if metric == "cc" else r
+        counts = gen.multinomial(samples, pvals)
+        cell = np.repeat(np.arange(K), counts[1:-1])
+        rho = r / K * np.sqrt(cell * cell
+                              + gen.random(len(cell)) * (2 * cell + 1))
+        az = zr * (lo[cell] + gen.random(len(cell)) * (hi[cell] - lo[cell]))
+        draws.append((int(counts[0]), rho, az))
+    return draws
+
+
 def test_volume_fit_open_share_pinned(monkeypatch):
-    # the pairs left to the exact distance at this seed: about 0.013% of
-    # the samples with the meridian table, 2.7% with the path bounds and
-    # the half-angle bracket it replaced
-    sent, exact = [], dist.l2_distance
-
-    def counting(rho, abs_z):
-        sent.append(len(rho))
-        return exact(rho, abs_z)
-
-    monkeypatch.setattr(dist, "l2_distance", counting)
+    # the samples left to the height profile at this seed: about 0.013%
+    # of the samples with the meridian table, 2.7% with the path bounds
+    # and the half-angle bracket it replaced
+    sent = _spy_heights(monkeypatch)
     samples = 10 ** 6
     dist.ball_volume_fit("cc", (0.5, 1, 1.5, 2), samples, seed=7)
-    assert sum(sent) <= 2e-4 * 4 * samples
+    assert len(sent) == 4
+    assert 1 <= sum(len(u) for _, u, _ in sent) <= 2e-4 * 4 * samples
 
 
 def test_volume_fit_draws_only_in_the_open_slabs(monkeypatch):
-    # every pair sent to the exact distance lies in an open slab of the
+    # every sample sent to the height profile lies in an open slab of the
     # partition, and the open slabs are drawn in proportion to their
     # shares: those inside the peak cell's radius, about 12% of the open
-    # share, get their part of the pairs within 5 standard deviations
-    sent, exact = [], dist.l2_distance
+    # share, get their part of the samples within 5 standard deviations
+    sent = _spy_heights(monkeypatch)
     r = 1.5
-
-    def keeping(rho, abs_z):
-        sent.append((rho, abs_z))
-        return exact(rho, abs_z)
-
-    monkeypatch.setattr(dist, "l2_distance", keeping)
     dist.ball_volume_fit("cc", (0.5, 1.0, r), 10 ** 6, seed=8)
-    rho, abs_z = sent[-1]
+    _, rho, abs_z = _fit_open_samples("cc", (0.5, 1.0, r), 10 ** 6, 8)[-1]
+    metric, u, _ = sent[-1]
+    # the replay draws what the fit drew
+    assert metric == "cc" and np.array_equal(u, rho / r)
     assert len(rho) > 50
     assert (_partition_region(rho, 0.0, abs_z, r) == 1).all()
     _, _, pvals = dist._partition("cc")
@@ -1244,6 +1285,72 @@ def test_volume_fit_draws_only_in_the_open_slabs(monkeypatch):
     below = np.count_nonzero(rho < r * peak / dist._MERIDIAN_CELLS)
     n = len(rho)
     assert abs(below - share * n) < 5.0 * math.sqrt(n * share * (1 - share))
+
+
+def _exactly_inside(metric, rho, abs_z, r):
+    # the oracles: the exact l2 distance and the squared norm
+    if metric == "cc":
+        return dist.l2_distance(rho, abs_z) <= r
+    return rho * rho + abs_z * abs_z <= r * r
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("metric", ["cc", "euclidean"])
+def test_volume_fit_decides_open_samples_as_the_exact_test(metric,
+                                                           monkeypatch):
+    # the height profile decides every open sample of a seed sweep over
+    # radii across the float range as the exact test does: the fit's
+    # hits are its inside slabs' samples plus the open samples the exact
+    # test puts inside, and each sample sent is decided alike
+    sent = _spy_heights(monkeypatch)
+    radii, samples = (1e-70, 0.37, 1.5, 1e70), 10 ** 7
+    zr = [r * r if metric == "cc" else r for r in radii]
+    decided = 0
+    for seed in range(12):
+        del sent[:]
+        fit = dist.ball_volume_fit(metric, radii, samples, seed)
+        draws = _fit_open_samples(metric, radii, samples, seed)
+        for r, z, hits, (inside, rho, abs_z), (_, u, height) in zip(
+                radii, zr, fit.hits, draws, sent):
+            assert np.array_equal(u, rho / r)
+            exact = _exactly_inside(metric, rho, abs_z, r)
+            assert np.array_equal(abs_z <= z * height, exact)
+            assert hits == inside + np.count_nonzero(exact)
+            decided += len(rho)
+    assert decided > 10_000
+    monkeypatch.undo()
+    # planted in the open slabs: a relative 1e-13 inside and outside the
+    # sphere, the axis cell's slab (u = 0) and the rim rho = r, outside
+    # unless z = 0; each decided by the height as by the exact test
+    lo, hi, _ = dist._partition(metric)
+    K = dist._MERIDIAN_CELLS
+    rng = np.random.default_rng([23, len(metric)])
+    for r in radii:
+        z = r * r if metric == "cc" else r
+        u = rng.uniform(0.0, 1.0, 4000)
+        if metric == "cc":
+            t = _unit_meridian_angle(u)
+            height = _unit_meridian_height(t)
+        else:
+            height = np.sqrt(1.0 - u * u)
+        s = np.repeat((1.0 - 1e-13, 1.0 + 1e-13), 2000)
+        rho = np.concatenate((r * s * u, np.zeros(200), np.full(200, r)))
+        abs_z = np.concatenate((
+            z * s ** (2 if metric == "cc" else 1) * height,
+            z * rng.uniform(lo[0], hi[0], 200),
+            z * rng.uniform(0.0, hi[K - 1], 200)))
+        abs_z[-1] = 0.0
+        # each in the open slab of its cell, where the fit draws |z| / Z
+        # in [lo, hi)
+        cell = np.minimum(rho * (K / r), K - 1).astype(np.intp)
+        assert ((lo[cell] <= abs_z / z) & (abs_z / z <= hi[cell])).all()
+        exact = _exactly_inside(metric, rho, abs_z, r)
+        assert np.array_equal(
+            abs_z <= z * dist._height(metric, rho / r), exact)
+        # the spheres' points sit on their side, and the rim is inside
+        # only at z = 0
+        assert exact[:2000].all() and not exact[2000:4000].any()
+        assert exact[-200:].tolist() == [False] * 199 + [True]
 
 
 def test_volume_fit_hits_pinned():

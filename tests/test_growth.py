@@ -344,6 +344,27 @@ def test_growth_rejects_bad_radius(radius):
         growth.generator_robustness("z3", std, std, radius)
 
 
+@pytest.mark.parametrize("radius", [0, 1])
+def test_robustness_refuses_a_radius_without_a_fit_before_searching(
+        radius, monkeypatch):
+    # the fit window [1, radius] needs radius >= 2: a smaller radius is
+    # refused before either set is searched
+    calls, balls = [], growth._balls
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return balls(*args, **kwargs)
+
+    monkeypatch.setattr(growth, "_balls", counting)
+    std = growth.STANDARD_GENERATORS["heis_Z"]
+    with pytest.raises(DomainError, match="radius >= 2"):
+        growth.generator_robustness("heis_Z", std, std + ((1, 1, 1),),
+                                    radius)
+    assert len(calls) == 0
+    growth.generator_robustness("heis_Z", std, std + ((1, 1, 1),), 2)
+    assert len(calls) == 2
+
+
 @pytest.mark.parametrize("big", [10 ** 12, 10 ** 20])
 def test_growth_refuses_int64_overflow(big):
     # the keys of a level pack all three coordinates into one int64; a
